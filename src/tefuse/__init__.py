@@ -57,7 +57,6 @@ from .infotheory import (
     conditional_entropy,
     shannon_entropy,
     transfer_entropy,
-    transfer_entropy_ratio_sum,
 )
 from .ingest import (
     Dataset,
@@ -88,7 +87,7 @@ __all__ = [
     "StateSequence", "embed", "decode_state",
     # infotheory
     "shannon_entropy", "conditional_entropy", "transfer_entropy",
-    "transfer_entropy_ratio_sum", "causation_entropy_pair",
+    "causation_entropy_pair",
     # fusion
     "MergedSequence", "merge_pair", "fuse",
     # clustering

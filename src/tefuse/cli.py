@@ -162,7 +162,7 @@ def _run_cluster(args, noise_count: int = 0) -> int:
 
     leaves = leaf_sequences(dataset, config)
     target_seq, kind, _, _ = target_symbols(dataset, config)
-    tree = cluster(leaves, target_seq, config, threads=args.threads)
+    tree = cluster(leaves, target_seq, config)
 
     extra["target_kind_resolved"] = kind
     extra["candidate_evaluations"] = [
@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true",
                         help="log progress to stderr")
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallel pair scoring; never changes outputs")
+                        help="accepted for compatibility; pair scoring is "
+                             "serial and outputs never depend on this flag")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cluster", help="run the fusion hierarchy")

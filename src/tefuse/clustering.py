@@ -11,16 +11,15 @@ independent of the fused alphabet. The argmin pair is fused, repartitioned
 to the working alphabet, and replaces its parents; ties break toward the
 lexicographically smallest (i, j) node-id pair so runs are reproducible.
 
-Scores can be negative or positive and are never clamped. Pair scoring
-within a level is data-parallel; the argmin is taken only after all scores
-materialize, so the chosen pair never depends on scheduling.
+Scores can be negative or positive and are never clamped. Pairs are scored
+one after another in ascending (i, j) order and the argmin is taken over the
+full list, so a run's output depends only on its inputs and configuration.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import LengthMismatch, SequenceTooShort
@@ -75,7 +74,6 @@ def cluster(
     sources: list[SymbolSequence],
     target: SymbolSequence,
     config: RunConfig,
-    threads: int = 1,
 ) -> MergeTree:
     """Run the fusion hierarchy until ``config.stop_at`` supernodes remain.
 
@@ -120,19 +118,14 @@ def cluster(
             for a, i in enumerate(active)
             for j in active[a + 1:]
         ]
-
-        def joint_te(pair: tuple[int, int]) -> float:
-            merged = merge_pair(
-                _train_view(nodes[pair[0]], train_len),
-                _train_view(nodes[pair[1]], train_len),
+        joints = [
+            transfer_entropy(
+                as_symbol_sequence(merge_pair(_train_view(nodes[i], train_len),
+                                              _train_view(nodes[j], train_len))),
+                z_train, k,
             )
-            return transfer_entropy(as_symbol_sequence(merged), z_train, k)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                joints = list(pool.map(joint_te, pairs))
-        else:
-            joints = [joint_te(p) for p in pairs]
+            for i, j in pairs
+        ]
         scores = [
             (te_cache[i] - te_xy) + (te_cache[j] - te_xy)
             for (i, j), te_xy in zip(pairs, joints)

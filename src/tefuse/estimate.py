@@ -1,11 +1,15 @@
 """Target estimation at every level of a fusion hierarchy.
 
 The estimator is a conditional frequency table over joint embedded states:
-for each state tuple observed in training it stores the empirical
+for each distinct state tuple observed in training it stores the empirical
 distribution of the next target symbol, and unseen states fall back to the
-global target distribution, so prediction is total. The same lag-1
-convention as transfer entropy applies: the target at t+1 is paired with
-states through t.
+global target distribution, so prediction is total. Joint states are counted
+with the same dense-id primitive as the entropies
+(:func:`tefuse.infotheory._joint_ids`): training counts ``id * alphabet +
+label`` with one bincount, and prediction numbers the training states and
+the queried states together, so a query row is seen exactly when it shares
+an id with a training row. The same lag-1 convention as transfer entropy
+applies: the target at t+1 is paired with states through t.
 
 Continuous targets are discretized by maximum entropy partitioning and
 predictions are mapped back to values through per-bin training medians.
@@ -28,8 +32,9 @@ import numpy as np
 from .clustering import MergeTree, leaf_sequences, replay_merges
 from .embedding import StateSequence, embed
 from .errors import EmptySequence, LengthMismatch, SequenceTooShort
+from .infotheory import _joint_ids
 from .ingest import Dataset, RunConfig, split_index
-from .sdf import Partition, SymbolSequence, fit_mep_partition, symbolize
+from .sdf import SymbolSequence, fit_mep_partition, symbolize
 
 logger = logging.getLogger(__name__)
 
@@ -39,12 +44,16 @@ RMSE = "rmse"
 
 @dataclass
 class FrequencyEstimator:
-    """Empirical distribution of the next target symbol per joint state."""
+    """Empirical distribution of the next target symbol per joint state.
 
-    table: dict[tuple[int, ...], np.ndarray]
+    Row i of ``distributions`` belongs to the state tuple ``states[i]``; the
+    distinct training states are stored in lexicographic order.
+    """
+
+    states: np.ndarray
+    distributions: np.ndarray
     prior: np.ndarray
     target_alphabet: int
-    target_partition: Partition | None = None
     bin_representatives: np.ndarray | None = None
 
 
@@ -99,15 +108,21 @@ def train(states, target_symbols, target_alphabet: int | None = None) -> Frequen
         raise EmptySequence("cannot train on zero samples")
     alphabet = int(target_alphabet if target_alphabet is not None
                    else targets.max() + 1)
-    counts: dict[tuple[int, ...], np.ndarray] = {}
-    for row, label in zip(map(tuple, rows.tolist()), targets.tolist()):
-        bucket = counts.get(row)
-        if bucket is None:
-            bucket = counts[row] = np.zeros(alphabet)
-        bucket[label] += 1.0
-    table = {state: bucket / bucket.sum() for state, bucket in counts.items()}
+    if targets.min() < 0 or targets.max() >= alphabet:
+        raise ValueError(f"target symbols must lie in 0..{alphabet - 1}")
+    ids = _joint_ids(*rows.T)
+    distinct = int(ids.max()) + 1
+    states = np.empty((distinct, rows.shape[1]), dtype=np.int64)
+    states[ids] = rows
+    counts = np.bincount(ids * alphabet + targets, minlength=distinct * alphabet)
+    counts = counts.reshape(distinct, alphabet).astype(np.float64)
     prior = np.bincount(targets, minlength=alphabet) / len(targets)
-    return FrequencyEstimator(table=table, prior=prior, target_alphabet=alphabet)
+    return FrequencyEstimator(
+        states=states,
+        distributions=counts / counts.sum(axis=1, keepdims=True),
+        prior=prior,
+        target_alphabet=alphabet,
+    )
 
 
 def predict(est: FrequencyEstimator, states):
@@ -119,12 +134,14 @@ def predict(est: FrequencyEstimator, states):
     targets.
     """
     rows = _state_rows(states)
-    symbols = np.empty(len(rows), dtype=np.int64)
-    for pos, row in enumerate(map(tuple, rows.tolist())):
-        dist = est.table.get(row)
-        if dist is None:
-            dist = est.prior
-        symbols[pos] = int(np.argmax(dist))
+    seen = len(est.states)
+    ids = _joint_ids(*np.concatenate([est.states, rows]).T)
+    row_of_id = np.full(int(ids.max()) + 1, -1)
+    row_of_id[ids[:seen]] = np.arange(seen)
+    found = row_of_id[ids[seen:]]
+    # An unseen row finds -1, which picks the prior's argmax appended last.
+    best = np.append(np.argmax(est.distributions, axis=1), np.argmax(est.prior))
+    symbols = best[found]
     if est.bin_representatives is None:
         return symbols, None
     return symbols, est.bin_representatives[symbols]

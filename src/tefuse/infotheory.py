@@ -7,10 +7,15 @@ computed at identical sample sizes, so the common plug-in bias largely
 cancels out of the comparison.
 
 Joint distributions are formed by tupling aligned columns (raw symbols or
-embedded windows) and counting distinct rows, never by combining entropies
-of the parts. Window columns are an invertible recoding of radix state ids,
-so every quantity here is invariant under any bijective relabeling of the
-input alphabets.
+history windows) and counting distinct tuples, never by combining entropies
+of the parts. Every count goes through one primitive, :func:`_joint_ids`,
+which numbers the distinct tuples 0..m-1 in lexicographic tuple order; the
+counts are then ``np.bincount`` of those ids. Lexicographic order is the
+order a sort of the stacked rows gives, so each count array, and with it
+every floating-point sum over it, is the same element for element whatever
+way the tuples are formed. A history window is the tuple of its k+1 lagged
+symbols, so every quantity here is invariant under any bijective relabeling
+of the input alphabets.
 
 Lag convention: the target symbol at t+1 is paired with states through t,
 giving aligned tuples for t = k .. n-2.
@@ -39,24 +44,30 @@ def _column(seq) -> np.ndarray:
     return arr
 
 
-def _rows(parts) -> np.ndarray:
-    """Stack 1-D/2-D integer blocks into one (n, m) outcome matrix."""
-    blocks = []
-    for p in parts:
-        arr = np.asarray(p, dtype=np.int64)
-        blocks.append(arr[:, None] if arr.ndim == 1 else arr)
-    return np.concatenate(blocks, axis=1)
+def _joint_ids(*columns) -> np.ndarray:
+    """Dense ids of the tuples formed by aligned, non-empty integer columns.
+
+    Equal tuples share an id, ids run 0..m-1 over the m distinct tuples and
+    follow lexicographic tuple order. Columns are folded left to right: the
+    ids so far are scaled by the next column's span and re-ranked. A column
+    is shifted to start at zero, or dense-ranked when its span reaches the
+    row count, so the folded value stays below n*n.
+    """
+    n = len(columns[0])
+    ids = np.zeros(n, dtype=np.int64)
+    for col in columns:
+        col = np.asarray(col, dtype=np.int64)
+        lo, hi = int(col.min()), int(col.max())
+        if hi - lo < n:
+            ids = ids * (hi - lo + 1) + (col - lo)
+        else:
+            ids = ids * n + np.unique(col, return_inverse=True)[1]
+        ids = np.unique(ids, return_inverse=True)[1]
+    return ids
 
 
-def _entropy_of_rows(rows: np.ndarray) -> float:
-    _, counts = np.unique(rows, axis=0, return_counts=True)
-    p = counts / rows.shape[0]
-    return float(-(p * np.log2(p)).sum())
-
-
-def _entropy_1d(arr: np.ndarray) -> float:
-    _, counts = np.unique(arr, return_counts=True)
-    p = counts / len(arr)
+def _entropy(ids: np.ndarray) -> float:
+    p = np.bincount(ids) / len(ids)
     return float(-(p * np.log2(p)).sum())
 
 
@@ -69,10 +80,23 @@ def _clamped(value: float, what: str) -> float:
     return value
 
 
-def _windows(arr: np.ndarray, k: int) -> np.ndarray:
-    if k == 0:
-        return arr[:, None]
-    return np.lib.stride_tricks.sliding_window_view(arr, k + 1)
+def _history(arr: np.ndarray, k: int) -> np.ndarray:
+    """Ids of the (k+1)-symbol windows ending at t = k .. n-2."""
+    n = len(arr)
+    return _joint_ids(*(arr[j: n - 1 - k + j] for j in range(k + 1)))
+
+
+def _aligned(k: int, *seqs) -> list[np.ndarray]:
+    """Validate equal-length sequences; return their columns."""
+    cols = [_column(s) for s in seqs]
+    n = len(cols[-1])
+    if any(len(c) != n for c in cols):
+        raise LengthMismatch(
+            "lengths differ: " + ", ".join(str(len(c)) for c in cols)
+        )
+    if n < k + 2:
+        raise SequenceTooShort(f"need at least k+2={k + 2} samples, got {n}")
+    return cols
 
 
 def shannon_entropy(seq) -> float:
@@ -80,7 +104,7 @@ def shannon_entropy(seq) -> float:
     arr = _column(seq)
     if len(arr) == 0:
         raise EmptySequence("cannot take the entropy of an empty sequence")
-    return _entropy_1d(arr)
+    return _entropy(_joint_ids(arr))
 
 
 def conditional_entropy(next_symbols, given) -> float:
@@ -100,22 +124,7 @@ def conditional_entropy(next_symbols, given) -> float:
         )
     if len(nxt) == 0:
         raise EmptySequence("cannot condition on an empty sequence")
-    joint = _rows([nxt, g])
-    return _entropy_of_rows(joint) - _entropy_of_rows(g)
-
-
-def _te_blocks(source, target, k: int):
-    x = _column(source)
-    y = _column(target)
-    if len(x) != len(y):
-        raise LengthMismatch(f"source length {len(x)} != target length {len(y)}")
-    n = len(y)
-    if n < k + 2:
-        raise SequenceTooShort(f"need at least k+2={k + 2} samples, got {n}")
-    nxt = y[k + 1:]
-    yw = _windows(y, k)[:-1]
-    xw = _windows(x, k)[:-1]
-    return nxt, yw, xw
+    return _entropy(_joint_ids(nxt, *g.T)) - _entropy(_joint_ids(*g.T))
 
 
 def transfer_entropy(source, target, k: int) -> float:
@@ -125,37 +134,12 @@ def transfer_entropy(source, target, k: int) -> float:
     the source's depth-k state history in addition to the target's own:
     H(next | own history) - H(next | own and source history).
     """
-    nxt, yw, xw = _te_blocks(source, target, k)
-    h_own = _entropy_of_rows(_rows([nxt, yw])) - _entropy_of_rows(yw)
-    h_both = (_entropy_of_rows(_rows([nxt, yw, xw]))
-              - _entropy_of_rows(_rows([yw, xw])))
+    x, y = _aligned(k, source, target)
+    yw, xw = _history(y, k), _history(x, k)
+    next_own = _joint_ids(y[k + 1:], yw)
+    h_own = _entropy(next_own) - _entropy(yw)
+    h_both = _entropy(_joint_ids(next_own, xw)) - _entropy(_joint_ids(yw, xw))
     return _clamped(h_own - h_both, "transfer entropy")
-
-
-def _row_counts(rows: np.ndarray) -> np.ndarray:
-    _, inverse, counts = np.unique(
-        rows, axis=0, return_inverse=True, return_counts=True
-    )
-    return counts[inverse]
-
-
-def transfer_entropy_ratio_sum(source, target, k: int) -> float:
-    """Transfer entropy as the explicit probability-ratio sum.
-
-    Sums p(next, own, source) * log2[p(next | own, source) / p(next | own)]
-    over the observed triples. Algebraically identical to
-    :func:`transfer_entropy`; kept as an independent computation route and
-    cross-checked in the tests.
-    """
-    nxt, yw, xw = _te_blocks(source, target, k)
-    rows = _rows([nxt, yw, xw])
-    kk = yw.shape[1]
-    c_full = _row_counts(rows)                 # (next, own, source)
-    c_cond = _row_counts(rows[:, 1:])          # (own, source)
-    c_next_own = _row_counts(rows[:, :1 + kk])  # (next, own)
-    c_own = _row_counts(rows[:, 1:1 + kk])     # (own)
-    ratios = (c_full.astype(np.float64) * c_own) / (c_cond * c_next_own.astype(np.float64))
-    return _clamped(float(np.mean(np.log2(ratios))), "transfer entropy (ratio form)")
 
 
 def causation_entropy_pair(x, y, z, k: int) -> tuple[float, float]:
@@ -165,23 +149,14 @@ def causation_entropy_pair(x, y, z, k: int) -> tuple[float, float]:
     H(z_next | z,y histories) - H(z_next | z,x,y histories), the second the
     symmetric quantity with x and y swapped.
     """
-    xa, za = _column(x), _column(z)
-    ya = _column(y)
-    if not (len(xa) == len(ya) == len(za)):
-        raise LengthMismatch(
-            f"lengths differ: x={len(xa)}, y={len(ya)}, z={len(za)}"
-        )
-    n = len(za)
-    if n < k + 2:
-        raise SequenceTooShort(f"need at least k+2={k + 2} samples, got {n}")
-    nxt = za[k + 1:]
-    zw = _windows(za, k)[:-1]
-    xw = _windows(xa, k)[:-1]
-    yw = _windows(ya, k)[:-1]
-    h_zx = _entropy_of_rows(_rows([nxt, zw, xw])) - _entropy_of_rows(_rows([zw, xw]))
-    h_zy = _entropy_of_rows(_rows([nxt, zw, yw])) - _entropy_of_rows(_rows([zw, yw]))
-    h_zxy = (_entropy_of_rows(_rows([nxt, zw, xw, yw]))
-             - _entropy_of_rows(_rows([zw, xw, yw])))
+    xa, ya, za = _aligned(k, x, y, z)
+    zw, xw, yw = _history(za, k), _history(xa, k), _history(ya, k)
+    next_own = _joint_ids(za[k + 1:], zw)
+    next_zx = _joint_ids(next_own, xw)
+    zx = _joint_ids(zw, xw)
+    h_zx = _entropy(next_zx) - _entropy(zx)
+    h_zy = _entropy(_joint_ids(next_own, yw)) - _entropy(_joint_ids(zw, yw))
+    h_zxy = _entropy(_joint_ids(next_zx, yw)) - _entropy(_joint_ids(zx, yw))
     return (
         _clamped(h_zy - h_zxy, "causation entropy x beyond (z,y)"),
         _clamped(h_zx - h_zxy, "causation entropy y beyond (z,x)"),

@@ -91,7 +91,6 @@ class Dataset:
     names: tuple[str, ...]
     columns: tuple[np.ndarray, ...]
     dropped_rows: int = 0
-    timestamps: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -190,7 +189,6 @@ def append_noise_channels(dataset: Dataset, count: int, seed: int) -> Dataset:
         names=dataset.names + tuple(names),
         columns=dataset.columns + tuple(noise),
         dropped_rows=dataset.dropped_rows,
-        timestamps=dataset.timestamps,
     )
 
 

@@ -50,6 +50,27 @@ def te_oracle(x, y, k):
     return h_own - h_both
 
 
+def te_ratio_sum_oracle(x, y, k):
+    """Transfer entropy x -> y in bits, as the explicit probability-ratio sum
+
+        mean over t of log2[p(next | own, source) / p(next | own)]
+
+    with every probability a ratio of raw tuple counts. Algebraically equal
+    to te_oracle, but summed per sample rather than per distinct outcome."""
+    n = len(y)
+    triples = [(y[t + 1], window(y, t, k), window(x, t, k))
+               for t in range(k, n - 1)]
+    c_full = Counter(triples)
+    c_cond = Counter((own, src) for _, own, src in triples)
+    c_next_own = Counter((nxt, own) for nxt, own, _ in triples)
+    c_own = Counter(own for _, own, _ in triples)
+    total = 0.0
+    for nxt, own, src in triples:
+        total += math.log2((c_full[nxt, own, src] * c_own[own])
+                           / (c_cond[own, src] * c_next_own[nxt, own]))
+    return total / len(triples)
+
+
 def joint_te_oracle(x, y, z, k):
     """Transfer entropy (x, y) -> z with the pair tupled elementwise."""
     merged = list(zip(x, y))

@@ -152,14 +152,6 @@ class TestCluster:
         assert set(first) == {0, 1, 2, 3}
         assert all(v >= 0.0 for v in first.values())
 
-    def test_threads_do_not_change_results(self):
-        channels, z = xor_system(2000, seed=11)
-        seqs = _seqs(channels, 2)
-        zs = SymbolSequence(z, 2, "z")
-        one = cluster(seqs, zs, _config(4), threads=1)
-        eight = cluster(seqs, zs, _config(4), threads=8)
-        assert export_tree(one, "json") == export_tree(eight, "json")
-
     def test_leaf_order_invariance_of_merge_sets(self):
         # permuting the source order relabels ids but, absent exact score
         # ties, the same variable pairs merge at every level

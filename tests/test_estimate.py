@@ -53,7 +53,7 @@ class TestTrainPredict:
         states = np.array([0, 1, 2, 0, 1, 2])
         labels = np.array([1, 0, 1, 1, 0, 1])
         est = train(states, labels)
-        for dist in est.table.values():
+        for dist in est.distributions:
             assert dist.max() == 1.0
             assert abs(dist.sum() - 1.0) < 1e-9
         preds, values = predict(est, states)
@@ -63,13 +63,15 @@ class TestTrainPredict:
     def test_single_row(self):
         est = train(np.array([7]), np.array([1]), target_alphabet=2)
         assert est.prior.tolist() == [0.0, 1.0]
-        assert est.table[(7,)].tolist() == [0.0, 1.0]
+        assert est.states.tolist() == [[7]]
+        assert est.distributions[0].tolist() == [0.0, 1.0]
 
     def test_conflicting_labels_three_to_one(self):
         states = np.zeros(4, dtype=int)
         labels = np.array([0, 0, 0, 1])
         est = train(states, labels)
-        assert est.table[(0,)].tolist() == [0.75, 0.25]
+        assert est.states.tolist() == [[0]]
+        assert est.distributions[0].tolist() == [0.75, 0.25]
 
     def test_unseen_state_falls_back_to_prior(self):
         est = train(np.array([0, 0, 1]), np.array([1, 1, 0]))
@@ -86,7 +88,7 @@ class TestTrainPredict:
     def test_distributions_normalized(self):
         rng = np.random.default_rng(0)
         est = train(rng.integers(0, 10, 500), rng.integers(0, 4, 500))
-        for dist in est.table.values():
+        for dist in est.distributions:
             assert abs(dist.sum() - 1.0) < 1e-9
         assert abs(est.prior.sum() - 1.0) < 1e-9
 
@@ -99,6 +101,34 @@ class TestTrainPredict:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             train(np.array([0, 1]), np.array([0]))
+
+    def test_labels_outside_alphabet_rejected(self):
+        with pytest.raises(ValueError):
+            train(np.array([0, 1]), np.array([0, 2]), target_alphabet=2)
+        with pytest.raises(ValueError):
+            train(np.array([0, 1]), np.array([0, -1]))
+
+    def test_two_column_states_match_tuple_table(self):
+        rng = np.random.default_rng(1)
+        for trial in range(10):
+            states = rng.integers(-2, 3, (300, 2))
+            labels = rng.integers(0, 3, 300)
+            est = train(states, labels, target_alphabet=3)
+            counts = {}
+            for row, label in zip(map(tuple, states.tolist()), labels.tolist()):
+                counts.setdefault(row, [0, 0, 0])[label] += 1
+            assert est.states.tolist() == sorted(map(list, counts))
+            prior = max(range(3), key=lambda s: (labels == s).sum())
+            # rows from a wider range mix seen and unseen states
+            queries = rng.integers(-3, 4, (200, 2))
+            want = [
+                max(range(3), key=counts[row].__getitem__) if row in counts
+                else prior
+                for row in map(tuple, queries.tolist())
+            ]
+            preds, _ = predict(est, queries)
+            assert preds.tolist() == want
+            assert any(row not in counts for row in map(tuple, queries.tolist()))
 
 
 class TestTargetKind:

@@ -12,15 +12,51 @@ from tefuse import (
     conditional_entropy,
     shannon_entropy,
     transfer_entropy,
-    transfer_entropy_ratio_sum,
 )
+from tefuse.infotheory import _joint_ids
 
 from oracles import (
     causation_pair_oracle,
     conditional_entropy_oracle,
     entropy_oracle,
     te_oracle,
+    te_ratio_sum_oracle,
 )
+
+
+class TestJointIds:
+    def test_counts_match_row_sort(self):
+        # dense ids follow lexicographic row order, so their counts equal
+        # np.unique's row counts element for element
+        rng = np.random.default_rng(14)
+        for trial in range(60):
+            n = int(rng.integers(1, 300))
+            m = int(rng.integers(1, 7))
+            scale = [1, 3, n + 5, 10**17][trial % 4]
+            rows = rng.integers(-4, 5, (n, m)) * scale
+            rows[:, 0] += int(rng.integers(-scale, scale + 1))
+            want = np.unique(rows, axis=0, return_counts=True)[1]
+            got = np.bincount(_joint_ids(*rows.T))
+            assert got.tolist() == want.tolist()
+
+    def test_extreme_labels_stay_exact(self):
+        big = 10**17
+        first = np.array([-big, big, 0, big, -big])
+        second = np.array([big, -big, big, big, big])
+        assert _joint_ids(first, second).tolist() == [0, 2, 1, 3, 0]
+        info = np.iinfo(np.int64)
+        assert _joint_ids([info.max, info.min, 0]).tolist() == [2, 0, 1]
+
+    def test_negative_labels_leave_transfer_entropy_unchanged(self):
+        # folding raw values without shifting them to zero fails this
+        rng = np.random.default_rng(15)
+        for trial in range(20):
+            n = int(rng.integers(10, 400))
+            b = int(rng.integers(2, 5))
+            k = int(rng.integers(0, 3))
+            x = rng.integers(0, b, n)
+            y = rng.integers(0, b, n)
+            assert transfer_entropy(x - 1, y - 1, k) == transfer_entropy(x, y, k)
 
 
 class TestShannonEntropy:
@@ -162,7 +198,7 @@ class TestTransferEntropy:
             k = int(rng.integers(0, 3))
             assert math.isclose(
                 transfer_entropy(x, y, k),
-                transfer_entropy_ratio_sum(x, y, k),
+                te_ratio_sum_oracle(x.tolist(), y.tolist(), k),
                 abs_tol=1e-12,
             )
 

@@ -36,6 +36,7 @@ from .errors import (
     EmptyAfterFiltering,
     EmptySequence,
     LengthMismatch,
+    MalformedArtifact,
     MissingColumn,
     PipelineError,
     SequenceTooShort,
@@ -100,4 +101,5 @@ __all__ = [
     "PipelineError", "MissingColumn", "UnparseableHeader",
     "EmptyAfterFiltering", "DegenerateInput", "EmptySequence",
     "LengthMismatch", "SequenceTooShort", "TreeDatasetMismatch",
+    "MalformedArtifact",
 ]

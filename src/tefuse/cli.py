@@ -35,6 +35,7 @@ from .errors import (
     EmptyAfterFiltering,
     EmptySequence,
     LengthMismatch,
+    MalformedArtifact,
     MissingColumn,
     SequenceTooShort,
     TreeDatasetMismatch,
@@ -65,6 +66,7 @@ DATA_ERRORS = (
     DegenerateInput,
     EmptySequence,
     LengthMismatch,
+    MalformedArtifact,
     SequenceTooShort,
     TreeDatasetMismatch,
 )
@@ -168,6 +170,7 @@ def _run_cluster(args, noise_count: int = 0) -> int:
     extra["candidate_evaluations"] = [
         len(m.all_candidate_scores) for m in tree.merges
     ]
+    extra["te_computed"] = list(tree.te_computed)
     out = _out_dir(args)
     _write(out / "tree.json", export_tree(tree, "json"))
     _write(out / "tree.dot", export_tree(tree, "dot"))
@@ -187,23 +190,37 @@ def cmd_inject_noise(args) -> int:
     return _run_cluster(args, noise_count=args.noise_count)
 
 
+def _read_manifest(path: Path) -> tuple[str, RunConfig, dict | None]:
+    """The input digest, configuration and noise spec a cluster run recorded."""
+    try:
+        manifest = json.loads(path.read_text("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise MalformedArtifact(f"{path} is not valid JSON: {exc}") from None
+    try:
+        noise = manifest.get("noise")
+        if noise:
+            noise = {"count": int(noise["count"]), "seed": int(noise["seed"])}
+        return manifest["input"]["sha256"], RunConfig.from_dict(manifest["config"]), noise
+    except KeyError as exc:
+        raise MalformedArtifact(f"{path} lacks the entry {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise MalformedArtifact(f"{path} has a malformed entry: {exc}") from None
+
+
 def cmd_evaluate(args) -> int:
     tree_dir = Path(args.tree)
-    manifest = json.loads((tree_dir / "manifest.json").read_text("utf-8"))
+    expected, config, noise = _read_manifest(tree_dir / "manifest.json")
     digest = _sha256(args.input)
-    if digest != manifest["input"]["sha256"]:
+    if digest != expected:
         raise TreeDatasetMismatch(
             f"{args.input} has digest {digest[:12]}..., tree was built from "
-            f"{manifest['input']['sha256'][:12]}..."
+            f"{expected[:12]}..."
         )
-    config = RunConfig.from_dict(manifest["config"])
     if args.target_kind is not None:
         config = dataclasses.replace(config, target_kind=args.target_kind)
-    dataset = load_csv(args.input, config_without_noise(config, manifest))
-    if manifest.get("noise"):
-        dataset = append_noise_channels(
-            dataset, manifest["noise"]["count"], manifest["noise"]["seed"]
-        )
+    dataset = load_csv(args.input, config_without_noise(config, noise))
+    if noise:
+        dataset = append_noise_channels(dataset, noise["count"], noise["seed"])
     tree = tree_from_json((tree_dir / "tree.json").read_bytes())
     report = evaluate_levels(tree, dataset, config)
 
@@ -217,20 +234,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def config_without_noise(config: RunConfig, manifest: dict) -> RunConfig:
+def config_without_noise(config: RunConfig, noise: dict | None) -> RunConfig:
     """The loader must see only the CSV's own columns; injected noise
     channels are regenerated and appended afterwards."""
-    noise = manifest.get("noise")
     if not noise:
         return config
-    kept = tuple(
-        name for name in config.source_columns if not _is_noise_name(name, noise)
-    )
+    names = {f"noise_{i + 1}" for i in range(noise["count"])}
+    kept = tuple(name for name in config.source_columns if name not in names)
     return dataclasses.replace(config, source_columns=kept)
-
-
-def _is_noise_name(name: str, noise: dict) -> bool:
-    return name in {f"noise_{i + 1}" for i in range(noise["count"])}
 
 
 def cmd_symbolize(args) -> int:

@@ -11,18 +11,24 @@ independent of the fused alphabet. The argmin pair is fused, repartitioned
 to the working alphabet, and replaces its parents; ties break toward the
 lexicographically smallest (i, j) node-id pair so runs are reproducible.
 
-Scores can be negative or positive and are never clamped. Pairs are scored
-one after another in ascending (i, j) order and the argmin is taken over the
-full list, so a run's output depends only on its inputs and configuration.
+Scores can be negative or positive and are never clamped. Every active pair
+is a candidate at every level, in ascending (i, j) order, and the argmin is
+taken over the full list, so a run's output depends only on its inputs and
+configuration. A node's sequence never changes once created, so each
+single-node TE and each pair's joint TE is computed once, on first use, and
+kept by node id: the first level computes every single and every pair, and
+each later level computes only the new node's TE and its pairs with the
+other active nodes. Cached and fresh values are the same floats, so the
+candidate list and the winner do not depend on the caching.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import LengthMismatch, SequenceTooShort
+from .errors import LengthMismatch, MalformedArtifact, SequenceTooShort
 from .fusion import as_symbol_sequence, fuse, merge_pair
 from .infotheory import causation_entropy_pair, transfer_entropy
 from .ingest import Dataset, RunConfig, split_index
@@ -48,12 +54,18 @@ class MergeRecord:
 class MergeTree:
     """Full clustering record: leaf names, node names by id (leaves first,
     fused nodes in creation order), merges, and the active node ids at
-    every level, level 0 being the unfused leaves."""
+    every level, level 0 being the unfused leaves.
+
+    ``te_computed[h]`` counts the transfer entropies merge h actually
+    computed, single nodes plus pairs. It describes the run rather than the
+    tree, so it is not written to ``tree.json``, is empty for a tree read
+    back from it, and takes no part in equality."""
 
     leaves: tuple[str, ...]
     node_names: tuple[str, ...]
     merges: tuple[MergeRecord, ...]
     levels: tuple[tuple[int, ...], ...]
+    te_computed: tuple[int, ...] = field(default=(), compare=False)
 
 
 def score_pair(x: SymbolSequence, y: SymbolSequence, z: SymbolSequence, k: int) -> float:
@@ -103,32 +115,39 @@ def cluster(
     active = list(range(len(sources)))
     levels = [tuple(active)]
     merges: list[MergeRecord] = []
+    # T(x->z) by node id and T(xy->z) by node-id pair (i < j); active ids
+    # stay ascending because a fused node takes the next id and goes last.
     te_cache: dict[int, float] = {}
+    joint_cache: dict[tuple[int, int], float] = {}
+    te_computed: list[int] = []
 
     level = 0
     while len(active) > config.stop_at:
         level += 1
+        computed = 0
         for node_id in active:
             if node_id not in te_cache:
                 te_cache[node_id] = transfer_entropy(
                     _train_view(nodes[node_id], train_len), z_train, k
                 )
+                computed += 1
         pairs = [
             (i, j)
             for a, i in enumerate(active)
             for j in active[a + 1:]
         ]
-        joints = [
-            transfer_entropy(
-                as_symbol_sequence(merge_pair(_train_view(nodes[i], train_len),
-                                              _train_view(nodes[j], train_len))),
-                z_train, k,
-            )
-            for i, j in pairs
-        ]
+        for i, j in pairs:
+            if (i, j) not in joint_cache:
+                joint_cache[i, j] = transfer_entropy(
+                    as_symbol_sequence(merge_pair(_train_view(nodes[i], train_len),
+                                                  _train_view(nodes[j], train_len))),
+                    z_train, k,
+                )
+                computed += 1
+        te_computed.append(computed)
         scores = [
-            (te_cache[i] - te_xy) + (te_cache[j] - te_xy)
-            for (i, j), te_xy in zip(pairs, joints)
+            (te_cache[i] - joint_cache[i, j]) + (te_cache[j] - joint_cache[i, j])
+            for i, j in pairs
         ]
 
         # Pairs are enumerated in ascending (i, j) order, so the first
@@ -179,6 +198,7 @@ def cluster(
         node_names=tuple(names),
         merges=tuple(merges),
         levels=tuple(levels),
+        te_computed=tuple(te_computed),
     )
 
 
@@ -251,8 +271,54 @@ def _export_json(tree: MergeTree) -> bytes:
 
 
 def tree_from_json(data: bytes | str) -> MergeTree:
-    """Inverse of the JSON export; parse(export(tree)) == tree."""
-    doc = json.loads(data)
+    """Inverse of the JSON export; parse(export(tree)) == tree.
+
+    Raises :class:`MalformedArtifact` for bytes that are not JSON, a missing
+    or mistyped entry, or a tree that no run could have produced.
+    """
+    try:
+        doc = json.loads(data)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise MalformedArtifact(f"tree is not valid JSON: {exc}") from None
+    try:
+        tree = _tree_from_doc(doc)
+    except KeyError as exc:
+        raise MalformedArtifact(f"tree lacks the entry {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedArtifact(f"tree has a malformed entry: {exc}") from None
+    _check_tree(tree)
+    return tree
+
+
+def _check_tree(tree: MergeTree) -> None:
+    """Each merge pairs two distinct nodes active at its level, the node
+    names cover leaves and merges, and the levels are the active sets the
+    merges produce (evaluation indexes nodes through them)."""
+    n_leaves, n_merges = len(tree.leaves), len(tree.merges)
+    if len(tree.node_names) != n_leaves + n_merges:
+        raise MalformedArtifact(
+            f"tree names {len(tree.node_names)} nodes, but {n_leaves} leaves "
+            f"and {n_merges} merges make {n_leaves + n_merges}"
+        )
+    active = list(range(n_leaves))
+    levels = [tuple(active)]
+    for index, record in enumerate(tree.merges):
+        pair = record.pair
+        if len(pair) != 2 or pair[0] == pair[1] or not all(i in active for i in pair):
+            raise MalformedArtifact(
+                f"merge {index} pairs {list(pair)}, not two distinct nodes "
+                f"among the active {active}"
+            )
+        active = [a for a in active if a not in pair] + [n_leaves + index]
+        levels.append(tuple(active))
+    if tree.levels != tuple(levels):
+        raise MalformedArtifact(
+            f"tree levels {[list(level) for level in tree.levels]} do not follow "
+            f"from its {n_merges} merges"
+        )
+
+
+def _tree_from_doc(doc: dict) -> MergeTree:
     return MergeTree(
         leaves=tuple(doc["leaves"]),
         node_names=tuple(doc["node_names"]),

@@ -39,3 +39,8 @@ class SequenceTooShort(PipelineError):
 
 class TreeDatasetMismatch(PipelineError):
     """A stored tree was built from different input bytes than supplied."""
+
+
+class MalformedArtifact(PipelineError):
+    """A stored tree or manifest is not valid JSON, lacks a required entry,
+    or describes an impossible tree."""

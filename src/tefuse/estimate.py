@@ -288,6 +288,9 @@ def report_json(report: EvaluationReport) -> str:
 def predictions_csv(report: EvaluationReport) -> str:
     lines = ["level,row,truth,predicted"]
     for block in report.predictions:
-        for pos, truth, pred in zip(block.positions, block.truth, block.predicted):
+        # tolist() gives Python ints and floats, whose repr is a CSV number;
+        # a numpy 2 scalar's repr is "np.float64(...)".
+        for pos, truth, pred in zip(block.positions.tolist(), block.truth.tolist(),
+                                    block.predicted.tolist()):
             lines.append(f"{block.level},{pos},{truth!r},{pred!r}")
     return "\n".join(lines) + "\n"

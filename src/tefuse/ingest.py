@@ -2,8 +2,8 @@
 
 The loader keeps exactly the configured columns, in configuration order
 (that order feeds pair tie-breaking downstream), drops any row whose
-selected cells are missing or non-numeric, and reports how many rows were
-lost. Train/test splitting is always a contiguous prefix/suffix cut;
+selected cells are missing, non-numeric or non-finite, and reports how many
+rows were lost. Train/test splitting is always a contiguous prefix/suffix cut;
 shuffling a time series would leak history across the boundary.
 """
 
@@ -119,9 +119,9 @@ class Dataset:
 def load_csv(path, config: RunConfig) -> Dataset:
     """Load the configured columns from an RFC-4180-style CSV with header.
 
-    Rows with a missing or non-numeric cell in any selected column are
-    dropped whole, keeping the surviving columns aligned; the drop count is
-    logged and recorded on the dataset. Loading is pure: identical file
+    Rows with a missing, non-numeric or non-finite (NaN, ±inf) cell in any
+    selected column are dropped whole, keeping the surviving columns
+    aligned; the drop count is logged and recorded on the dataset. Loading is pure: identical file
     bytes produce an identical dataset.
     """
     selected = list(config.source_columns) + [config.target_column]
@@ -149,7 +149,7 @@ def load_csv(path, config: RunConfig) -> Dataset:
             except (ValueError, IndexError):
                 dropped += 1
                 continue
-            if any(math.isnan(v) for v in values):
+            if not all(math.isfinite(v) for v in values):
                 dropped += 1
                 continue
             for col, v in zip(columns, values):
@@ -157,8 +157,8 @@ def load_csv(path, config: RunConfig) -> Dataset:
     if not columns[0]:
         raise EmptyAfterFiltering(f"{path}: no usable rows after filtering")
     if dropped:
-        logger.info("%s: dropped %d rows with missing or non-numeric cells",
-                    path, dropped)
+        logger.info("%s: dropped %d rows with missing, non-numeric or "
+                    "non-finite cells", path, dropped)
     return Dataset(
         names=tuple(selected),
         columns=tuple(np.asarray(c) for c in columns),

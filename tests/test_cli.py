@@ -37,6 +37,8 @@ class TestCluster:
         assert (out / "tree.dot").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["candidate_evaluations"] == [10, 6, 3, 1]
+        # 5 singles + 10 pairs, then the new node alone and with each other node
+        assert manifest["te_computed"] == [15, 4, 3, 2]
         assert manifest["config"]["alphabet"] == 3
         assert "sha256" in manifest["input"]
 
@@ -104,6 +106,10 @@ class TestEvaluate:
         assert [r["level"] for r in report["levels"]] == [0, 1, 2, 3, 4]
         preds = (eval_dir / "predictions.csv").read_text().splitlines()
         assert preds[0] == "level,row,truth,predicted"
+        assert len(preds) > 1
+        for line in preds[1:]:
+            level, row, truth, predicted = line.split(",")
+            int(level), int(row), float(truth), float(predicted)
         assert (eval_dir / "evaluate_manifest.json").exists()
 
     def test_tampered_input_rejected(self, occ_csv, tmp_path):
@@ -126,6 +132,42 @@ class TestEvaluate:
         main(["evaluate", "--input", str(occ_csv), "--tree", str(run_dir),
               "--out", str(two)])
         assert (one / "report.csv").read_bytes() == (two / "report.csv").read_bytes()
+
+
+class TestMalformedArtifacts:
+    """A damaged stored tree or manifest is a data error (exit 3)."""
+
+    @pytest.fixture
+    def run_dir(self, occ_csv, tmp_path):
+        out = tmp_path / "run"
+        assert run_cluster(occ_csv, out) == 0
+        return out
+
+    def evaluate(self, occ_csv, run_dir, tmp_path):
+        return main(["evaluate", "--input", str(occ_csv),
+                     "--tree", str(run_dir), "--out", str(tmp_path / "eval")])
+
+    def test_merge_pair_naming_missing_node(self, occ_csv, run_dir, tmp_path, capsys):
+        tree = json.loads((run_dir / "tree.json").read_text())
+        tree["merges"][1]["pair"] = [0, 99]
+        (run_dir / "tree.json").write_text(json.dumps(tree))
+        assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
+        assert "data error" in capsys.readouterr().err
+        assert main(["export-tree", "--tree", str(run_dir / "tree.json"),
+                     "--out", str(tmp_path / "export")]) == 3
+
+    def test_truncated_tree(self, occ_csv, run_dir, tmp_path, capsys):
+        data = (run_dir / "tree.json").read_bytes()
+        (run_dir / "tree.json").write_bytes(data[: len(data) // 2])
+        assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_manifest_without_input(self, occ_csv, run_dir, tmp_path, capsys):
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        del manifest["input"]
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
+        assert "'input'" in capsys.readouterr().err
 
 
 class TestInjectNoise:

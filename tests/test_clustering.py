@@ -1,21 +1,29 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from tefuse import (
+    MalformedArtifact,
     RunConfig,
     SymbolSequence,
+    append_noise_channels,
     causation_entropy_pair,
     cluster,
     export_tree,
     replay_merges,
     score_pair,
+    split_index,
     transfer_entropy,
     tree_from_json,
 )
+from tefuse import clustering
+from tefuse.clustering import leaf_sequences
+from tefuse.estimate import target_symbols
 
 from oracles import score_oracle
+from synthdata import occupancy_like
 
 
 def _seqs(arrays, b):
@@ -204,6 +212,58 @@ class TestCluster:
             assert got == m.score
 
 
+class TestPairCache:
+    """Each pair's joint TE is computed once and reused at later levels."""
+
+    @pytest.fixture(scope="class")
+    def noisy_run(self):
+        # 5 occupancy-like channels plus 2 injected noise channels
+        config = RunConfig(
+            target_column="Occupancy",
+            source_columns=("Temperature", "Humidity", "Light", "CO2",
+                            "HumidityRatio", "noise_1", "noise_2"),
+            alphabet=3, depth=1, train_fraction=0.7,
+        )
+        dataset = append_noise_channels(occupancy_like(n=1500, seed=3), 2, seed=4)
+        leaves = leaf_sequences(dataset, config)
+        target, _, _, _ = target_symbols(dataset, config)
+        return leaves, target, config
+
+    def test_recorded_scores_equal_fresh_score_pair(self, noisy_run):
+        leaves, target, config = noisy_run
+        tree = cluster(leaves, target, config)
+        nodes = replay_merges(leaves, tree, config)
+        train_len = split_index(len(target), config.train_fraction)
+
+        def view(seq):
+            return SymbolSequence(seq.symbols[:train_len], seq.alphabet_size)
+
+        z_train = view(target)
+        assert len(tree.merges) == 6
+        for record, active in zip(tree.merges, tree.levels):
+            expected = [(i, j) for a, i in enumerate(active) for j in active[a + 1:]]
+            assert [pair for pair, _ in record.all_candidate_scores] == expected
+            for (i, j), recorded in record.all_candidate_scores:
+                assert recorded == score_pair(view(nodes[i]), view(nodes[j]),
+                                              z_train, config.depth)
+
+    def test_transfer_entropy_calls_match_te_computed(self, noisy_run, monkeypatch):
+        leaves, target, config = noisy_run
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return transfer_entropy(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, "transfer_entropy", counting)
+        tree = cluster(leaves, target, config)
+        n = len(leaves)
+        # all singles and pairs first, then the new node alone and paired
+        # with each of the other m - 1 active nodes
+        assert tree.te_computed == (n + n * (n - 1) // 2, 6, 5, 4, 3, 2)
+        assert len(calls) == sum(tree.te_computed)
+
+
 def test_debug_mode_checks_winner_identity(caplog):
     import logging
 
@@ -244,6 +304,31 @@ class TestExport:
             if line.strip().startswith("n") and "[label=" in line and "--" not in line
         ]
         assert len(node_lines) == 9
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc: doc["merges"][0].update(pair=[1, 1]),
+        lambda doc: doc["merges"][0].update(pair=[0, 4]),
+        lambda doc: doc["merges"][1].update(pair=[0, 99]),
+        lambda doc: doc["merges"][0].update(pair=[0, 1, 2]),
+        lambda doc: doc["merges"][1].update(pair=doc["merges"][0]["pair"]),
+        lambda doc: doc["levels"].pop(),
+        lambda doc: doc["levels"][1].append(99),
+        lambda doc: doc["node_names"].append("extra"),
+        lambda doc: doc.pop("levels"),
+        lambda doc: doc["merges"][0].update(pair=7),
+    ])
+    def test_impossible_tree_rejected(self, damage):
+        channels, z = xor_system(600, seed=16)
+        tree = cluster(_seqs(channels, 2), SymbolSequence(z, 2, "z"), _config(4))
+        doc = json.loads(export_tree(tree, "json"))
+        damage(doc)
+        with pytest.raises(MalformedArtifact):
+            tree_from_json(json.dumps(doc))
+
+    def test_undecodable_tree_rejected(self):
+        for data in (b"", b'{"leaves": [', b"\xff\xfe", b"[1, 2]"):
+            with pytest.raises(MalformedArtifact):
+                tree_from_json(data)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

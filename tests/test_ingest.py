@@ -54,6 +54,17 @@ class TestLoadCsv:
         ds = load_csv(path, config)
         assert ds.n == 8 and ds.dropped_rows == 2
 
+    def test_infinite_cells_drop_rows(self, tmp_path, config):
+        rows = [[i, i, i, i] for i in range(10)]
+        rows[2][1] = "inf"
+        rows[4][0] = "-inf"
+        rows[6][3] = "Infinity"
+        path = write_csv(tmp_path / "d.csv", ["a", "b", "c", "z"], rows)
+        ds = load_csv(path, config)
+        assert ds.n == 7 and ds.dropped_rows == 3
+        assert all(np.isfinite(c).all() for c in ds.columns)
+        assert ds.column("a").tolist() == [0, 1, 3, 5, 7, 8, 9]
+
     def test_unselected_columns_do_not_matter(self, tmp_path, config):
         rows = [[i, i, i, "junk", i] for i in range(10)]
         path = write_csv(tmp_path / "d.csv", ["a", "b", "c", "note", "z"], rows)

@@ -170,7 +170,12 @@ def _run_cluster(args, noise_count: int = 0) -> int:
     extra["candidate_evaluations"] = [
         len(m.all_candidate_scores) for m in tree.merges
     ]
-    extra["te_computed"] = list(tree.te_computed)
+    # cluster() computes every single and pair TE of the leaves first, then
+    # at each later level only the newest node's TE and its m - 1 pairs.
+    extra["te_computed"] = [
+        m + m * (m - 1) // 2 if h == 0 else m
+        for h, m in enumerate(len(level) for level in tree.levels[:-1])
+    ]
     out = _out_dir(args)
     _write(out / "tree.json", export_tree(tree, "json"))
     _write(out / "tree.dot", export_tree(tree, "dot"))
@@ -197,10 +202,13 @@ def _read_manifest(path: Path) -> tuple[str, RunConfig, dict | None]:
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise MalformedArtifact(f"{path} is not valid JSON: {exc}") from None
     try:
+        digest = manifest["input"]["sha256"]
+        if not isinstance(digest, str):
+            raise TypeError(f"input digest {digest!r} is not a string")
         noise = manifest.get("noise")
         if noise:
             noise = {"count": int(noise["count"]), "seed": int(noise["seed"])}
-        return manifest["input"]["sha256"], RunConfig.from_dict(manifest["config"]), noise
+        return digest, RunConfig.from_dict(manifest["config"]), noise
     except KeyError as exc:
         raise MalformedArtifact(f"{path} lacks the entry {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import LengthMismatch, MalformedArtifact, SequenceTooShort
 from .fusion import as_symbol_sequence, fuse, merge_pair
@@ -54,18 +54,12 @@ class MergeRecord:
 class MergeTree:
     """Full clustering record: leaf names, node names by id (leaves first,
     fused nodes in creation order), merges, and the active node ids at
-    every level, level 0 being the unfused leaves.
-
-    ``te_computed[h]`` counts the transfer entropies merge h actually
-    computed, single nodes plus pairs. It describes the run rather than the
-    tree, so it is not written to ``tree.json``, is empty for a tree read
-    back from it, and takes no part in equality."""
+    every level, level 0 being the unfused leaves."""
 
     leaves: tuple[str, ...]
     node_names: tuple[str, ...]
     merges: tuple[MergeRecord, ...]
     levels: tuple[tuple[int, ...], ...]
-    te_computed: tuple[int, ...] = field(default=(), compare=False)
 
 
 def score_pair(x: SymbolSequence, y: SymbolSequence, z: SymbolSequence, k: int) -> float:
@@ -119,18 +113,15 @@ def cluster(
     # stay ascending because a fused node takes the next id and goes last.
     te_cache: dict[int, float] = {}
     joint_cache: dict[tuple[int, int], float] = {}
-    te_computed: list[int] = []
 
     level = 0
     while len(active) > config.stop_at:
         level += 1
-        computed = 0
         for node_id in active:
             if node_id not in te_cache:
                 te_cache[node_id] = transfer_entropy(
                     _train_view(nodes[node_id], train_len), z_train, k
                 )
-                computed += 1
         pairs = [
             (i, j)
             for a, i in enumerate(active)
@@ -143,8 +134,6 @@ def cluster(
                                                   _train_view(nodes[j], train_len))),
                     z_train, k,
                 )
-                computed += 1
-        te_computed.append(computed)
         scores = [
             (te_cache[i] - joint_cache[i, j]) + (te_cache[j] - joint_cache[i, j])
             for i, j in pairs
@@ -198,7 +187,6 @@ def cluster(
         node_names=tuple(names),
         merges=tuple(merges),
         levels=tuple(levels),
-        te_computed=tuple(te_computed),
     )
 
 
@@ -291,9 +279,23 @@ def tree_from_json(data: bytes | str) -> MergeTree:
 
 
 def _check_tree(tree: MergeTree) -> None:
-    """Each merge pairs two distinct nodes active at its level, the node
-    names cover leaves and merges, and the levels are the active sets the
-    merges produce (evaluation indexes nodes through them)."""
+    """Names are strings, node ids integers and scores numbers; each merge
+    pairs two distinct nodes active at its level, the node names cover
+    leaves and merges, and the levels are the active sets the merges produce
+    (evaluation indexes nodes through them)."""
+    ids = [i for level in tree.levels for i in level]
+    scores = []
+    for record in tree.merges:
+        ids += [*record.pair, *(i for pair, _ in record.all_candidate_scores for i in pair),
+                *(i for i, _ in record.te_to_target)]
+        scores += [record.score, *(s for _, s in record.all_candidate_scores),
+                   *(v for _, v in record.te_to_target)]
+    if not all(isinstance(name, str) for name in tree.leaves + tree.node_names):
+        raise MalformedArtifact("tree has a node name that is not a string")
+    if not all(type(i) is int for i in ids):
+        raise MalformedArtifact("tree has a node id that is not an integer")
+    if not all(type(s) in (int, float) for s in scores):
+        raise MalformedArtifact("tree has a score that is not a number")
     n_leaves, n_merges = len(tree.leaves), len(tree.merges)
     if len(tree.node_names) != n_leaves + n_merges:
         raise MalformedArtifact(
@@ -303,6 +305,8 @@ def _check_tree(tree: MergeTree) -> None:
     active = list(range(n_leaves))
     levels = [tuple(active)]
     for index, record in enumerate(tree.merges):
+        if record.level != index + 1:
+            raise MalformedArtifact(f"merge {index} claims level {record.level!r}")
         pair = record.pair
         if len(pair) != 2 or pair[0] == pair[1] or not all(i in active for i in pair):
             raise MalformedArtifact(

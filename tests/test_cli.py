@@ -169,6 +169,21 @@ class TestMalformedArtifacts:
         assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
         assert "'input'" in capsys.readouterr().err
 
+    def test_manifest_digest_not_a_string(self, occ_csv, run_dir, tmp_path, capsys):
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["input"]["sha256"] = 12
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_score_not_a_number(self, run_dir, tmp_path, capsys):
+        tree = json.loads((run_dir / "tree.json").read_text())
+        tree["merges"][0]["score"] = "x"
+        (run_dir / "tree.json").write_text(json.dumps(tree))
+        assert main(["export-tree", "--tree", str(run_dir / "tree.json"),
+                     "--format", "dot", "--out", str(tmp_path / "export")]) == 3
+        assert "data error" in capsys.readouterr().err
+
 
 class TestInjectNoise:
     def test_seven_leaf_tree_and_seed_determinism(self, occ_csv, tmp_path):

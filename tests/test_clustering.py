@@ -247,7 +247,7 @@ class TestPairCache:
                 assert recorded == score_pair(view(nodes[i]), view(nodes[j]),
                                               z_train, config.depth)
 
-    def test_transfer_entropy_calls_match_te_computed(self, noisy_run, monkeypatch):
+    def test_transfer_entropy_calls_follow_pair_formula(self, noisy_run, monkeypatch):
         leaves, target, config = noisy_run
         calls = []
 
@@ -256,12 +256,11 @@ class TestPairCache:
             return transfer_entropy(*args, **kwargs)
 
         monkeypatch.setattr(clustering, "transfer_entropy", counting)
-        tree = cluster(leaves, target, config)
+        cluster(leaves, target, config)
         n = len(leaves)
-        # all singles and pairs first, then the new node alone and paired
-        # with each of the other m - 1 active nodes
-        assert tree.te_computed == (n + n * (n - 1) // 2, 6, 5, 4, 3, 2)
-        assert len(calls) == sum(tree.te_computed)
+        # all singles and pairs first, then at each later level with m active
+        # nodes the new node alone and paired with each of the other m - 1
+        assert len(calls) == n + n * (n - 1) // 2 + sum(range(2, n))
 
 
 def test_debug_mode_checks_winner_identity(caplog):
@@ -316,6 +315,16 @@ class TestExport:
         lambda doc: doc["node_names"].append("extra"),
         lambda doc: doc.pop("levels"),
         lambda doc: doc["merges"][0].update(pair=7),
+        lambda doc: doc["merges"][0].update(pair=[0.0, 1]),
+        lambda doc: doc["merges"][0].update(level=5),
+        lambda doc: doc["merges"][0].update(score="x"),
+        lambda doc: doc["merges"][0].update(score=None),
+        lambda doc: doc["merges"][0].update(score=True),
+        lambda doc: doc["merges"][0]["candidates"][0].__setitem__(1, None),
+        lambda doc: doc["merges"][0]["candidates"][0].__setitem__(0, ["0", 1]),
+        lambda doc: doc["merges"][0]["te_to_target"][0].__setitem__(1, "0.5"),
+        lambda doc: doc["node_names"].__setitem__(0, 1),
+        lambda doc: doc["leaves"].__setitem__(0, None),
     ])
     def test_impossible_tree_rejected(self, damage):
         channels, z = xor_system(600, seed=16)

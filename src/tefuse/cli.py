@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clustering import cluster, export_tree, leaf_sequences, tree_from_json
+from .clustering import cluster, export_tree, fit_leaves, leaf_sequences, tree_from_json
 from .errors import (
     DegenerateInput,
     EmptyAfterFiltering,
@@ -49,13 +49,13 @@ from .estimate import (
     target_symbols,
 )
 from .ingest import (
+    PARTITIONERS,
+    TARGET_KINDS,
     RunConfig,
     append_noise_channels,
     load_csv,
     read_config_file,
-    split_index,
 )
-from .sdf import fit_mep_partition, fit_uniform_partition, symbolize
 
 logger = logging.getLogger(__name__)
 
@@ -135,9 +135,8 @@ def _manifest(command: str, args, config: RunConfig, dataset, extra: dict) -> di
             "rows": dataset.n,
             "rows_dropped": dataset.dropped_rows,
         },
-        "config": dataclasses.asdict(config),
+        "config": config.to_dict(),
     }
-    doc["config"]["source_columns"] = list(config.source_columns)
     doc.update(extra)
     doc["versions"] = _versions()
     return doc
@@ -156,10 +155,7 @@ def _run_cluster(args, noise_count: int = 0) -> int:
     if noise_count:
         dataset = append_noise_channels(dataset, noise_count, config.seed)
         config = dataclasses.replace(
-            config,
-            source_columns=config.source_columns
-            + tuple(f"noise_{i + 1}" for i in range(noise_count)),
-        )
+            config, source_columns=config.source_columns + dataset.names[-noise_count:])
         extra["noise"] = {"count": noise_count, "seed": config.seed}
 
     leaves = leaf_sequences(dataset, config)
@@ -255,23 +251,13 @@ def config_without_noise(config: RunConfig, noise: dict | None) -> RunConfig:
 def cmd_symbolize(args) -> int:
     config = _build_config(args)
     dataset = load_csv(args.input, config)
-    train_len = split_index(dataset.n, config.train_fraction)
-    fit = fit_mep_partition if config.partitioner == "mep" else fit_uniform_partition
-
-    partitions = {}
-    sequences = {}
-    for name in config.source_columns:
-        values = dataset.column(name)
-        partition = fit(values[:train_len], config.alphabet)
-        partitions[name] = partition.to_dict()
-        sequences[name] = symbolize(values, partition, name)
+    leaves = fit_leaves(dataset, config)
     target_seq, kind, _, _ = target_symbols(dataset, config)
-    sequences[config.target_column] = target_seq
 
-    names = list(config.source_columns) + [config.target_column]
-    lines = [",".join(names)]
-    for i in range(dataset.n):
-        lines.append(",".join(str(int(sequences[n].symbols[i])) for n in names))
+    partitions = {seq.source_name: part.to_dict() for part, seq in leaves}
+    columns = [seq.symbols for _, seq in leaves] + [target_seq.symbols]
+    lines = [",".join([*config.source_columns, config.target_column])]
+    lines += [",".join(map(str, row)) for row in np.column_stack(columns).tolist()]
 
     out = _out_dir(args)
     _write(out / "symbols.csv", "\n".join(lines) + "\n")
@@ -314,10 +300,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--train-fraction", dest="train_fraction", type=float,
                         help="contiguous training prefix fraction (default 0.7)")
     parser.add_argument("--seed", type=int, help="noise-injection seed (default 0)")
-    parser.add_argument("--partitioner", choices=("mep", "uniform"),
+    parser.add_argument("--partitioner", choices=PARTITIONERS,
                         help="source partitioning scheme (default mep)")
     parser.add_argument("--target-kind", dest="target_kind",
-                        choices=("auto", "discrete", "continuous"),
+                        choices=TARGET_KINDS,
                         help="treat the target as class labels or as a "
                              "continuous series (default auto)")
 
@@ -353,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True,
                    help="directory holding tree.json and manifest.json")
     p.add_argument("--target-kind", dest="target_kind",
-                   choices=("auto", "discrete", "continuous"))
+                   choices=TARGET_KINDS)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
 

@@ -32,7 +32,8 @@ from .errors import LengthMismatch, MalformedArtifact, SequenceTooShort
 from .fusion import as_symbol_sequence, fuse, merge_pair
 from .infotheory import causation_entropy_pair, transfer_entropy
 from .ingest import Dataset, RunConfig, split_index
-from .sdf import SymbolSequence, fit_mep_partition, fit_uniform_partition, symbolize
+from .sdf import (Partition, SymbolSequence, fit_mep_partition, fit_uniform_partition,
+                  symbolize)
 
 logger = logging.getLogger(__name__)
 
@@ -213,16 +214,22 @@ def replay_merges(
     return nodes
 
 
-def leaf_sequences(dataset: Dataset, config: RunConfig) -> list[SymbolSequence]:
-    """Symbolize every source column, partitions fitted on the training prefix."""
+def fit_leaves(dataset: Dataset,
+               config: RunConfig) -> list[tuple[Partition, SymbolSequence]]:
+    """Each source's partition, fitted on the training prefix, and symbols."""
     fit = fit_mep_partition if config.partitioner == "mep" else fit_uniform_partition
     train_len = split_index(dataset.n, config.train_fraction)
     out = []
     for name in config.source_columns:
         values = dataset.column(name)
         partition = fit(values[:train_len], config.alphabet)
-        out.append(symbolize(values, partition, name))
+        out.append((partition, symbolize(values, partition, name)))
     return out
+
+
+def leaf_sequences(dataset: Dataset, config: RunConfig) -> list[SymbolSequence]:
+    """Symbolize every source column, partitions fitted on the training prefix."""
+    return [seq for _, seq in fit_leaves(dataset, config)]
 
 
 def export_tree(tree: MergeTree, format: str = "json") -> bytes:

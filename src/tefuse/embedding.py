@@ -4,6 +4,8 @@ State ids are radix encodings in the sequence's alphabet base with the
 earliest symbol as the most significant digit. The first k positions carry
 no complete window and produce no state, so an n-symbol sequence embeds into
 exactly n-k states, the first of which sits at original index k.
+:func:`history_ids` numbers the same windows densely, in the same order, as
+the entropies and the estimator count them; dense ids never overflow.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SequenceTooShort
+from .infotheory import _aligned, _history
 from .sdf import SymbolSequence
 
 
@@ -54,6 +57,13 @@ def embed(seq: SymbolSequence, k: int) -> StateSequence:
         powers = b ** np.arange(k, -1, -1, dtype=np.int64)
         states = windows @ powers
     return StateSequence(states=states, depth=k, base=b)
+
+
+def history_ids(seq: SymbolSequence, k: int) -> np.ndarray:
+    """Dense ids of the windows ending at t = k .. n-2; the last window has
+    no next symbol to pair with."""
+    (symbols,) = _aligned(k, seq)
+    return _history(symbols, k)
 
 
 def decode_state(state: int, k: int, b: int) -> tuple[int, ...]:

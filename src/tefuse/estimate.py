@@ -1,10 +1,12 @@
 """Target estimation at every level of a fusion hierarchy.
 
-The estimator is a conditional frequency table over joint embedded states:
+The estimator is a conditional frequency table over joint history states:
 for each distinct state tuple observed in training it stores the empirical
 distribution of the next target symbol, and unseen states fall back to the
-global target distribution, so prediction is total. Joint states are counted
-with the same dense-id primitive as the entropies
+global target distribution, so prediction is total. A node's state at t is
+the id of its (k+1)-symbol history window ending at t, the dense window id
+the entropies count (:func:`tefuse.embedding.history_ids`), and joint
+states are counted with the same dense-id primitive
 (:func:`tefuse.infotheory._joint_ids`): training counts ``id * alphabet +
 label`` with one bincount, and prediction numbers the training states and
 the queried states together, so a query row is seen exactly when it shares
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import MergeTree, leaf_sequences, replay_merges
-from .embedding import StateSequence, embed
+from .embedding import history_ids
 from .errors import EmptySequence, LengthMismatch, SequenceTooShort
 from .infotheory import _joint_ids
 from .ingest import Dataset, RunConfig, split_index
@@ -58,8 +60,6 @@ class FrequencyEstimator:
 
 
 def _state_rows(states) -> np.ndarray:
-    if isinstance(states, StateSequence):
-        states = states.states
     arr = np.asarray(states, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -229,35 +229,33 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     leaves = leaf_sequences(dataset, config)
     nodes = replay_merges(leaves, tree, config)
     target_seq, kind, labels, representatives = target_symbols(dataset, config)
-    target_values = dataset.column(config.target_column)
     tsyms = target_seq.symbols
     alphabet = target_seq.alphabet_size
+    truth = dataset.column(config.target_column)[s:]
 
+    # Window ids for t = k .. n-2, kept while the node is active: rows before
+    # s-k-1 predict tsyms[k+1:s], the rest predict the held-out tsyms[s:].
+    windows: dict = {}
     rows: list[LevelScore] = []
     predictions: list[LevelPredictions] = []
     for level, active in enumerate(tree.levels):
-        matrix = np.column_stack([embed(nodes[a], k).states for a in active])
+        windows = {a: windows[a] if a in windows else history_ids(nodes[a], k)
+                   for a in active}
+        matrix = np.column_stack([windows[a] for a in active])
         est = train(matrix[: s - k - 1], tsyms[k + 1: s], target_alphabet=alphabet)
         est.bin_representatives = representatives
-        pred_syms, pred_values = predict(est, matrix[s - 1 - k: n - 1 - k])
-        truth_syms = tsyms[s:]
+        pred_syms, pred_values = predict(est, matrix[s - k - 1:])
         if kind == "discrete":
-            value = float(np.mean(pred_syms == truth_syms))
+            value = float(np.mean(pred_syms == tsyms[s:]))
             metric = ACCURACY
-            truth_out = target_values[s:]
-            predicted_out = labels[pred_syms]
+            predicted = labels[pred_syms]
         else:
-            truth_out = target_values[s:]
-            predicted_out = pred_values
-            value = float(np.sqrt(np.mean((predicted_out - truth_out) ** 2)))
+            predicted = pred_values
+            value = float(np.sqrt(np.mean((predicted - truth) ** 2)))
             metric = RMSE
         rows.append(LevelScore(level=level, metric=metric, value=value, n_test=n - s))
-        predictions.append(LevelPredictions(
-            level=level,
-            positions=np.arange(s, n),
-            truth=truth_out,
-            predicted=predicted_out,
-        ))
+        predictions.append(LevelPredictions(level=level, positions=np.arange(s, n),
+                                            truth=truth, predicted=predicted))
         logger.info("level %d (%d nodes): %s = %.4f on %d held-out rows",
                     level, len(active), metric, value, n - s)
     return EvaluationReport(

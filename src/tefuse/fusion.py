@@ -43,10 +43,6 @@ class MergedSequence:
         return len(self.values)
 
 
-def merged_name(x: SymbolSequence, y: SymbolSequence) -> str:
-    return f"({x.source_name}+{y.source_name})"
-
-
 def merge_pair(x: SymbolSequence, y: SymbolSequence) -> MergedSequence:
     """Pair two aligned sequences into one (b_x * b_y)-ary sequence."""
     if len(x) != len(y):

@@ -98,6 +98,11 @@ def _checked_values(values) -> np.ndarray:
     return values
 
 
+def _quantile_edges(values: np.ndarray, b: int) -> np.ndarray:
+    """The b-1 quantile edges: edge i is the floor(i*n/b)-th order statistic."""
+    return np.sort(values)[(np.arange(1, b) * len(values)) // b - 1]
+
+
 def fit_mep_partition(values, b: int) -> Partition:
     """Fit a maximum entropy (quantile) partition with ``b`` bins.
 
@@ -111,16 +116,12 @@ def fit_mep_partition(values, b: int) -> Partition:
     values = _checked_values(values)
     if b < 2:
         raise ValueError("b must be >= 2")
-    n = len(values)
-    if n == 0:
+    if len(values) == 0:
         raise DegenerateInput("cannot fit a partition on an empty sequence")
-    if len(np.unique(values)) < b:
-        raise DegenerateInput(
-            f"need at least {b} distinct values for {b} bins, "
-            f"got {len(np.unique(values))}"
-        )
-    order = np.sort(values)
-    edges = order[(np.arange(1, b) * n) // b - 1]
+    distinct = len(np.unique(values))
+    if distinct < b:
+        raise DegenerateInput(f"need at least {b} distinct values for {b} bins, got {distinct}")
+    edges = _quantile_edges(values, b)
     if np.any(np.diff(edges) <= 0):
         raise DegenerateInput(
             f"ties collapse the {b}-bin quantile edges; "
@@ -186,15 +187,12 @@ def repartition(
             )
         symbols = np.minimum(np.searchsorted(distinct, values), len(distinct) - 1)
         return SymbolSequence(symbols, len(distinct), merged.source_name)
-    try:
-        part = fit_mep_partition(fit.astype(np.float64), target_b)
-    except DegenerateInput:
-        order = np.sort(fit.astype(np.float64))
-        raw = order[(np.arange(1, target_b) * len(fit)) // target_b - 1]
-        edges = np.unique(raw)
+    raw = _quantile_edges(fit.astype(np.float64), target_b)
+    edges = np.unique(raw)
+    if len(edges) < len(raw):
         logger.warning(
             "repartition(%s): ties collapsed %d quantile edges, alphabet %d -> %d",
             merged.source_name, len(raw) - len(edges), target_b, len(edges) + 1,
         )
-        part = Partition(edges=edges, alphabet_size=len(edges) + 1, kind=MAX_ENTROPY)
+    part = Partition(edges=edges, alphabet_size=len(edges) + 1, kind=MAX_ENTROPY)
     return symbolize(values, part, merged.source_name)

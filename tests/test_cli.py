@@ -123,6 +123,20 @@ class TestEvaluate:
                      "--tree", str(run_dir), "--out", str(tmp_path / "eval")])
         assert code == 3
 
+    def test_depth_beyond_radix_state_range(self, occ_csv, tmp_path):
+        # 3^41 windows do not fit a 64-bit radix state id; evaluation must
+        # accept every tree that clustering produced. This checks only that
+        # it runs: at this depth almost no held-out window was seen in
+        # training, so the values cannot tell aligned windows from shifted
+        # ones. TestEvaluateLevels::test_matches_radix_state_reference checks
+        # the alignment at depth 2.
+        run_dir = tmp_path / "run"
+        assert run_cluster(occ_csv, run_dir, ["--depth", "40"]) == 0
+        assert main(["evaluate", "--input", str(occ_csv), "--tree", str(run_dir),
+                     "--out", str(tmp_path / "eval")]) == 0
+        lines = (tmp_path / "eval" / "report.csv").read_text().splitlines()
+        assert len(lines) == 1 + 5
+
     def test_evaluate_idempotent(self, occ_csv, tmp_path):
         run_dir = tmp_path / "run"
         run_cluster(occ_csv, run_dir)

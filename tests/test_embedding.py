@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tefuse import SequenceTooShort, SymbolSequence, decode_state, embed
+from tefuse.embedding import history_ids
 
 
 def test_depth_two_radix_encoding():
@@ -61,3 +62,26 @@ def test_overflow_guard():
     seq = SymbolSequence(np.zeros(100, dtype=np.int64), 10)
     with pytest.raises(ValueError):
         embed(seq, 25)
+
+
+def test_history_ids_rank_radix_states():
+    # Dense ids order windows as radix states do; the last window, which has
+    # no successor, is left out.
+    rng = np.random.default_rng(3)
+    for k in (0, 1, 3):
+        seq = SymbolSequence(rng.integers(0, 4, 60), 4)
+        ranks = np.unique(embed(seq, k).states[:-1], return_inverse=True)[1]
+        assert history_ids(seq, k).tolist() == ranks.tolist()
+
+
+def test_history_ids_beyond_radix_range():
+    rng = np.random.default_rng(4)
+    seq = SymbolSequence(rng.integers(0, 10, 100), 10)
+    ids = history_ids(seq, 25)
+    assert len(ids) == 100 - 25 - 1
+    assert ids.max() < len(ids)
+
+
+def test_history_ids_too_short():
+    with pytest.raises(SequenceTooShort):
+        history_ids(SymbolSequence([0, 1, 0], 2), 2)

@@ -7,12 +7,15 @@ from tefuse import (
     RunConfig,
     cluster,
     discretize_target,
+    embed,
     evaluate_levels,
     predict,
+    split_index,
     train,
 )
-from tefuse.clustering import leaf_sequences
+from tefuse.clustering import leaf_sequences, replay_merges
 from tefuse.estimate import (
+    ACCURACY,
     predictions_csv,
     report_csv,
     report_json,
@@ -177,6 +180,17 @@ def _driven_dataset(n=1200, seed=2, independent=False):
     return Dataset(names=("a", "b", "c", "z"), columns=(a, b, c, z))
 
 
+def _continuous_dataset(n=1500, seed=3):
+    """A random walk and a distractor; the target follows the walk's
+    previous value plus noise."""
+    rng = np.random.default_rng(seed)
+    a = np.cumsum(rng.normal(size=n))
+    z = np.empty(n)
+    z[0] = 0.0
+    z[1:] = a[:-1] * 0.5 + rng.normal(scale=0.1, size=n - 1)
+    return Dataset(names=("a", "b", "z"), columns=(a, rng.normal(size=n), z))
+
+
 def _run(dataset, **kw):
     defaults = dict(
         target_column="z",
@@ -217,17 +231,37 @@ class TestEvaluateLevels:
             assert abs(row.value - majority) < 0.08
 
     def test_continuous_target_rmse(self):
-        rng = np.random.default_rng(3)
-        n = 1500
-        a = np.cumsum(rng.normal(size=n))
-        z = np.empty(n)
-        z[0] = 0.0
-        z[1:] = a[:-1] * 0.5 + rng.normal(scale=0.1, size=n - 1)
-        ds = Dataset(names=("a", "b", "z"),
-                     columns=(a, rng.normal(size=n), z))
-        report, _ = _run(ds, source_columns=("a", "b"), target_alphabet=8)
+        report, _ = _run(_continuous_dataset(), source_columns=("a", "b"),
+                         target_alphabet=8)
         assert all(r.metric == "rmse" for r in report.rows)
         assert all(r.value >= 0.0 for r in report.rows)
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_matches_radix_state_reference(self, continuous):
+        # Each level's states built from the radix embedding, windows ending
+        # at t predicting the target at t+1, must give the same predictions
+        # as the window ids evaluate_levels takes from the entropy primitive.
+        ds = _continuous_dataset() if continuous else _driven_dataset()
+        sources = ("a", "b") if continuous else ("a", "b", "c")
+        report, config = _run(ds, source_columns=sources, depth=2,
+                              target_alphabet=8)
+        assert (report.rows[0].metric == ACCURACY) is not continuous
+        leaves = leaf_sequences(ds, config)
+        target_seq, _, labels, reps = target_symbols(ds, config)
+        tree = cluster(leaves, target_seq, config)
+        nodes = replay_merges(leaves, tree, config)
+        n, s, k = ds.n, split_index(ds.n, config.train_fraction), config.depth
+        tsyms = target_seq.symbols
+        for level, active in enumerate(tree.levels):
+            states = np.column_stack([embed(nodes[a], k).states for a in active])
+            est = train(states[: s - k - 1], tsyms[k + 1: s],
+                        target_alphabet=target_seq.alphabet_size)
+            est.bin_representatives = reps
+            syms, values = predict(est, states[s - k - 1: n - k - 1])
+            want = values if continuous else labels[syms]
+            block = report.predictions[level]
+            assert block.positions.tolist() == list(range(s, n))
+            assert block.predicted.tolist() == want.tolist()
 
     def test_deterministic(self):
         ds = _driven_dataset()

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -106,10 +108,12 @@ class TestSymbolize:
 
 
 class TestRepartition:
-    def test_adjacent_values_collapse(self):
+    def test_adjacent_values_collapse(self, caplog):
         values = np.repeat(np.arange(10), 10)
         seq = SymbolSequence(values, 10, "m")
-        out = repartition(seq, 5)
+        with caplog.at_level(logging.WARNING, logger="tefuse.sdf"):
+            out = repartition(seq, 5)
+        assert caplog.text == ""  # no edge collapsed
         assert out.alphabet_size == 5
         # pairs of adjacent merged values share one output symbol
         assert out.symbols.tolist() == (values // 2).tolist()
@@ -135,12 +139,16 @@ class TestRepartition:
             order = np.argsort(values, kind="stable")
             assert np.all(np.diff(out.symbols[order]) >= 0)
 
-    def test_heavy_ties_shrink_alphabet(self):
+    def test_heavy_ties_shrink_alphabet(self, caplog):
         # 7 distinct values but almost everything is 0: quantile edges
         # collide and the output alphabet drops below the target.
         values = np.array([0] * 194 + [1, 2, 3, 4, 5, 6], dtype=np.int64)
-        out = repartition(SymbolSequence(values, 7, "m"), 6)
-        assert 2 <= out.alphabet_size < 6
+        with caplog.at_level(logging.WARNING, logger="tefuse.sdf"):
+            out = repartition(SymbolSequence(values, 7, "m"), 6)
+        # all five edges sit at 0; the four duplicates go, one edge stays
+        assert out.alphabet_size == 2
+        assert out.symbols.tolist() == [0] * 194 + [1] * 6
+        assert "ties collapsed 4 quantile edges, alphabet 6 -> 2" in caplog.text
         order = np.argsort(values, kind="stable")
         assert np.all(np.diff(out.symbols[order]) >= 0)
 

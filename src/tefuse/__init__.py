@@ -58,6 +58,7 @@ from .infotheory import (
     causation_entropy_pair,
     conditional_entropy,
     shannon_entropy,
+    transfer_entropies,
     transfer_entropy,
 )
 from .ingest import (
@@ -89,7 +90,7 @@ __all__ = [
     "StateSequence", "embed", "decode_state",
     # infotheory
     "shannon_entropy", "conditional_entropy", "transfer_entropy",
-    "causation_entropy_pair",
+    "transfer_entropies", "causation_entropy_pair",
     # fusion
     "MergedSequence", "merge_pair", "fuse",
     # clustering

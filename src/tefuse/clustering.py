@@ -18,19 +18,24 @@ configuration. A node's sequence never changes once created, so each
 single-node TE and each pair's joint TE is computed once, on first use, and
 kept by node id: the first level computes every single and every pair, and
 each later level computes only the new node's TE and its pairs with the
-other active nodes. Cached and fresh values are the same floats, so the
-candidate list and the winner do not depend on the caching.
+other active nodes. A level computes its new TEs in one batched
+:func:`~tefuse.infotheory.transfer_entropies` call, which builds the
+target's terms once per call. Its values equal the single
+:func:`~tefuse.infotheory.transfer_entropy` calls :func:`score_pair` makes,
+and cached and fresh values are the same floats, so the candidate list and
+the winner depend on neither the batching nor the caching.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass
 
 from .errors import LengthMismatch, MalformedArtifact, SequenceTooShort
 from .fusion import as_symbol_sequence, fuse, merge_pair
-from .infotheory import causation_entropy_pair, transfer_entropy
+from .infotheory import causation_entropy_pair, transfer_entropies, transfer_entropy
 from .ingest import Dataset, RunConfig, split_index
 from .sdf import (Partition, SymbolSequence, fit_mep_partition, fit_uniform_partition,
                   symbolize)
@@ -71,12 +76,6 @@ def score_pair(x: SymbolSequence, y: SymbolSequence, z: SymbolSequence, k: int) 
     return (te_x - te_xy) + (te_y - te_xy)
 
 
-def _train_view(seq: SymbolSequence, length: int) -> SymbolSequence:
-    if length >= len(seq):
-        return seq
-    return SymbolSequence(seq.symbols[:length], seq.alphabet_size, seq.source_name)
-
-
 def cluster(
     sources: list[SymbolSequence],
     target: SymbolSequence,
@@ -106,7 +105,7 @@ def cluster(
 
     nodes: dict[int, SymbolSequence] = dict(enumerate(sources))
     names = [seq.source_name for seq in sources]
-    z_train = _train_view(target, train_len)
+    z_train = target.symbols[:train_len]
     active = list(range(len(sources)))
     levels = [tuple(active)]
     merges: list[MergeRecord] = []
@@ -118,23 +117,23 @@ def cluster(
     level = 0
     while len(active) > config.stop_at:
         level += 1
-        for node_id in active:
-            if node_id not in te_cache:
-                te_cache[node_id] = transfer_entropy(
-                    _train_view(nodes[node_id], train_len), z_train, k
-                )
         pairs = [
             (i, j)
             for a, i in enumerate(active)
             for j in active[a + 1:]
         ]
-        for i, j in pairs:
-            if (i, j) not in joint_cache:
-                joint_cache[i, j] = transfer_entropy(
-                    as_symbol_sequence(merge_pair(_train_view(nodes[i], train_len),
-                                                  _train_view(nodes[j], train_len))),
-                    z_train, k,
-                )
+        new_singles = [i for i in active if i not in te_cache]
+        new_pairs = [pair for pair in pairs if pair not in joint_cache]
+        values = transfer_entropies(
+            itertools.chain(
+                (nodes[i].symbols[:train_len] for i in new_singles),
+                (merge_pair(nodes[i], nodes[j]).values[:train_len]
+                 for i, j in new_pairs),
+            ),
+            z_train, k,
+        )
+        te_cache.update(zip(new_singles, values))
+        joint_cache.update(zip(new_pairs, values[len(new_singles):]))
         scores = [
             (te_cache[i] - joint_cache[i, j]) + (te_cache[j] - joint_cache[i, j])
             for i, j in pairs
@@ -147,8 +146,7 @@ def cluster(
 
         if logger.isEnabledFor(logging.DEBUG):
             c_x, c_y = causation_entropy_pair(
-                _train_view(nodes[win_i], train_len),
-                _train_view(nodes[win_j], train_len),
+                nodes[win_i].symbols[:train_len], nodes[win_j].symbols[:train_len],
                 z_train, k,
             )
             gap = abs(scores[best] + (c_x + c_y))

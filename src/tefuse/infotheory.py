@@ -13,12 +13,20 @@ which numbers the distinct tuples 0..m-1 in lexicographic tuple order; the
 counts are then ``np.bincount`` of those ids. Lexicographic order is the
 order a sort of the stacked rows gives, so each count array, and with it
 every floating-point sum over it, is the same element for element whatever
-way the tuples are formed. A history window is the tuple of its k+1 lagged
-symbols, so every quantity here is invariant under any bijective relabeling
-of the input alphabets.
+way the tuples are formed. The columns are folded in mixed radix, which
+keeps that order, with a sort only when the next column would take the id
+range to 2**62, and once at the end: a depth-k window costs one sort. A
+history window is the tuple of its k+1 lagged symbols, so every quantity
+here is invariant under any bijective relabeling of the input alphabets.
 
 Lag convention: the target symbol at t+1 is paired with states through t,
 giving aligned tuples for t = k .. n-2.
+
+:func:`transfer_entropies` scores many sources against one target: the
+target's windows and H(next | own history) are computed once per call, and
+each source then costs its own window ids and two joint counts. It and
+:func:`transfer_entropy` share one private kernel, so the formula is
+written once.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .errors import EmptySequence, LengthMismatch, SequenceTooShort
 logger = logging.getLogger(__name__)
 
 CLAMP_EPS = 1e-12
+_ID_LIMIT = 2**62
 
 
 def _column(seq) -> np.ndarray:
@@ -48,22 +57,32 @@ def _joint_ids(*columns) -> np.ndarray:
     """Dense ids of the tuples formed by aligned, non-empty integer columns.
 
     Equal tuples share an id, ids run 0..m-1 over the m distinct tuples and
-    follow lexicographic tuple order. Columns are folded left to right: the
-    ids so far are scaled by the next column's span and re-ranked. A column
-    is shifted to start at zero, or dense-ranked when its span reaches the
-    row count, so the folded value stays below n*n.
+    follow lexicographic tuple order. Columns are folded left to right in
+    mixed radix: the ids so far are scaled by the next column's width and
+    the column added. A column is shifted to start at zero, or dense-ranked
+    when its span reaches the row count, so its width is at most n. Mixed
+    radix keeps lexicographic order, so the ids are re-ranked with one sort
+    only when the next column would take the product of widths to 2**62
+    (after which the product restarts at the number of distinct ids), and
+    once at the end; a depth-k window costs one sort, not k+1. A dense-ranked
+    column costs one more.
     """
     n = len(columns[0])
     ids = np.zeros(n, dtype=np.int64)
+    span = 1
     for col in columns:
         col = np.asarray(col, dtype=np.int64)
         lo, hi = int(col.min()), int(col.max())
         if hi - lo < n:
-            ids = ids * (hi - lo + 1) + (col - lo)
+            width, col = hi - lo + 1, col - lo
         else:
-            ids = ids * n + np.unique(col, return_inverse=True)[1]
-        ids = np.unique(ids, return_inverse=True)[1]
-    return ids
+            width, col = n, np.unique(col, return_inverse=True)[1]
+        if span * width >= _ID_LIMIT:
+            distinct, ids = np.unique(ids, return_inverse=True)
+            span = len(distinct)
+        ids = ids * width + col
+        span *= width
+    return np.unique(ids, return_inverse=True)[1]
 
 
 def _entropy(ids: np.ndarray) -> float:
@@ -88,6 +107,8 @@ def _history(arr: np.ndarray, k: int) -> np.ndarray:
 
 def _aligned(k: int, *seqs) -> list[np.ndarray]:
     """Validate equal-length sequences; return their columns."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     cols = [_column(s) for s in seqs]
     n = len(cols[-1])
     if any(len(c) != n for c in cols):
@@ -124,7 +145,23 @@ def conditional_entropy(next_symbols, given) -> float:
         )
     if len(nxt) == 0:
         raise EmptySequence("cannot condition on an empty sequence")
+    if g.shape[1] == 0:
+        raise ValueError("the conditioning matrix has no columns")
     return _entropy(_joint_ids(nxt, *g.T)) - _entropy(_joint_ids(*g.T))
+
+
+def _target_terms(y: np.ndarray, k: int):
+    """The target's window ids, (next, own window) ids and H(next | own)."""
+    yw = _history(y, k)
+    next_own = _joint_ids(y[k + 1:], yw)
+    return yw, next_own, _entropy(next_own) - _entropy(yw)
+
+
+def _transfer(xw: np.ndarray, yw: np.ndarray, next_own: np.ndarray,
+              h_own: float) -> float:
+    """H(next | own) - H(next | own, source) for source window ids ``xw``."""
+    h_both = _entropy(_joint_ids(next_own, xw)) - _entropy(_joint_ids(yw, xw))
+    return _clamped(h_own - h_both, "transfer entropy")
 
 
 def transfer_entropy(source, target, k: int) -> float:
@@ -135,11 +172,23 @@ def transfer_entropy(source, target, k: int) -> float:
     H(next | own history) - H(next | own and source history).
     """
     x, y = _aligned(k, source, target)
-    yw, xw = _history(y, k), _history(x, k)
-    next_own = _joint_ids(y[k + 1:], yw)
-    h_own = _entropy(next_own) - _entropy(yw)
-    h_both = _entropy(_joint_ids(next_own, xw)) - _entropy(_joint_ids(yw, xw))
-    return _clamped(h_own - h_both, "transfer entropy")
+    return _transfer(_history(x, k), *_target_terms(y, k))
+
+
+def transfer_entropies(sources, target, k: int) -> list[float]:
+    """``[transfer_entropy(s, target, k) for s in sources]``, equal float for
+    float, with the target's terms computed once.
+
+    ``sources`` may be any iterable; each source is checked as
+    :func:`transfer_entropy` checks it when its turn comes.
+    """
+    values, terms = [], None
+    for source in sources:
+        x, y = _aligned(k, source, target)
+        if terms is None:
+            terms = _target_terms(y, k)
+        values.append(_transfer(_history(x, k), *terms))
+    return values
 
 
 def causation_entropy_pair(x, y, z, k: int) -> tuple[float, float]:

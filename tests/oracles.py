@@ -3,6 +3,8 @@
 Everything here is deliberately written with plain Python dictionaries,
 tuples, and math.log2 — no numpy, no imports from the package under test —
 so the oracle path shares no code with the implementations it checks.
+The one exception is :func:`joint_ids_oracle`, a frozen numpy copy of an
+earlier implementation that a faster one must match bit for bit.
 """
 
 import math
@@ -102,6 +104,25 @@ def causation_pair_oracle(x, y, z, k):
     h_zy = cond([zw, yw])
     h_zxy = cond([zw, xw, yw])
     return h_zy - h_zxy, h_zx - h_zxy
+
+
+def joint_ids_oracle(*columns):
+    """Dense lexicographic ids of the row tuples, by the eager fold: after
+    every column the ids are scaled by its span, the column added, and the
+    result re-ranked with a sort."""
+    import numpy as np
+
+    n = len(columns[0])
+    ids = np.zeros(n, dtype=np.int64)
+    for col in columns:
+        col = np.asarray(col, dtype=np.int64)
+        lo, hi = int(col.min()), int(col.max())
+        if hi - lo < n:
+            ids = ids * (hi - lo + 1) + (col - lo)
+        else:
+            ids = ids * n + np.unique(col, return_inverse=True)[1]
+        ids = np.unique(ids, return_inverse=True)[1]
+    return ids
 
 
 def sort_and_split_edges(values, b):

@@ -15,6 +15,7 @@ from tefuse import (
     replay_merges,
     score_pair,
     split_index,
+    transfer_entropies,
     transfer_entropy,
     tree_from_json,
 )
@@ -249,18 +250,22 @@ class TestPairCache:
 
     def test_transfer_entropy_calls_follow_pair_formula(self, noisy_run, monkeypatch):
         leaves, target, config = noisy_run
-        calls = []
+        batches = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return transfer_entropy(*args, **kwargs)
+        def counting(sources, *args, **kwargs):
+            sources = list(sources)
+            batches.append(len(sources))
+            return transfer_entropies(sources, *args, **kwargs)
 
-        monkeypatch.setattr(clustering, "transfer_entropy", counting)
-        cluster(leaves, target, config)
+        monkeypatch.setattr(clustering, "transfer_entropies", counting)
+        tree = cluster(leaves, target, config)
         n = len(leaves)
-        # all singles and pairs first, then at each later level with m active
-        # nodes the new node alone and paired with each of the other m - 1
-        assert len(calls) == n + n * (n - 1) // 2 + sum(range(2, n))
+        # one batched call per level: all singles and pairs first, then at
+        # each later level with m active nodes the new node alone and paired
+        # with each of the other m - 1
+        assert len(batches) == len(tree.merges) == n - 1
+        assert batches == [n + n * (n - 1) // 2, *range(n - 1, 1, -1)]
+        assert sum(batches) == n + n * (n - 1) // 2 + sum(range(2, n))
 
 
 def test_debug_mode_checks_winner_identity(caplog):

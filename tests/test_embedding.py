@@ -85,3 +85,8 @@ def test_history_ids_beyond_radix_range():
 def test_history_ids_too_short():
     with pytest.raises(SequenceTooShort):
         history_ids(SymbolSequence([0, 1, 0], 2), 2)
+
+
+def test_history_ids_negative_depth():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        history_ids(SymbolSequence([0, 1, 0, 1, 1], 2), -1)

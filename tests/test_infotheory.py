@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,14 +12,17 @@ from tefuse import (
     causation_entropy_pair,
     conditional_entropy,
     shannon_entropy,
+    transfer_entropies,
     transfer_entropy,
 )
-from tefuse.infotheory import _joint_ids
+from tefuse import infotheory
+from tefuse.infotheory import _history, _joint_ids
 
 from oracles import (
     causation_pair_oracle,
     conditional_entropy_oracle,
     entropy_oracle,
+    joint_ids_oracle,
     te_oracle,
     te_ratio_sum_oracle,
 )
@@ -47,6 +51,49 @@ class TestJointIds:
         info = np.iinfo(np.int64)
         assert _joint_ids([info.max, info.min, 0]).tolist() == [2, 0, 1]
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_lazy_fold_matches_eager_fold(self, m):
+        # column widths below, at and beyond the row count, offset labels
+        # of +-1e17, and the int64 extremes
+        rng = np.random.default_rng(40 + m)
+        info = np.iinfo(np.int64)
+        for n in (1, 2, 7, 200):
+            for trial in range(6):
+                columns = []
+                for _ in range(m):
+                    width = int(rng.choice([1, 2, max(n - 1, 1), n, 3 * n]))
+                    offset = int(rng.choice([0, -3, 10**17, -10**17]))
+                    columns.append(rng.integers(0, width, n) + offset)
+                if trial == 5:
+                    columns[-1][rng.integers(0, n)] = info.min
+                    columns[0][rng.integers(0, n)] = info.max
+                got = _joint_ids(*columns)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, joint_ids_oracle(*columns))
+
+    @pytest.mark.parametrize("m, n_sorts", [(10, 2), (20, 3)])
+    def test_width_product_passing_the_limit_mid_fold(self, monkeypatch, m, n_sorts):
+        # columns of width 100 at n = 200: 100**10 passes 2**62 at the tenth
+        # column, where the fold re-ranks to 200 distinct ids; 200 * 100**8
+        # passes it again at the eighteenth
+        rng = np.random.default_rng(16)
+        columns = [rng.integers(0, 100, 200) for _ in range(m)]
+        for col in columns:
+            col[:2] = [0, 99]
+        sorts = _count_sorts(monkeypatch)
+        got = _joint_ids(*columns)
+        assert len(sorts) == n_sorts
+        assert np.array_equal(got, joint_ids_oracle(*columns))
+
+    def test_window_costs_one_sort(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        symbols = rng.integers(0, 10, 500)
+        sorts = _count_sorts(monkeypatch)
+        got = _history(symbols, 5)
+        assert len(sorts) == 1
+        assert np.array_equal(got, joint_ids_oracle(
+            *(symbols[j: 500 - 1 - 5 + j] for j in range(6))))
+
     def test_negative_labels_leave_transfer_entropy_unchanged(self):
         # folding raw values without shifting them to zero fails this
         rng = np.random.default_rng(15)
@@ -57,6 +104,23 @@ class TestJointIds:
             x = rng.integers(0, b, n)
             y = rng.integers(0, b, n)
             assert transfer_entropy(x - 1, y - 1, k) == transfer_entropy(x, y, k)
+
+
+def _count_sorts(monkeypatch):
+    """Record each np.unique call made inside tefuse.infotheory."""
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def unique(*args, **kwargs):
+            calls.append(len(args[0]))
+            return np.unique(*args, **kwargs)
+
+    monkeypatch.setattr(infotheory, "np", CountingNumpy())
+    return calls
 
 
 class TestShannonEntropy:
@@ -114,6 +178,10 @@ class TestConditionalEntropy:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             conditional_entropy([0, 1], [0, 1, 2])
+
+    def test_no_conditioning_columns_rejected(self):
+        with pytest.raises(ValueError, match="no columns"):
+            conditional_entropy([0, 1, 1], np.zeros((3, 0), dtype=np.int64))
 
     def test_chain_rule(self):
         rng = np.random.default_rng(2)
@@ -218,6 +286,47 @@ class TestTransferEntropy:
             transfer_entropy([0, 1, 0], [0, 1], 0)
         with pytest.raises(SequenceTooShort):
             transfer_entropy([0, 1], [1, 0], 1)
+
+
+class TestTransferEntropies:
+    @pytest.mark.parametrize("k", range(4))
+    def test_equals_one_call_per_source(self, k):
+        rng = np.random.default_rng(50 + k)
+        n = 400
+        z = rng.integers(-2, 2, n)
+        sources = [
+            rng.integers(-3, 3, n),
+            np.roll(z, 1),
+            z.copy(),
+            rng.integers(0, 7, n) * 10**17 - 3 * 10**17,
+            np.full(n, -5),
+            SymbolSequence(rng.integers(0, 4, n), 4),
+        ]
+        expected = [transfer_entropy(s, z, k) for s in sources]
+        assert transfer_entropies(sources, z, k) == expected
+        assert transfer_entropies(iter(sources), z, k) == expected
+        assert transfer_entropies([], z, k) == []
+
+    @pytest.mark.parametrize("source, target, k", [
+        ([0, 1, 0], [0, 1], 0),
+        ([0, 1], [1, 0], 1),
+        ([0, 1, 0], [0, 1], 5),
+    ])
+    def test_errors_as_transfer_entropy(self, source, target, k):
+        with pytest.raises((LengthMismatch, SequenceTooShort)) as single:
+            transfer_entropy(source, target, k)
+        with pytest.raises(single.type, match=re.escape(str(single.value))):
+            transfer_entropies([source, target], target, k)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, y: transfer_entropy(x, y, -1),
+    lambda x, y: transfer_entropies([x], y, -1),
+    lambda x, y: causation_entropy_pair(x, y, y, -1),
+], ids=["transfer_entropy", "transfer_entropies", "causation_entropy_pair"])
+def test_negative_depth_rejected(call):
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        call([0, 1, 0, 1, 1], [1, 0, 1, 0, 0])
 
 
 class TestCausationEntropyPair:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .clustering import MergeTree, leaf_sequences, replay_merges
 from .embedding import history_ids
-from .errors import EmptySequence, LengthMismatch, SequenceTooShort
+from .errors import EmptySequence, LengthMismatch, SequenceTooShort, TreeDatasetMismatch
 from .infotheory import _joint_ids
 from .ingest import Dataset, RunConfig, split_index
 from .sdf import SymbolSequence, fit_mep_partition, symbolize
@@ -214,8 +214,15 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     Discrete targets report accuracy; continuous targets report RMSE between
     bin-representative predictions and the continuous truth. The tree must
     have been produced from this dataset's training split with this
-    configuration; leaves and merges are replayed deterministically.
+    configuration; leaves and merges are replayed deterministically, so a
+    tree whose leaves are not the configured sources, in order, raises
+    :class:`TreeDatasetMismatch`.
     """
+    if tree.leaves != tuple(config.source_columns):
+        raise TreeDatasetMismatch(
+            f"tree leaves {list(tree.leaves)} are not the configured sources "
+            f"{list(config.source_columns)}"
+        )
     n = dataset.n
     s = split_index(n, config.train_fraction)
     k = config.depth
@@ -283,12 +290,35 @@ def report_json(report: EvaluationReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _number_texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each element as a Python number, one call per distinct
+    value. Floats are told apart by their bits, so -0.0 and 0.0 keep their
+    own texts; a numpy 2 scalar's repr would be "np.float64(...)"."""
+    if values.dtype != np.float64:
+        return [repr(v) for v in values.tolist()]
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [repr(v) for v in bits.view(np.float64).tolist()]
+    return [texts[i] for i in inverse.tolist()]
+
+
 def predictions_csv(report: EvaluationReport) -> str:
+    """One line per level and held-out row: ``level,row,truth,predicted``,
+    the numbers written as Python ``repr``s.
+
+    Every level of an evaluation holds the same rows and truth, and a
+    prediction takes one of a few values, so each distinct number is
+    formatted once and the lines are joined from those texts.
+    """
     lines = ["level,row,truth,predicted"]
+    key = rows = None
     for block in report.predictions:
-        # tolist() gives Python ints and floats, whose repr is a CSV number;
-        # a numpy 2 scalar's repr is "np.float64(...)".
-        for pos, truth, pred in zip(block.positions.tolist(), block.truth.tolist(),
-                                    block.predicted.tolist()):
-            lines.append(f"{block.level},{pos},{truth!r},{pred!r}")
+        block_key = [(a.dtype.str, a.shape, a.tobytes())
+                     for a in (block.positions, block.truth)]
+        if block_key != key:
+            key = block_key
+            rows = [f"{pos},{truth}," for pos, truth in
+                    zip(block.positions.tolist(), _number_texts(block.truth))]
+        level = f"{block.level},"
+        lines += [level + row + pred
+                  for row, pred in zip(rows, _number_texts(block.predicted))]
     return "\n".join(lines) + "\n"

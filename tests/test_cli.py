@@ -170,6 +170,22 @@ class TestMalformedArtifacts:
         assert main(["export-tree", "--tree", str(run_dir / "tree.json"),
                      "--out", str(tmp_path / "export")]) == 3
 
+    @pytest.mark.parametrize("edit", [
+        lambda leaves: leaves[1:] + leaves[:1],
+        lambda leaves: [leaves[1], leaves[0], *leaves[2:]],
+        lambda leaves: [*leaves[:-1], "Occupancy"],
+    ], ids=["rotated", "swapped", "renamed"])
+    def test_leaves_other_than_configured_sources(self, occ_csv, run_dir, tmp_path,
+                                                  capsys, edit):
+        # The leaves still number five, so replay would run on the wrong
+        # columns if only their count were checked.
+        tree = json.loads((run_dir / "tree.json").read_text())
+        tree["leaves"] = edit(tree["leaves"])
+        (run_dir / "tree.json").write_text(json.dumps(tree))
+        assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
+        assert "configured sources" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "report.csv").exists()
+
     def test_truncated_tree(self, occ_csv, run_dir, tmp_path, capsys):
         data = (run_dir / "tree.json").read_bytes()
         (run_dir / "tree.json").write_bytes(data[: len(data) // 2])

@@ -5,6 +5,7 @@ from tefuse import (
     Dataset,
     LengthMismatch,
     RunConfig,
+    TreeDatasetMismatch,
     cluster,
     discretize_target,
     embed,
@@ -16,6 +17,8 @@ from tefuse import (
 from tefuse.clustering import leaf_sequences, replay_merges
 from tefuse.estimate import (
     ACCURACY,
+    EvaluationReport,
+    LevelPredictions,
     predictions_csv,
     report_csv,
     report_json,
@@ -23,7 +26,7 @@ from tefuse.estimate import (
     target_symbols,
 )
 
-from oracles import sort_and_split_edges
+from oracles import predictions_csv_oracle, sort_and_split_edges
 
 
 class TestDiscretizeTarget:
@@ -289,3 +292,52 @@ class TestEvaluateLevels:
         tree = cluster(leaves, target_seq, config)
         with pytest.raises(ValueError):
             evaluate_levels(tree, ds, config)
+
+    def test_tree_of_other_sources_rejected(self):
+        ds = _driven_dataset()
+        config = RunConfig(target_column="z", source_columns=("a", "b", "c"),
+                           alphabet=3, depth=1, train_fraction=0.7)
+        leaves = leaf_sequences(ds, config)
+        target_seq, _, _, _ = target_symbols(ds, config)
+        tree = cluster(leaves, target_seq, config)
+        for sources in (("b", "a", "c"), ("a", "b", "d")):
+            other = RunConfig(**{**config.to_dict(), "source_columns": sources})
+            with pytest.raises(TreeDatasetMismatch):
+                evaluate_levels(tree, ds, other)
+
+
+class TestPredictionsCsv:
+    """The writer formats each distinct number once; its text must equal
+    the row-by-row writer's."""
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_matches_row_writer(self, continuous):
+        ds = _continuous_dataset() if continuous else _driven_dataset()
+        sources = ("a", "b") if continuous else ("a", "b", "c")
+        report, _ = _run(ds, source_columns=sources, target_alphabet=8)
+        assert predictions_csv(report) == predictions_csv_oracle(report)
+
+    def test_signed_zeros_and_non_finite_values(self):
+        values = np.array([0.0, -0.0, 1.5, -0.0, np.nan, np.inf, -np.inf, 0.0,
+                           5e-324, 1e300, -np.nan])
+        positions = np.arange(10, 10 + len(values))
+        blocks = (
+            LevelPredictions(0, positions, values, values[::-1].copy()),
+            LevelPredictions(1, positions, values.copy(), -values),
+            LevelPredictions(2, positions, -values, values),
+            LevelPredictions(3, positions + 1, values, np.zeros(len(values))),
+        )
+        report = EvaluationReport(rows=(), config={}, predictions=blocks)
+        text = predictions_csv(report)
+        assert text == predictions_csv_oracle(report)
+        assert "10,0.0,-0.0" in text and "11,-0.0,0.0" in text
+
+    def test_non_float_arrays(self):
+        blocks = (
+            LevelPredictions(0, np.arange(3), np.array([1, 2, 3]),
+                             np.array([0.5, 0.5, 2.0], dtype=np.float32)),
+            LevelPredictions(1, np.arange(3), np.array([1, 2, 3]),
+                             np.array([True, False, True])),
+        )
+        report = EvaluationReport(rows=(), config={}, predictions=blocks)
+        assert predictions_csv(report) == predictions_csv_oracle(report)

@@ -1,6 +1,12 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tefuse import ingest
 from tefuse import (
     Dataset,
     EmptyAfterFiltering,
@@ -12,6 +18,7 @@ from tefuse import (
     read_config_file,
     split_index,
 )
+from tefuse.ingest import _parse_rows
 
 
 def write_csv(path, header, rows):
@@ -118,6 +125,123 @@ class TestLoadCsv:
         cfg = RunConfig(target_column="z", source_columns=("c", "a"))
         ds = load_csv(path, cfg)
         assert ds.names == ("c", "a", "z")
+
+
+# Sources ("b", "a") and target "z" of the header "a,x,b,z" select the
+# cells 2, 0 and 3 of each row, in that order; x is never read.
+BULK_CONFIG = RunConfig(target_column="z", source_columns=("b", "a"))
+BULK_INDICES = [2, 0, 3]
+
+
+def assert_loads_as_loop(path, body, header="a,x,b,z\n"):
+    """load_csv (bulk parse plus fallback) reads ``body`` as the loop does."""
+    path.write_bytes((header + body).encode("utf-8"))
+    columns, dropped = _parse_rows(body, BULK_INDICES)
+    if not columns.shape[1]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyAfterFiltering):
+                load_csv(path, BULK_CONFIG)
+        return
+    ds = load_csv(path, BULK_CONFIG)
+    assert ds.names == ("b", "a", "z")
+    assert ds.dropped_rows == dropped
+    assert np.array(ds.columns).tobytes() == columns.tobytes()
+    assert all(c.flags.c_contiguous for c in ds.columns)
+
+
+BULK_CASES = {
+    "quoted_fields": '"1",9,"2",3\n4,9,"5,0",6\n7,"9",8,"9"\n',
+    "quoted_commas_in_unselected_cell": '1,"x,5,6,7",2,3\n',
+    "short_rows": "1,9,2,3\n4,9\n5\n6,9,7,8\n",
+    "long_rows": "1,9,2,3,4,5\n6,9,7,8\n",
+    "blank_lines": "\n1,9,2,3\n\n\n4,9,5,6\n\n",
+    "whitespace_only_lines": "1,9,2,3\n \n\t\n4,9,5,6\n",
+    "hash_at_line_start": "#1,9,2,3\n4,9,5,6\n#\n7,9,8,9\n",
+    "nan": "nan,9,2,3\n1,9,NaN,3\n4,9,5,6\n",
+    "inf": "inf,9,2,3\n1,9,-inf,3\n4,9,5,6\n",
+    "Infinity": "Infinity,9,2,3\n1,9,2,-Infinity\n4,9,5,6\n",
+    "1e500": "1e500,9,2,3\n1,9,2,-1e500\n4,9,5,6\n1e-500,9,2,3\n",
+    "underscore_digits": "1_000,9,2,3\n4,9,5,6\n",
+    "fullwidth_digits": "１２,9,2,3\n4,9,5,6\n",
+    "surrounding_spaces": " 2.5 ,9,\t3\t, 4\n5,9,6,7\n",
+    "unselected_junk": "1,junk,2,3\n4,,5,6\n",
+    "signed_zero": "-0.0,9,0.0,-0\n",
+    "crlf_line_endings": "1,9,2,3\r\n4,9,5,6\r\n\r\n7,9,8,9\r\n",
+    "lone_cr_line_endings": "1,9,2,3\r4,9,5,6\r\r7,9,8,9\r",
+    "ascii_separators": "\x1c1,9,2,3\n4,9,5\x1f,6\n7,9,8,9\n",
+    "no_final_newline": "1,9,2,3\n4,9,5,6",
+    "every_row_dropped": "x,9,2,3\n1,9,nan,3\n",
+}
+
+
+# Cells that numpy and float() read alike, and cells where they may not.
+NUMBERS = ["1", "-2.5", "0", "-0.0", "3e2", ".5", "7.", "+4", "nan", "-nan",
+           "inf", "-inf", "Infinity", "1e500", "1e-500", " 2.5 ", "\t3", "\xa06"]
+TRICKY = ["", " ", "x", "#", "#1", "1_000", "１２", "\x1c1", '"1"', '"1,5"',
+          '"2\n3"', '1"', '"4']
+
+
+@st.composite
+def csv_bodies(draw):
+    """CSV text built from the tokens above, and whether it is clean: only
+    numbers, in rows of four cells or more and blank lines, ended by LF or
+    CRLF. The bulk parse must read a clean text without the loop."""
+    clean = draw(st.booleans())
+    cells = st.sampled_from(NUMBERS if clean else NUMBERS + TRICKY)
+    rows = (st.one_of(st.just([]), st.lists(cells, min_size=4, max_size=6)) if clean
+            else st.lists(cells, max_size=6))
+    ends = st.sampled_from(["\n", "\r\n"] if clean else ["\n", "\r\n", "\r"])
+    lines = draw(st.lists(st.tuples(rows, ends), max_size=12))
+    return "".join(",".join(row) + end for row, end in lines), clean
+
+
+class TestBulkParse:
+    """load_csv reads every text as the per-row loop does, bit for bit."""
+
+    @pytest.mark.parametrize("body", BULK_CASES.values(), ids=BULK_CASES.keys())
+    def test_named_case_matches_loop(self, tmp_path, body):
+        assert_loads_as_loop(tmp_path / "d.csv", body)
+
+    def test_quoted_header_with_newline(self, tmp_path):
+        assert_loads_as_loop(tmp_path / "d.csv", "1,9,2,3\n4,9,5,6\n",
+                             header='a,"x\ny",b,"z"\n')
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n", " \n", "\r\n"])
+    def test_header_only_file_raises_without_warning(self, tmp_path, body):
+        path = tmp_path / "d.csv"
+        path.write_text("a,x,b,z\n" + body, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyAfterFiltering):
+                load_csv(path, BULK_CONFIG)
+
+    def test_plain_numbers_skip_the_loop(self, tmp_path, monkeypatch):
+        # The bulk parse must read these texts itself: a fallback to the
+        # loop on every text would pass the comparisons above.
+        def refuse(text, indices):
+            raise AssertionError("fell back to the per-row loop")
+
+        body = ("1,9,2,3\r\n\r\n 4.5 ,9,nan,6\r\n-0.0,x,3e2,7\r\n"
+                "1,9,1e500,2\r\n8,9,10,11,12\r\n")
+        path = tmp_path / "d.csv"
+        path.write_bytes(("\ufeffa,x,b,z\r\n" + body).encode("utf-8"))
+        columns, dropped = _parse_rows(body, BULK_INDICES)
+        monkeypatch.setattr(ingest, "_parse_rows", refuse)
+        ds = load_csv(path, BULK_CONFIG)
+        assert np.array(ds.columns).tobytes() == columns.tobytes()
+        assert ds.dropped_rows == dropped == 2
+        assert ds.column("a").tolist() == [1.0, -0.0, 8.0]
+        assert np.signbit(ds.column("a")[1])
+
+    @settings(deadline=None, max_examples=300)
+    @given(csv_bodies())
+    def test_random_text_matches_loop(self, tmp_path_factory, drawn):
+        body, clean = drawn
+        if clean and body.strip():
+            with mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError):
+                ingest._parse_bulk(body, BULK_INDICES)
+        assert_loads_as_loop(tmp_path_factory.getbasetemp() / "bulk.csv", body)
 
 
 class TestRunConfig:

@@ -31,10 +31,9 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import math
 from dataclasses import dataclass
 
-from .errors import LengthMismatch, MalformedArtifact, SequenceTooShort
+from .errors import LengthMismatch, MalformedArtifact, SequenceTooShort, TreeDatasetMismatch
 from .fusion import as_symbol_sequence, fuse, merge_pair
 from .infotheory import causation_entropy_pair, transfer_entropies, transfer_entropy
 from .ingest import Dataset, RunConfig, split_index
@@ -197,11 +196,14 @@ def replay_merges(
 
     Fusion is deterministic given the pair order and the training prefix, so
     replaying a stored tree against the same symbolized leaves reproduces the
-    clustering run's node sequences exactly.
+    clustering run's node sequences exactly. Leaves whose names are not the
+    tree's leaves, in order, raise :class:`TreeDatasetMismatch`.
     """
-    if len(leaf_seqs) != len(tree.leaves):
-        raise LengthMismatch(
-            f"tree has {len(tree.leaves)} leaves, got {len(leaf_seqs)} sequences"
+    names = tuple(seq.source_name for seq in leaf_seqs)
+    if names != tree.leaves:
+        raise TreeDatasetMismatch(
+            f"tree leaves {list(tree.leaves)} are not the configured sources "
+            f"{list(names)}"
         )
     train_len = split_index(len(leaf_seqs[0]), config.train_fraction)
     nodes = dict(enumerate(leaf_seqs))
@@ -240,75 +242,28 @@ def export_tree(tree: MergeTree, format: str = "json") -> bytes:
     raise ValueError(f"unknown export format {format!r}")
 
 
-def _json_scalar(value) -> str:
-    """A scalar as ``json.dumps`` writes it: ``repr`` for ints and finite
-    floats, ``NaN`` and ``Infinity`` for the others."""
-    if type(value) is float:
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return repr(value)
-    if type(value) is int:
-        return repr(value)
-    return json.dumps(value)
-
-
-def _json_list(items: list[str], indent: int) -> str:
-    """A JSON array of encoded items, laid out as ``json.dumps(indent=2)``
-    lays out an array that opens at ``indent`` spaces."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * (indent + 2)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
-
-
-# A candidate [[i, j], score] and a [node, value] entry at their depth in
-# the document, as the indented encoder lays them out.
-_CANDIDATE = ("[\n" + " " * 10 + "[\n" + " " * 12 + "%s,\n" + " " * 12 + "%s\n"
-              + " " * 10 + "],\n" + " " * 10 + "%s\n" + " " * 8 + "]")
-_ENTRY = "[\n" + " " * 10 + "%s,\n" + " " * 10 + "%s\n" + " " * 8 + "]"
-
-
 def _export_json(tree: MergeTree) -> bytes:
-    """The bytes ``json.dumps(doc, indent=2)`` writes for the tree's
-    document, built from a template of the tree schema: the indented
-    encoder runs in pure Python, and ``tree.json`` holds every candidate's
-    score."""
-    s = _json_scalar
-
-    def scalars(values, indent):
-        return _json_list([s(v) for v in values], indent)
-
-    def candidate(pair, score):
-        if len(pair) == 2:
-            return _CANDIDATE % (s(pair[0]), s(pair[1]), s(score))
-        return _json_list([scalars(pair, 10), s(score)], 8)
-
-    def merge(record):
-        candidates = [candidate(pair, score) for pair, score in record.all_candidate_scores]
-        te = [_ENTRY % (s(node_id), s(value)) for node_id, value in record.te_to_target]
-        return (
-            "{\n"
-            f'      "level": {s(record.level)},\n'
-            f'      "pair": {scalars(record.pair, 6)},\n'
-            f'      "score": {s(record.score)},\n'
-            f'      "candidates": {_json_list(candidates, 6)},\n'
-            f'      "te_to_target": {_json_list(te, 6)}\n'
-            "    }"
-        )
-
-    levels = [scalars(level, 4) for level in tree.levels]
-    return (
-        "{\n"
-        f'  "leaves": {scalars(tree.leaves, 2)},\n'
-        f'  "node_names": {scalars(tree.node_names, 2)},\n'
-        f'  "merges": {_json_list([merge(record) for record in tree.merges], 2)},\n'
-        f'  "levels": {_json_list(levels, 2)}\n'
-        "}\n"
-    ).encode("utf-8")
+    doc = {
+        "leaves": list(tree.leaves),
+        "node_names": list(tree.node_names),
+        "merges": [
+            {
+                "level": record.level,
+                "pair": list(record.pair),
+                "score": record.score,
+                "candidates": [
+                    [list(pair), score]
+                    for pair, score in record.all_candidate_scores
+                ],
+                "te_to_target": [
+                    [node_id, value] for node_id, value in record.te_to_target
+                ],
+            }
+            for record in tree.merges
+        ],
+        "levels": [list(level) for level in tree.levels],
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
 def tree_from_json(data: bytes | str) -> MergeTree:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .clustering import MergeTree, leaf_sequences, replay_merges
 from .embedding import history_ids
-from .errors import EmptySequence, LengthMismatch, SequenceTooShort, TreeDatasetMismatch
+from .errors import EmptySequence, LengthMismatch, SequenceTooShort
 from .infotheory import _joint_ids
 from .ingest import Dataset, RunConfig, split_index
 from .sdf import SymbolSequence, fit_mep_partition, symbolize
@@ -218,11 +218,6 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     tree whose leaves are not the configured sources, in order, raises
     :class:`TreeDatasetMismatch`.
     """
-    if tree.leaves != tuple(config.source_columns):
-        raise TreeDatasetMismatch(
-            f"tree leaves {list(tree.leaves)} are not the configured sources "
-            f"{list(config.source_columns)}"
-        )
     n = dataset.n
     s = split_index(n, config.train_fraction)
     k = config.depth

@@ -5,10 +5,10 @@ The loader keeps exactly the configured columns, in configuration order
 selected cells are missing, non-numeric or non-finite, and reports how many
 rows were lost. Its semantics are those of a per-row loop over
 :mod:`csv` records (:func:`_parse_rows`); a bulk :func:`numpy.loadtxt`
-parse reads plain numeric text faster and hands every text it might read
-differently back to that loop. Train/test splitting is always a contiguous
-prefix/suffix cut; shuffling a time series would leak history across the
-boundary.
+parse reads numeric text faster, block by block, and hands every block it
+might read differently back to that loop. Train/test splitting is always a
+contiguous prefix/suffix cut; shuffling a time series would leak history
+across the boundary.
 """
 
 from __future__ import annotations
@@ -131,10 +131,11 @@ def load_csv(path, config: RunConfig) -> Dataset:
     file bytes produce an identical dataset.
 
     The header is read with :mod:`csv`; the rest of the file is read once
-    and parsed by :func:`_parse_bulk`, which falls back to the per-row loop
-    :func:`_parse_rows` for any text the bulk parse might read differently.
-    The loop's semantics are the contract; both give the same float bits and
-    drop count.
+    and parsed by :func:`_parse_bulk` in blocks of about 32 KiB, each by
+    one :func:`numpy.loadtxt` call. A block loadtxt might read differently
+    (a bad row in it, say) falls back to the per-row loop :func:`_parse_rows`
+    alone. The loop's semantics are the contract; both give the same float
+    bits and drop count.
     """
     selected = list(config.source_columns) + [config.target_column]
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -160,32 +161,84 @@ def load_csv(path, config: RunConfig) -> Dataset:
     return Dataset(names=tuple(selected), columns=tuple(columns), dropped_rows=dropped)
 
 
-# Characters whose meaning the bulk parse does not share with the loop: a
-# quote starts an RFC-4180 quoted field, and numpy strips the ASCII
-# separators U+001C..U+001F around a number where float() rejects them.
-_LOOP_ONLY = '"\x1c\x1d\x1e\x1f'
+# Characters that numpy strips around a number where float() rejects them.
+_LOOP_ONLY = "\x1c\x1d\x1e\x1f"
+# Text per numpy.loadtxt call. A block the bulk parse cannot read goes to the
+# loop alone, so a bad row costs the loop one block, not the whole file.
+_BLOCK_CHARS = 1 << 15
+# Bytes a quote that opens a quoted field may follow. After another quote it
+# is the second of a doubled quote, and the field stays open.
+_BEFORE_QUOTE = np.zeros(256, dtype=bool)
+_BEFORE_QUOTE[list(b',\r\n"')] = True
 
 
-def _parse_bulk(text: str, indices: list[int]) -> tuple[np.ndarray, int]:
+def _parse_bulk(text: str, indices: list[int],
+                block_chars: int = _BLOCK_CHARS) -> tuple[np.ndarray, int]:
     """The rows of ``text`` as :func:`_parse_rows` reads them, parsed in bulk.
 
-    A text without quotes or U+001C..U+001F is read by one
-    :func:`numpy.loadtxt` call. It splits lines and fields as :mod:`csv`
-    does and reads a number as float() does, and it raises ``ValueError``
-    on every row the loop would drop for a missing or non-numeric cell, on
-    a short row, a whitespace-only line and a lone-CR line ending. Any such
-    text, and any text with no data line, goes to the loop instead; here only
-    rows with a non-finite cell are dropped.
+    The text is cut at line breaks into blocks of about ``block_chars``
+    characters, each read by one :func:`numpy.loadtxt` call. loadtxt splits
+    lines and fields as :mod:`csv` does, with quotes read as RFC 4180 quotes,
+    and reads a number as float() does. It raises ``ValueError`` on every
+    row the loop would drop for a missing or non-numeric cell, on a short
+    row, a whitespace-only line and a lone-CR line ending; the loop reads
+    such a block instead. Once the loop has read more blocks than loadtxt,
+    it reads the rest of the text: in a text with many bad rows, loadtxt's
+    partial read of each block would only add to the loop's cost.
+
+    A cut falls only where an even number of quotes precedes it, which is
+    outside every quoted field when every other quote opens one; a text
+    with a quote inside an unquoted field, or with U+001C..U+001F, goes to
+    the loop whole.
     """
-    if not text or text.isspace() or any(c in text for c in _LOOP_ONLY):
+    quoted = '"' in text
+    if any(c in text for c in _LOOP_ONLY) or quoted and not _quotes_balanced(text):
         return _parse_rows(text, indices)
+    parts, dropped, pos, lead = [np.empty((len(indices), 0))], 0, 0, 0
+    while pos < len(text):
+        end, rows = len(text), None
+        if lead >= 0:
+            end = text.find("\n", pos + block_chars) + 1 or end
+            while quoted and text.count('"', pos, end) % 2 and end < len(text):
+                end = text.find("\n", end) + 1 or len(text)
+            rows = _loadtxt(text[pos:end], indices, quoted)
+        if rows is None:
+            columns, lost = _parse_rows(text[pos:end], indices)
+            lead -= 1
+        else:
+            finite = np.isfinite(rows).all(axis=1)
+            columns, lost = rows[finite].T, len(rows) - int(finite.sum())
+            lead += 1
+        parts.append(columns)
+        dropped += lost
+        pos = end
+    return np.concatenate(parts, axis=1), dropped
+
+
+def _quotes_balanced(text: str) -> bool:
+    """Whether every quote with an even number of quotes before it opens a
+    field: it follows a comma, a line break, another quote or the start.
+
+    :mod:`csv` then opens a quoted field at each such quote and leaves it at
+    the next quote, which a delimiter, a line break, a doubled quote or text
+    outside the quoting follows; a further quote in that field would not
+    open one, and is refused here.
+    """
+    raw = np.frombuffer(b"\n" + text.encode("utf-8"), dtype=np.uint8)
+    quotes = np.flatnonzero(raw == ord('"'))
+    return bool(_BEFORE_QUOTE[raw[quotes[0::2] - 1]].all())
+
+
+def _loadtxt(text: str, indices: list[int], quoted: bool) -> np.ndarray | None:
+    """The selected cells of ``text``, one row per line, or None where
+    loadtxt raises or would warn of a text with no data line."""
+    if text.isspace():
+        return None
     try:
-        rows = np.loadtxt(io.StringIO(text), delimiter=",", usecols=indices,
-                          comments=None, ndmin=2)
+        return np.loadtxt(io.StringIO(text), delimiter=",", usecols=indices,
+                          comments=None, quotechar='"' if quoted else None, ndmin=2)
     except ValueError:
-        return _parse_rows(text, indices)
-    finite = np.isfinite(rows).all(axis=1)
-    return np.ascontiguousarray(rows[finite].T), len(rows) - int(finite.sum())
+        return None
 
 
 def _parse_rows(text: str, indices: list[int]) -> tuple[np.ndarray, int]:

@@ -5,11 +5,10 @@ tuples, and math.log2 — no numpy, no imports from the package under test —
 so the oracle path shares no code with the implementations it checks.
 The exceptions are frozen copies of earlier implementations that a faster
 one must match bit for bit: :func:`joint_ids_oracle` (numpy), and the
-writers :func:`tree_json_oracle` and :func:`predictions_csv_oracle`, which
-read the package's tree and report objects by attribute.
+writer :func:`predictions_csv_oracle`, which reads the package's report
+objects by attribute.
 """
 
-import json
 import math
 from collections import Counter
 
@@ -143,31 +142,6 @@ def bin_counts(values, edges):
         s = sum(1 for e in edges if e < v)
         counts[s] += 1
     return counts
-
-
-def tree_json_oracle(tree):
-    """``tree.json`` bytes through the standard library's indented encoder."""
-    doc = {
-        "leaves": list(tree.leaves),
-        "node_names": list(tree.node_names),
-        "merges": [
-            {
-                "level": record.level,
-                "pair": list(record.pair),
-                "score": record.score,
-                "candidates": [
-                    [list(pair), score]
-                    for pair, score in record.all_candidate_scores
-                ],
-                "te_to_target": [
-                    [node_id, value] for node_id, value in record.te_to_target
-                ],
-            }
-            for record in tree.merges
-        ],
-        "levels": [list(level) for level in tree.levels],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
 def predictions_csv_oracle(report):

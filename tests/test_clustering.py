@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from tefuse import (
     MalformedArtifact,
     RunConfig,
     SymbolSequence,
+    TreeDatasetMismatch,
     append_noise_channels,
     causation_entropy_pair,
     cluster,
@@ -24,7 +24,7 @@ from tefuse import clustering
 from tefuse.clustering import leaf_sequences
 from tefuse.estimate import target_symbols
 
-from oracles import score_oracle, tree_json_oracle
+from oracles import score_oracle
 from synthdata import occupancy_like
 
 
@@ -154,6 +154,15 @@ class TestCluster:
         for (i, j), recorded in first.all_candidate_scores:
             assert recorded == score_pair(nodes[i], nodes[j], zs, 0)
         assert first.score == min(s for _, s in first.all_candidate_scores)
+
+    def test_replay_rejects_leaves_other_than_the_trees(self):
+        channels, z = xor_system(600, seed=9)
+        seqs = _seqs(channels, 2)
+        tree = cluster(seqs, SymbolSequence(z, 2, "z"), _config(4))
+        for others in (seqs[1:] + seqs[:1], seqs[:-1],
+                       [*seqs[:-1], SymbolSequence(channels[-1], 2, "s9")]):
+            with pytest.raises(TreeDatasetMismatch):
+                replay_merges(others, tree, _config(4))
 
     def test_te_to_target_recorded(self):
         channels, z = xor_system(1000, seed=10)
@@ -339,40 +348,6 @@ class TestExport:
         damage(doc)
         with pytest.raises(MalformedArtifact):
             tree_from_json(json.dumps(doc))
-
-    def test_json_matches_indented_encoder(self):
-        config = RunConfig(target_column="Occupancy",
-                           source_columns=("Temperature", "Humidity", "Light", "CO2",
-                                           "HumidityRatio", "noise_1", "noise_2"),
-                           alphabet=3, depth=1, train_fraction=0.7)
-        dataset = append_noise_channels(occupancy_like(n=1500, seed=3), 2, seed=4)
-        target, _, _, _ = target_symbols(dataset, config)
-        tree = cluster(leaf_sequences(dataset, config), target, config)
-        assert export_tree(tree, "json") == tree_json_oracle(tree)
-
-    @staticmethod
-    def _edit_merges(tree, **changes):
-        merges = tuple(replace(m, **{key: value(m) for key, value in changes.items()})
-                       for m in tree.merges)
-        return replace(tree, merges=merges)
-
-    @pytest.mark.parametrize("edit", [
-        lambda t: replace(t, merges=(), levels=t.levels[:1]),
-        lambda t: replace(t, leaves=("é", 'q"\\\n\x00', "\U0001f600", "s3"),
-                          node_names=("é",) + t.node_names[1:]),
-        lambda t: TestExport._edit_merges(
-            t, score=lambda m: {1: math.nan, 2: math.inf}.get(m.level, -math.inf),
-            all_candidate_scores=lambda m: (
-                ((0, 1, 2), -0.0), ((), 1), ((True, 2.5), None), ((0, 1), math.nan),
-                *m.all_candidate_scores)),
-        lambda t: TestExport._edit_merges(
-            t, score=lambda m: 0,
-            te_to_target=lambda m: ((0, 0), (1, 5e-324), (2, -1e300), (3, -0.0))),
-    ], ids=["no_merges", "escaped_names", "odd_candidates", "int_and_tiny_scores"])
-    def test_json_template_edge_cases(self, edit):
-        channels, z = xor_system(600, seed=16)
-        tree = edit(cluster(_seqs(channels, 2), SymbolSequence(z, 2, "z"), _config(4)))
-        assert export_tree(tree, "json") == tree_json_oracle(tree)
 
     def test_undecodable_tree_rejected(self):
         for data in (b"", b'{"leaves": [', b"\xff\xfe", b"[1, 2]"):

@@ -300,7 +300,7 @@ class TestEvaluateLevels:
         leaves = leaf_sequences(ds, config)
         target_seq, _, _, _ = target_symbols(ds, config)
         tree = cluster(leaves, target_seq, config)
-        for sources in (("b", "a", "c"), ("a", "b", "d")):
+        for sources in (("b", "a", "c"), ("a", "c", "b"), ("a", "b")):
             other = RunConfig(**{**config.to_dict(), "source_columns": sources})
             with pytest.raises(TreeDatasetMismatch):
                 evaluate_levels(tree, ds, other)

@@ -153,6 +153,15 @@ def assert_loads_as_loop(path, body, header="a,x,b,z\n"):
 BULK_CASES = {
     "quoted_fields": '"1",9,"2",3\n4,9,"5,0",6\n7,"9",8,"9"\n',
     "quoted_commas_in_unselected_cell": '1,"x,5,6,7",2,3\n',
+    "quoted_index_and_date": '1,"2015-02-04 17:51:00",2,3\n4,"2015-02-04 17:52:00",5,6\n',
+    "quoted_newline_in_unselected_cell": '1,"x\n5,6",2,3\n4,9,5,6\n',
+    "doubled_quotes": '1,"say ""5""",2,3\n4,"""",5,6\n',
+    "stray_quotes": '1,x"y,2,3\n4,9,5,6\n"7" ,9,8,9\n',
+    # The second quote opens a field csv reads to the last line; cutting
+    # at an even quote count after the second line would split it.
+    "stray_quote_before_quoted_field": 'x",9,2,3\n",9,5,6\n7,9,8,9\n"\n1,9,2,3\n4,9",5,6\n',
+    "text_after_closing_quote": '"1"5,9,"2"x"y,3\n4,9,5,6\n',
+    "unterminated_quote": '1,9,2,3\n4,"9,5,6\n7,9,8,9\n',
     "short_rows": "1,9,2,3\n4,9\n5\n6,9,7,8\n",
     "long_rows": "1,9,2,3,4,5\n6,9,7,8\n",
     "blank_lines": "\n1,9,2,3\n\n\n4,9,5,6\n\n",
@@ -178,19 +187,28 @@ BULK_CASES = {
 # Cells that numpy and float() read alike, and cells where they may not.
 NUMBERS = ["1", "-2.5", "0", "-0.0", "3e2", ".5", "7.", "+4", "nan", "-nan",
            "inf", "-inf", "Infinity", "1e500", "1e-500", " 2.5 ", "\t3", "\xa06"]
-TRICKY = ["", " ", "x", "#", "#1", "1_000", "１２", "\x1c1", '"1"', '"1,5"',
-          '"2\n3"', '1"', '"4']
+TRICKY = ["", " ", "x", "#", "#1", "1_000", "１２", "\x1c1", '"1,5"', '"2\n3"',
+          '"2\r3"', '1"', '"4', '""', '"""', '"1""2"', '"1" ', ' "1"', '"1"2']
+
+
+@st.composite
+def cells(draw, clean):
+    """A cell from the tokens above; a clean one is a number, bare or quoted."""
+    if clean:
+        number = draw(st.sampled_from(NUMBERS))
+        return draw(st.sampled_from([number, f'"{number}"']))
+    return draw(st.sampled_from(NUMBERS + TRICKY))
 
 
 @st.composite
 def csv_bodies(draw):
     """CSV text built from the tokens above, and whether it is clean: only
-    numbers, in rows of four cells or more and blank lines, ended by LF or
-    CRLF. The bulk parse must read a clean text without the loop."""
+    numbers, bare or quoted, in rows of four cells or more and blank lines,
+    ended by LF or CRLF. The bulk parse must read a clean text without the
+    loop."""
     clean = draw(st.booleans())
-    cells = st.sampled_from(NUMBERS if clean else NUMBERS + TRICKY)
-    rows = (st.one_of(st.just([]), st.lists(cells, min_size=4, max_size=6)) if clean
-            else st.lists(cells, max_size=6))
+    rows = (st.one_of(st.just([]), st.lists(cells(True), min_size=4, max_size=6))
+            if clean else st.lists(cells(False), max_size=6))
     ends = st.sampled_from(["\n", "\r\n"] if clean else ["\n", "\r\n", "\r"])
     lines = draw(st.lists(st.tuples(rows, ends), max_size=12))
     return "".join(",".join(row) + end for row, end in lines), clean
@@ -202,6 +220,15 @@ class TestBulkParse:
     @pytest.mark.parametrize("body", BULK_CASES.values(), ids=BULK_CASES.keys())
     def test_named_case_matches_loop(self, tmp_path, body):
         assert_loads_as_loop(tmp_path / "d.csv", body)
+
+    @pytest.mark.parametrize("block_chars", [1, 5, 12])
+    @pytest.mark.parametrize("body", BULK_CASES.values(), ids=BULK_CASES.keys())
+    def test_named_case_in_small_blocks_matches_loop(self, body, block_chars):
+        columns, dropped = _parse_rows(body, BULK_INDICES)
+        bulk, bulk_dropped = ingest._parse_bulk(body, BULK_INDICES, block_chars)
+        assert bulk_dropped == dropped
+        assert bulk.shape == columns.shape
+        assert bulk.tobytes() == columns.tobytes()
 
     def test_quoted_header_with_newline(self, tmp_path):
         assert_loads_as_loop(tmp_path / "d.csv", "1,9,2,3\n4,9,5,6\n",
@@ -242,6 +269,46 @@ class TestBulkParse:
             with mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError):
                 ingest._parse_bulk(body, BULK_INDICES)
         assert_loads_as_loop(tmp_path_factory.getbasetemp() / "bulk.csv", body)
+
+    @settings(deadline=None, max_examples=300)
+    @given(csv_bodies(), st.integers(1, 24))
+    def test_small_blocks_match_loop(self, drawn, block_chars):
+        # Cuts between blocks fall inside the text here, next to quotes,
+        # blank lines and rows the loop must read.
+        body, _ = drawn
+        columns, dropped = _parse_rows(body, BULK_INDICES)
+        bulk, bulk_dropped = ingest._parse_bulk(body, BULK_INDICES, block_chars)
+        assert bulk_dropped == dropped
+        assert bulk.shape == columns.shape
+        assert bulk.tobytes() == columns.tobytes()
+
+    @pytest.mark.parametrize("bad_row", ["5,9,,6", '5,9,"",6', "5,9", "5,9,x,6"])
+    @pytest.mark.parametrize("unselected", ["9", '"9"', '"9,\n9"'])
+    def test_bad_row_sends_only_its_block_to_the_loop(self, bad_row, unselected):
+        good = [f"{i},{unselected},{i}.5,{-i}" for i in range(2000)]
+        body = "\n".join(good[:1500] + [bad_row] + good[1500:]) + "\n"
+        columns, dropped = _parse_rows(body, BULK_INDICES)
+        looped = []
+
+        def loop(text, indices):
+            looped.append(len(text))
+            return _parse_rows(text, indices)
+
+        with mock.patch.object(ingest, "_parse_rows", side_effect=loop):
+            bulk, bulk_dropped = ingest._parse_bulk(body, BULK_INDICES, 1000)
+        assert (bulk_dropped, dropped) == (1, 1)
+        assert bulk.tobytes() == columns.tobytes()
+        assert len(looped) == 1 and looped[0] < 1100
+
+    def test_many_bad_rows_send_the_rest_to_the_loop(self):
+        # Past the first block, loadtxt would only fail again.
+        body = "".join(f"{i},9,{i}.5,{-i}\n{i},9,,0\n" for i in range(2000))
+        columns, dropped = _parse_rows(body, BULK_INDICES)
+        with mock.patch.object(ingest, "_loadtxt", wraps=ingest._loadtxt) as loadtxt:
+            bulk, bulk_dropped = ingest._parse_bulk(body, BULK_INDICES, 1000)
+        assert loadtxt.call_count == 1
+        assert (bulk_dropped, dropped) == (2000, 2000)
+        assert bulk.tobytes() == columns.tobytes()
 
 
 class TestRunConfig:

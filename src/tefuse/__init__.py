@@ -43,6 +43,7 @@ from .errors import (
     SequenceTooShort,
     TreeDatasetMismatch,
     UnparseableHeader,
+    UnreadableCsv,
 )
 from .estimate import (
     EvaluationReport,
@@ -100,7 +101,7 @@ __all__ = [
     "FrequencyEstimator", "EvaluationReport", "LevelScore",
     "discretize_target", "train", "predict", "evaluate_levels",
     # errors
-    "PipelineError", "MissingColumn", "UnparseableHeader",
+    "PipelineError", "MissingColumn", "UnparseableHeader", "UnreadableCsv",
     "EmptyAfterFiltering", "DegenerateInput", "EmptySequence",
     "LengthMismatch", "SequenceTooShort", "TreeDatasetMismatch",
     "MalformedArtifact",

@@ -40,6 +40,7 @@ from .errors import (
     SequenceTooShort,
     TreeDatasetMismatch,
     UnparseableHeader,
+    UnreadableCsv,
 )
 from .estimate import (
     evaluate_levels,
@@ -62,6 +63,7 @@ logger = logging.getLogger(__name__)
 CONFIG_ERRORS = (ValueError, MissingColumn)
 DATA_ERRORS = (
     UnparseableHeader,
+    UnreadableCsv,
     EmptyAfterFiltering,
     DegenerateInput,
     EmptySequence,

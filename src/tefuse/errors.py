@@ -17,6 +17,11 @@ class UnparseableHeader(PipelineError):
     """The CSV header row is missing, empty, or ambiguous."""
 
 
+class UnreadableCsv(PipelineError):
+    """The CSV is not valid UTF-8, or has a field longer than
+    :func:`csv.field_size_limit`."""
+
+
 class EmptyAfterFiltering(PipelineError):
     """Every data row was dropped during ingestion."""
 

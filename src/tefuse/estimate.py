@@ -68,22 +68,46 @@ def _state_rows(states) -> np.ndarray:
     return arr
 
 
+def _median(ordered: np.ndarray) -> float | None:
+    """``np.median`` of a non-empty ascending array, bit for bit, or None
+    when the median is zero.
+
+    The median is the middle value, or (a + b) / 2 of the middle two, which
+    is how np.median's mean of them rounds. Whether np.median gives a zero
+    median as -0.0 or 0.0 depends on which zero its partition of the values,
+    in their own order, puts in the middle and on how the numpy version sums
+    -0.0, so a zero is left to the caller.
+    """
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        median = ordered[mid]
+    else:
+        median = (ordered[mid - 1] + ordered[mid]) / 2
+    return None if median == 0 else float(median)
+
+
 def discretize_target(values, b: int):
     """Symbolize a continuous target and pick per-bin representative values.
 
     Returns (symbols, partition, representatives) where representative s is
-    the median of the values falling in bin s. A bin left empty by ties
-    inherits the nearest populated bin's representative so lookups stay
-    total.
+    the median of the values falling in bin s, equal to ``np.median`` of
+    them bit for bit. A bin is a contiguous run of the sorted values, so one
+    sort gives every median (a zero median is taken by np.median). A bin
+    left empty by ties inherits the nearest populated bin's representative
+    so lookups stay total.
     """
     values = np.asarray(values, dtype=np.float64)
     partition = fit_mep_partition(values, b)
     seq = symbolize(values, partition, "target")
     representatives = np.full(b, np.nan)
-    for s in range(b):
-        members = values[seq.symbols == s]
-        if len(members):
-            representatives[s] = np.median(members)
+    # bin s holds the values v with edge[s-1] < v <= edge[s]
+    ordered = np.sort(values)
+    ends = np.searchsorted(ordered, partition.edges, side="right").tolist()
+    for s, (lo, hi) in enumerate(zip([0, *ends], [*ends, len(ordered)])):
+        if hi > lo:
+            median = _median(ordered[lo:hi])
+            representatives[s] = (np.median(values[seq.symbols == s])
+                                   if median is None else median)
     for s in range(b):
         if np.isnan(representatives[s]):
             populated = np.flatnonzero(~np.isnan(representatives))

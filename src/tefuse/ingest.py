@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EmptyAfterFiltering, MissingColumn, UnparseableHeader
+from .errors import EmptyAfterFiltering, MissingColumn, UnparseableHeader, UnreadableCsv
 
 logger = logging.getLogger(__name__)
 
@@ -136,23 +136,32 @@ def load_csv(path, config: RunConfig) -> Dataset:
     (a bad row in it, say) falls back to the per-row loop :func:`_parse_rows`
     alone. The loop's semantics are the contract; both give the same float
     bits and drop count.
+
+    Raises :class:`UnreadableCsv` for bytes that are not UTF-8 and for a
+    field longer than :func:`csv.field_size_limit`, in the header or in any
+    row, selected column or not.
     """
     selected = list(config.source_columns) + [config.target_column]
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise UnparseableHeader(f"{path}: file is empty") from None
-        if not header or any(not h for h in header):
-            raise UnparseableHeader(f"{path}: header contains empty column names")
-        if len(set(header)) != len(header):
-            raise UnparseableHeader(f"{path}: header contains duplicate column names")
-        for name in selected:
-            if name not in header:
-                raise MissingColumn(name)
-        indices = [header.index(name) for name in selected]
-        columns, dropped = _parse_bulk(fh.read(), indices)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise UnparseableHeader(f"{path}: file is empty") from None
+            if not header or any(not h for h in header):
+                raise UnparseableHeader(f"{path}: header contains empty column names")
+            if len(set(header)) != len(header):
+                raise UnparseableHeader(f"{path}: header contains duplicate column names")
+            for name in selected:
+                if name not in header:
+                    raise MissingColumn(name)
+            indices = [header.index(name) for name in selected]
+            columns, dropped = _parse_bulk(fh.read(), indices)
+    except UnicodeDecodeError as exc:
+        raise UnreadableCsv(f"{path}: not valid UTF-8: {exc}") from None
+    except csv.Error as exc:
+        raise UnreadableCsv(f"{path}: {exc}") from None
     if not columns.shape[1]:
         raise EmptyAfterFiltering(f"{path}: no usable rows after filtering")
     if dropped:
@@ -182,7 +191,9 @@ def _parse_bulk(text: str, indices: list[int],
     and reads a number as float() does. It raises ``ValueError`` on every
     row the loop would drop for a missing or non-numeric cell, on a short
     row, a whitespace-only line and a lone-CR line ending; the loop reads
-    such a block instead. Once the loop has read more blocks than loadtxt,
+    such a block instead, and a block longer than :func:`csv.field_size_limit`,
+    which could hold a field the loop refuses with :class:`csv.Error`
+    where loadtxt reads it. Once the loop has read more blocks than loadtxt,
     it reads the rest of the text: in a text with many bad rows, loadtxt's
     partial read of each block would only add to the loop's cost.
 
@@ -195,13 +206,15 @@ def _parse_bulk(text: str, indices: list[int],
     if any(c in text for c in _LOOP_ONLY) or quoted and not _quotes_balanced(text):
         return _parse_rows(text, indices)
     parts, dropped, pos, lead = [np.empty((len(indices), 0))], 0, 0, 0
+    field_limit = csv.field_size_limit()
     while pos < len(text):
         end, rows = len(text), None
         if lead >= 0:
             end = text.find("\n", pos + block_chars) + 1 or end
             while quoted and text.count('"', pos, end) % 2 and end < len(text):
                 end = text.find("\n", end) + 1 or len(text)
-            rows = _loadtxt(text[pos:end], indices, quoted)
+            if end - pos <= field_limit:
+                rows = _loadtxt(text[pos:end], indices, quoted)
         if rows is None:
             columns, lost = _parse_rows(text[pos:end], indices)
             lead -= 1

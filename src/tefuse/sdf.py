@@ -98,9 +98,19 @@ def _checked_values(values) -> np.ndarray:
     return values
 
 
-def _quantile_edges(values: np.ndarray, b: int) -> np.ndarray:
-    """The b-1 quantile edges: edge i is the floor(i*n/b)-th order statistic."""
-    return np.sort(values)[(np.arange(1, b) * len(values)) // b - 1]
+def _quantile_edges(ordered: np.ndarray, b: int) -> np.ndarray:
+    """The b-1 quantile edges of ascending values: edge i is the
+    floor(i*n/b)-th order statistic."""
+    return ordered[(np.arange(1, b) * len(ordered)) // b - 1]
+
+
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array, as ``np.unique`` gives
+    them, without its lazy import of ``numpy.ma``."""
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def fit_mep_partition(values, b: int) -> Partition:
@@ -118,10 +128,11 @@ def fit_mep_partition(values, b: int) -> Partition:
         raise ValueError("b must be >= 2")
     if len(values) == 0:
         raise DegenerateInput("cannot fit a partition on an empty sequence")
-    distinct = len(np.unique(values))
+    ordered = np.sort(values)
+    distinct = len(_distinct(ordered))
     if distinct < b:
         raise DegenerateInput(f"need at least {b} distinct values for {b} bins, got {distinct}")
-    edges = _quantile_edges(values, b)
+    edges = _quantile_edges(ordered, b)
     if np.any(np.diff(edges) <= 0):
         raise DegenerateInput(
             f"ties collapse the {b}-bin quantile edges; "
@@ -178,7 +189,8 @@ def repartition(
     fit = values if fit_length is None else values[:fit_length]
     if len(fit) == 0:
         raise DegenerateInput("empty fit window for repartitioning")
-    distinct = np.unique(fit)
+    ordered = np.sort(fit)
+    distinct = _distinct(ordered)
     if len(distinct) <= target_b:
         if len(distinct) < target_b:
             logger.info(
@@ -187,8 +199,8 @@ def repartition(
             )
         symbols = np.minimum(np.searchsorted(distinct, values), len(distinct) - 1)
         return SymbolSequence(symbols, len(distinct), merged.source_name)
-    raw = _quantile_edges(fit.astype(np.float64), target_b)
-    edges = np.unique(raw)
+    raw = _quantile_edges(ordered.astype(np.float64), target_b)
+    edges = _distinct(raw)
     if len(edges) < len(raw):
         logger.warning(
             "repartition(%s): ties collapsed %d quantile edges, alphabet %d -> %d",

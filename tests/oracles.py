@@ -4,9 +4,11 @@ Everything here is deliberately written with plain Python dictionaries,
 tuples, and math.log2 — no numpy, no imports from the package under test —
 so the oracle path shares no code with the implementations it checks.
 The exceptions are frozen copies of earlier implementations that a faster
-one must match bit for bit: :func:`joint_ids_oracle` (numpy), and the
-writer :func:`predictions_csv_oracle`, which reads the package's report
-objects by attribute.
+one must match bit for bit: :func:`joint_ids_oracle` and the dense-id
+entropies built on it (:func:`dense_transfer_entropies_oracle`,
+:func:`dense_causation_entropy_pair_oracle`), all numpy, and the writer
+:func:`predictions_csv_oracle`, which reads the package's report objects by
+attribute.
 """
 
 import math
@@ -125,6 +127,56 @@ def joint_ids_oracle(*columns):
             ids = ids * n + np.unique(col, return_inverse=True)[1]
         ids = np.unique(ids, return_inverse=True)[1]
     return ids
+
+
+def _dense_entropy(ids):
+    import numpy as np
+
+    p = np.bincount(ids) / len(ids)
+    return float(-(p * np.log2(p)).sum())
+
+
+def _dense_history(arr, k):
+    n = len(arr)
+    return joint_ids_oracle(*(arr[j: n - 1 - k + j] for j in range(k + 1)))
+
+
+def _clamp(value):
+    return 0.0 if -1e-12 <= value < 0.0 else value
+
+
+def dense_transfer_entropies_oracle(sources, target, k):
+    """Transfer entropy of each source toward ``target``, every window and
+    joint state numbered densely and counted with ``np.bincount``."""
+    import numpy as np
+
+    y = np.asarray(target, dtype=np.int64)
+    yw = _dense_history(y, k)
+    next_own = joint_ids_oracle(y[k + 1:], yw)
+    h_own = _dense_entropy(next_own) - _dense_entropy(yw)
+    values = []
+    for source in sources:
+        xw = _dense_history(np.asarray(source, dtype=np.int64), k)
+        h_both = (_dense_entropy(joint_ids_oracle(next_own, xw))
+                  - _dense_entropy(joint_ids_oracle(yw, xw)))
+        values.append(_clamp(h_own - h_both))
+    return values
+
+
+def dense_causation_entropy_pair_oracle(x, y, z, k):
+    """(x beyond (z, y), y beyond (z, x)) by the dense-id path."""
+    import numpy as np
+
+    x, y, z = (np.asarray(a, dtype=np.int64) for a in (x, y, z))
+    zw, xw, yw = _dense_history(z, k), _dense_history(x, k), _dense_history(y, k)
+    next_own = joint_ids_oracle(z[k + 1:], zw)
+    next_zx, zx = joint_ids_oracle(next_own, xw), joint_ids_oracle(zw, xw)
+    h_zx = _dense_entropy(next_zx) - _dense_entropy(zx)
+    h_zy = (_dense_entropy(joint_ids_oracle(next_own, yw))
+            - _dense_entropy(joint_ids_oracle(zw, yw)))
+    h_zxy = (_dense_entropy(joint_ids_oracle(next_zx, yw))
+             - _dense_entropy(joint_ids_oracle(zx, yw)))
+    return _clamp(h_zy - h_zxy), _clamp(h_zx - h_zxy)
 
 
 def sort_and_split_edges(values, b):

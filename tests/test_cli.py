@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tefuse
 from tefuse.cli import main
 
-from synthdata import occupancy_like, write_dataset_csv
+from synthdata import AHU_SOURCES, AHU_TARGET, ahu_like, occupancy_like, write_dataset_csv
 
 COMMON = [
     "--target", "Occupancy",
@@ -64,6 +69,33 @@ class TestCluster:
         code = main(["cluster", "--input", str(tmp_path / "nope.csv"), *COMMON,
                      "--out", str(tmp_path / "x")])
         assert code == 3
+
+    @pytest.mark.parametrize("where", ["header", "selected", "unselected"])
+    def test_oversized_cell_is_data_error(self, occ_csv, tmp_path, capsys, where):
+        # csv refuses a field over its 131,072-character limit
+        header, *rows = occ_csv.read_text().splitlines()
+        cell = '"' + "7" * 200_000 + '"'
+        if where == "header":
+            header += "," + cell
+        else:
+            rows[5] = (rows[5].replace(",", "," + cell + ",", 1) if where == "selected"
+                       else rows[5] + "," + cell)
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        code = main(["cluster", "--input", str(path), *COMMON,
+                     "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "field larger than field limit" in capsys.readouterr().err
+
+    def test_invalid_utf8_is_data_error(self, occ_csv, tmp_path, capsys):
+        lines = occ_csv.read_bytes().splitlines(keepends=True)
+        lines[40] = lines[40].replace(b",", b",\xff", 1)
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"".join(lines))
+        code = main(["cluster", "--input", str(path), *COMMON,
+                     "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
 
     def test_idempotent_and_thread_invariant(self, occ_csv, tmp_path):
         out1, out2, out8 = (tmp_path / d for d in ("a", "b", "c"))
@@ -305,3 +337,39 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["cluster"])  # missing required flags
     assert info.value.code == 2
+
+
+# cluster, then evaluate, in one process: does either import numpy.ma?
+MASKED_IMPORT_SCRIPT = """
+import json, sys
+import numpy
+with_numpy = "numpy.ma" in sys.modules
+from tefuse.cli import main
+csv, out, target, sources = sys.argv[1:]
+common = ["--input", csv, "--target", target, "--sources", sources,
+          "--alphabet", "4", "--depth", "2", "--target-alphabet", "5"]
+codes = [main(["cluster", *common, "--out", out]),
+         main(["evaluate", "--input", csv, "--tree", out, "--out", out + "/ev"])]
+print(json.dumps({"with_numpy": with_numpy, "codes": codes,
+                  "masked": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_cluster_and_evaluate_do_not_import_numpy_ma(tmp_path):
+    # numpy 2 imports numpy.ma lazily, at a cost of 10-25 ms per process, on
+    # a bare np.unique or np.median; a continuous target takes the median path
+    csv = tmp_path / "ahu.csv"
+    write_dataset_csv(ahu_like(n=600, seed=40), csv)
+    src = str(Path(tefuse.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", MASKED_IMPORT_SCRIPT, str(csv), str(tmp_path / "run"),
+         AHU_TARGET, ",".join(AHU_SOURCES)],
+        env=env, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    if result["with_numpy"]:
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert not result["masked"]
+    assert (tmp_path / "run" / "ev" / "report.csv").read_text().count("rmse") == len(AHU_SOURCES)

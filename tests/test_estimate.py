@@ -17,6 +17,7 @@ from tefuse import (
 from tefuse.clustering import leaf_sequences, replay_merges
 from tefuse.estimate import (
     ACCURACY,
+    _median,
     EvaluationReport,
     LevelPredictions,
     predictions_csv,
@@ -52,6 +53,70 @@ class TestDiscretizeTarget:
         assert np.bincount(seq.symbols, minlength=3).tolist() == [2, 4, 0]
         assert not np.isnan(reps).any()
         assert reps[2] == reps[1]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+MEDIAN_CASES = {
+    "odd": [3.0, -1.0, 2.5],
+    "even": [4.0, 1.0, -2.0, 8.5],
+    "tied_odd": [2.0, 2.0, 1.0, 2.0, 5.0],
+    "tied_even": [1.0, 3.0, 3.0, 1.0],
+    "one": [-7.25],
+    "inexact_mean": [0.1, 0.2],
+    "huge_pair": [1.5e308, 1.7e308],
+    "opposite_pair": [-1.5, 1.5],
+    "zeros_odd": [-0.0, 0.0, -0.0],
+    "zeros_even": [0.0, -0.0, -0.0, 0.0],
+    "negative_zeros": [-0.0, -0.0],
+    "zero_beside_value": [-0.0, 4.0],
+    "zeros_off_middle": [-0.0, 0.0, 2.0, 3.0, 4.0],
+}
+
+
+class TestMedian:
+    """The per-bin medians come from one sort; each must be np.median of
+    the bin's values bit for bit."""
+
+    @pytest.mark.parametrize("name", list(MEDIAN_CASES))
+    def test_named_case_equals_np_median(self, name):
+        values = np.array(MEDIAN_CASES[name])
+        with np.errstate(over="ignore"):
+            want = np.median(values)
+            got = _median(np.sort(values))
+        if got is None:
+            assert want == 0.0
+        else:
+            assert _bits(got) == _bits(want)
+
+    def test_random_ties_and_signed_zeros_equal_np_median(self):
+        rng = np.random.default_rng(21)
+        pool = np.array([-0.0, 0.0, -1.0, 1.0, 2.5, 0.1, 0.2, -3e-300])
+        deferred = 0
+        for _ in range(2000):
+            values = rng.choice(pool, int(rng.integers(1, 40)))
+            got, want = _median(np.sort(values)), np.median(values)
+            if got is None:
+                deferred += 1
+                assert want == 0.0
+            else:
+                assert _bits(got) == _bits(want)
+        assert 0 < deferred < 2000
+
+    def test_representatives_equal_per_bin_np_median(self):
+        # the old per-bin loop, with ties and both signed zeros in the data
+        rng = np.random.default_rng(22)
+        for trial in range(40):
+            values = rng.choice([-0.0, 0.0, 1.0, -1.0, 2.0, 0.5, 3.0, -2.5, 7.0, 9.0],
+                                int(rng.integers(20, 200)))
+            values[:5] = [-4.0, -3.0, 11.0, 12.0, 13.0]
+            seq, _, reps = discretize_target(values, 4)
+            for s in range(4):
+                members = values[seq.symbols == s]
+                if len(members):
+                    assert _bits(reps[s]) == _bits(np.median(members))
 
 
 class TestTrainPredict:

@@ -3,6 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tefuse import (
     EmptySequence,
@@ -16,11 +19,13 @@ from tefuse import (
     transfer_entropy,
 )
 from tefuse import infotheory
-from tefuse.infotheory import _history, _joint_ids
+from tefuse.infotheory import _counts, _fold, _history, _joint_ids, _windows
 
 from oracles import (
     causation_pair_oracle,
     conditional_entropy_oracle,
+    dense_causation_entropy_pair_oracle,
+    dense_transfer_entropies_oracle,
     entropy_oracle,
     joint_ids_oracle,
     te_oracle,
@@ -104,6 +109,114 @@ class TestJointIds:
             x = rng.integers(0, b, n)
             y = rng.integers(0, b, n)
             assert transfer_entropy(x - 1, y - 1, k) == transfer_entropy(x, y, k)
+
+
+INT64 = np.iinfo(np.int64)
+LABELS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-400, 400),
+    st.integers(int(INT64.min), int(INT64.max)),
+    st.sampled_from([int(INT64.min), int(INT64.max), -10**17, 10**17]),
+)
+
+
+def _crossing_columns(rng, n):
+    """Named column sets for the value-sort counts: int64 extremes, +-1e17
+    offsets, labels just below the int64 maximum, and widths whose product passes 2**62 partway through the fold:
+    at the third column (widths 3, 2**31 + 1, 2**31 + 1), at the tenth of
+    width 100, or at a first column of width 2**64."""
+    wide = rng.integers(0, 2**31 + 1, n)
+    wide[:2] = [0, 2**31]
+    hundred = [rng.integers(0, 100, n) for _ in range(12)]
+    for col in hundred:
+        col[:2] = [0, 99]
+    first = rng.choice([0, 2**39, 2**40 - 1], n)
+    first[:2] = [0, 2**40 - 1]
+    extremes = rng.integers(-2, 3, n)
+    extremes[:2] = [INT64.min, INT64.max]
+    return {
+        "int64_extremes": [extremes, rng.integers(0, 3, n), extremes[::-1].copy()],
+        "offsets_1e17": [rng.integers(0, 4, n) + 10**17, rng.integers(0, 4, n) - 10**17,
+                         rng.integers(-1, 2, n) * 10**17],
+        # unshifted, the last column would take some keys past the int64
+        # maximum and not others
+        "near_int64_max": [first, rng.integers(0, 3, n),
+                           2**63 - 2**41 + rng.integers(0, 2, n)],
+        "two_31_at_third_column": [rng.integers(0, 3, n), wide, wide[::-1].copy(),
+                                    rng.integers(0, 5, n)],
+        "hundred_at_tenth_column": hundred,
+        "first_column_overflows": [extremes, wide],
+        "single_column": [rng.integers(-5, 5, n)],
+    }
+
+
+class TestValueSortCounts:
+    """Entropies count the sorted fold keys; the counts must be those of
+    the dense ids, element for element, so every float stays the same."""
+
+    @pytest.mark.parametrize("name", list(_crossing_columns(np.random.default_rng(0), 8)))
+    @pytest.mark.parametrize("n", [2, 9, 300])
+    def test_named_counts_equal_dense_id_bincount(self, name, n):
+        columns = _crossing_columns(np.random.default_rng(n), n)[name]
+        want = np.bincount(joint_ids_oracle(*columns))
+        got = _counts(_fold(columns))
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @settings(deadline=None)
+    @given(arrays(np.int64, st.tuples(st.integers(1, 60), st.integers(1, 12)),
+                  elements=LABELS))
+    def test_counts_equal_dense_id_bincount(self, rows):
+        want = np.bincount(joint_ids_oracle(*rows.T))
+        assert _counts(_fold(rows.T)).tolist() == want.tolist()
+
+    def test_fold_sorts_only_when_the_span_overflows(self, monkeypatch):
+        # columns that each span the row count stay raw: no dense rank
+        rng = np.random.default_rng(18)
+        columns = [rng.integers(0, 10**6, 50) for _ in range(3)]
+        sorts = _count_sorts(monkeypatch)
+        _fold(columns)
+        assert sorts == []
+
+    def test_window_keys_rank_to_history_ids(self):
+        rng = np.random.default_rng(19)
+        for symbols in (rng.integers(0, 10, 400), rng.integers(-10**17, 10**17, 400)):
+            for k in range(4):
+                keys = _windows(symbols, k)
+                assert np.array_equal(np.unique(keys, return_inverse=True)[1],
+                                      _history(symbols, k))
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_named_scores_equal_dense_id_path(self, k):
+        rng = np.random.default_rng(60 + k)
+        n = 300
+        z = rng.integers(0, 4, n)
+        sources = [
+            rng.integers(0, 10, n),
+            rng.integers(0, 100, n),
+            rng.integers(0, 4, n) * 10**17 - 2 * 10**17,
+            rng.integers(INT64.min, INT64.max, n, endpoint=True),
+            np.roll(z, 1),
+            z.copy(),
+            np.full(n, 3),
+        ]
+        assert transfer_entropies(sources, z, k) == \
+            dense_transfer_entropies_oracle(sources, z, k)
+        for x, y in zip(sources, sources[1:]):
+            assert causation_entropy_pair(x, y, z, k) == \
+                dense_causation_entropy_pair_oracle(x, y, z, k)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_scores_equal_dense_id_path(self, data):
+        k = data.draw(st.integers(0, 3))
+        n = data.draw(st.integers(k + 2, 50))
+        column = arrays(np.int64, n, elements=LABELS)
+        z = data.draw(column)
+        sources = data.draw(st.lists(column, min_size=2, max_size=4))
+        assert transfer_entropies(sources, z, k) == \
+            dense_transfer_entropies_oracle(sources, z, k)
+        assert causation_entropy_pair(sources[0], sources[1], z, k) == \
+            dense_causation_entropy_pair_oracle(sources[0], sources[1], z, k)
 
 
 def _count_sorts(monkeypatch):

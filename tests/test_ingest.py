@@ -1,3 +1,4 @@
+import csv
 import warnings
 from unittest import mock
 
@@ -13,6 +14,7 @@ from tefuse import (
     MissingColumn,
     RunConfig,
     UnparseableHeader,
+    UnreadableCsv,
     append_noise_channels,
     load_csv,
     read_config_file,
@@ -98,6 +100,15 @@ class TestLoadCsv:
     def test_duplicate_header(self, tmp_path, config):
         path = write_csv(tmp_path / "d.csv", ["a", "a", "c", "z"], [[1, 2, 3, 4]])
         with pytest.raises(UnparseableHeader):
+            load_csv(path, config)
+
+    @pytest.mark.parametrize("row", [0, 1, 300])
+    def test_invalid_utf8_raises(self, tmp_path, config, row):
+        lines = [b"a,b,c,z"] + [b"1,2,3,4"] * 400
+        lines[row] += b",\xff"
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(UnreadableCsv, match="not valid UTF-8"):
             load_csv(path, config)
 
     def test_scientific_notation(self, tmp_path):
@@ -299,6 +310,23 @@ class TestBulkParse:
         assert (bulk_dropped, dropped) == (1, 1)
         assert bulk.tobytes() == columns.tobytes()
         assert len(looped) == 1 and looped[0] < 1100
+
+    def test_field_over_the_csv_limit_raises_as_the_loop_does(self, tmp_path):
+        # A block longer than the limit could hold such a field in a column
+        # loadtxt skips, so the loop reads it.
+        old = csv.field_size_limit(1000)
+        try:
+            body = "".join(f'{i},"{"y" * 900}",{i}.5,{-i}\n' for i in range(100))
+            assert_loads_as_loop(tmp_path / "ok.csv", body)
+            body += '1,"' + "y" * 1001 + '",2,3\n' + body
+            with pytest.raises(csv.Error):
+                _parse_rows(body, BULK_INDICES)
+            path = tmp_path / "big.csv"
+            path.write_text("a,x,b,z\n" + body)
+            with pytest.raises(UnreadableCsv, match="field larger than field limit"):
+                load_csv(path, BULK_CONFIG)
+        finally:
+            csv.field_size_limit(old)
 
     def test_many_bad_rows_send_the_rest_to_the_loop(self):
         # Past the first block, loadtxt would only fail again.

@@ -203,10 +203,14 @@ def _read_manifest(path: Path) -> tuple[str, RunConfig, dict | None]:
         digest = manifest["input"]["sha256"]
         if not isinstance(digest, str):
             raise TypeError(f"input digest {digest!r} is not a string")
+        config = RunConfig.from_dict(manifest["config"])
         noise = manifest.get("noise")
         if noise:
             noise = {"count": int(noise["count"]), "seed": int(noise["seed"])}
-        return digest, RunConfig.from_dict(manifest["config"]), noise
+            if not 1 <= noise["count"] < len(config.source_columns):
+                raise ValueError(f"noise count {noise['count']} is not in "
+                                 f"1..{len(config.source_columns) - 1}")
+        return digest, config, noise
     except KeyError as exc:
         raise MalformedArtifact(f"{path} lacks the entry {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
@@ -242,12 +246,11 @@ def cmd_evaluate(args) -> int:
 
 def config_without_noise(config: RunConfig, noise: dict | None) -> RunConfig:
     """The loader must see only the CSV's own columns; injected noise
-    channels are regenerated and appended afterwards."""
+    channels, the last ``count`` sources, are regenerated afterwards."""
     if not noise:
         return config
-    names = {f"noise_{i + 1}" for i in range(noise["count"])}
-    kept = tuple(name for name in config.source_columns if name not in names)
-    return dataclasses.replace(config, source_columns=kept)
+    return dataclasses.replace(
+        config, source_columns=config.source_columns[:-noise["count"]])
 
 
 def cmd_symbolize(args) -> int:

@@ -16,14 +16,16 @@ is a candidate at every level, in ascending (i, j) order, and the argmin is
 taken over the full list, so a run's output depends only on its inputs and
 configuration. A node's sequence never changes once created, so each
 single-node TE and each pair's joint TE is computed once, on first use, and
-kept by node id: the first level computes every single and every pair, and
-each later level computes only the new node's TE and its pairs with the
-other active nodes. A level computes its new TEs in one batched
-:func:`~tefuse.infotheory.transfer_entropies` call, which builds the
-target's terms once per call. Its values equal the single
-:func:`~tefuse.infotheory.transfer_entropy` calls :func:`score_pair` makes,
-and cached and fresh values are the same floats, so the candidate list and
-the winner depend on neither the batching nor the caching.
+kept in one table keyed by node-id tuple, ``(i,)`` or ``(i, j)``: the first
+level computes every single and every pair, and each later level only the
+new node's TE and its pairs with the other active nodes. A level computes
+its missing keys in one batched :func:`~tefuse.infotheory.transfer_entropies`
+call, which builds the target's terms once per call. Its values equal the
+single :func:`~tefuse.infotheory.transfer_entropy` calls :func:`score_pair`
+makes, and kept and fresh values are the same floats, so the candidate list
+and the winner depend on neither the batching nor the table. Each score
+equals minus the sum of the pair's
+:func:`~tefuse.infotheory.causation_entropy_pair` values, up to round-off.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 from .errors import LengthMismatch, MalformedArtifact, SequenceTooShort, TreeDatasetMismatch
 from .fusion import as_symbol_sequence, fuse, merge_pair
-from .infotheory import causation_entropy_pair, transfer_entropies, transfer_entropy
+from .infotheory import transfer_entropies, transfer_entropy
 from .ingest import Dataset, RunConfig, split_index
 from .sdf import (Partition, SymbolSequence, fit_mep_partition, fit_uniform_partition,
                   symbolize)
@@ -109,56 +111,27 @@ def cluster(
     active = list(range(len(sources)))
     levels = [tuple(active)]
     merges: list[MergeRecord] = []
-    # T(x->z) by node id and T(xy->z) by node-id pair (i < j); active ids
+    # T(x->z) keyed (i,) and T(xy->z) keyed (i, j) with i < j; active ids
     # stay ascending because a fused node takes the next id and goes last.
-    te_cache: dict[int, float] = {}
-    joint_cache: dict[tuple[int, int], float] = {}
+    te: dict[tuple[int, ...], float] = {}
+
+    def train_view(key):
+        if len(key) == 1:
+            return nodes[key[0]].symbols[:train_len]
+        return merge_pair(nodes[key[0]], nodes[key[1]]).values[:train_len]
 
     level = 0
     while len(active) > config.stop_at:
         level += 1
-        pairs = [
-            (i, j)
-            for a, i in enumerate(active)
-            for j in active[a + 1:]
-        ]
-        new_singles = [i for i in active if i not in te_cache]
-        new_pairs = [pair for pair in pairs if pair not in joint_cache]
-        values = transfer_entropies(
-            itertools.chain(
-                (nodes[i].symbols[:train_len] for i in new_singles),
-                (merge_pair(nodes[i], nodes[j]).values[:train_len]
-                 for i, j in new_pairs),
-            ),
-            z_train, k,
-        )
-        te_cache.update(zip(new_singles, values))
-        joint_cache.update(zip(new_pairs, values[len(new_singles):]))
-        scores = [
-            (te_cache[i] - joint_cache[i, j]) + (te_cache[j] - joint_cache[i, j])
-            for i, j in pairs
-        ]
+        pairs = list(itertools.combinations(active, 2))
+        missing = [key for key in [*((i,) for i in active), *pairs] if key not in te]
+        te.update(zip(missing, transfer_entropies(map(train_view, missing), z_train, k)))
+        scores = [(te[i,] - te[i, j]) + (te[j,] - te[i, j]) for i, j in pairs]
 
         # Pairs are enumerated in ascending (i, j) order, so the first
         # minimum is the lexicographic tie-break winner.
         best = min(range(len(pairs)), key=lambda idx: scores[idx])
         win_i, win_j = pairs[best]
-
-        if logger.isEnabledFor(logging.DEBUG):
-            c_x, c_y = causation_entropy_pair(
-                nodes[win_i].symbols[:train_len], nodes[win_j].symbols[:train_len],
-                z_train, k,
-            )
-            gap = abs(scores[best] + (c_x + c_y))
-            if gap > 1e-10:
-                logger.warning(
-                    "level %d: score/causation-entropy identity off by %.3e", level, gap
-                )
-            else:
-                logger.debug(
-                    "level %d: score %.6f matches -(causation entropies) within %.1e",
-                    level, scores[best], gap,
-                )
 
         fused = fuse(nodes[win_i], nodes[win_j], config.fused_alphabet,
                      fit_length=train_len)
@@ -169,10 +142,8 @@ def cluster(
             level=level,
             pair=(win_i, win_j),
             score=scores[best],
-            all_candidate_scores=tuple(
-                (pair, score) for pair, score in zip(pairs, scores)
-            ),
-            te_to_target=tuple((i, te_cache[i]) for i in active),
+            all_candidate_scores=tuple(zip(pairs, scores)),
+            te_to_target=tuple((i, te[i,]) for i in active),
         ))
         active = [a for a in active if a not in (win_i, win_j)] + [new_id]
         levels.append(tuple(active))

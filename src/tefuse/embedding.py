@@ -1,11 +1,13 @@
 """History embedding: pack each symbol with its k predecessors into one state.
 
 State ids are radix encodings in the sequence's alphabet base with the
-earliest symbol as the most significant digit. The first k positions carry
-no complete window and produce no state, so an n-symbol sequence embeds into
-exactly n-k states, the first of which sits at original index k.
-:func:`history_ids` numbers the same windows densely, in the same order, as
-the entropies and the estimator count them; dense ids never overflow.
+earliest symbol as the most significant digit, made by the fold the
+entropies key their windows with (:func:`~tefuse.infotheory._fold`); they
+exist while b**(k+1) < 2**62, and :func:`embed` raises ``ValueError`` past
+that. The first k positions carry no complete window and produce no state,
+so an n-symbol sequence embeds into exactly n-k states, the first of which
+sits at original index k. :func:`history_ids` numbers the windows that have
+a next symbol densely, in the same order; dense ids never overflow.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SequenceTooShort
-from .infotheory import _aligned, _history
+from .infotheory import _ID_LIMIT, _aligned, _fold, _history
 from .sdf import SymbolSequence
 
 
@@ -48,14 +50,10 @@ def embed(seq: SymbolSequence, k: int) -> StateSequence:
     if n <= k:
         raise SequenceTooShort(f"need more than k={k} symbols, got {n}")
     b = seq.alphabet_size
-    if b ** (k + 1) > np.iinfo(np.int64).max:
-        raise ValueError(f"state space {b}^{k + 1} overflows the id type")
-    if k == 0:
-        states = symbols.copy()
-    else:
-        windows = np.lib.stride_tricks.sliding_window_view(symbols, k + 1)
-        powers = b ** np.arange(k, -1, -1, dtype=np.int64)
-        states = windows @ powers
+    if b ** (k + 1) >= _ID_LIMIT:
+        raise ValueError(f"state space {b}^{k + 1} is not below the 2^62 id limit")
+    # one base-b digit per lagged slice; below the limit the fold never re-ranks
+    states = _fold([symbols[j: n - k + j] for j in range(k + 1)], (0, b - 1))
     return StateSequence(states=states, depth=k, base=b)
 
 

@@ -4,8 +4,8 @@ The estimator is a conditional frequency table over joint history states:
 for each distinct state tuple observed in training it stores the empirical
 distribution of the next target symbol, and unseen states fall back to the
 global target distribution, so prediction is total. A node's state at t is
-the id of its (k+1)-symbol history window ending at t, the dense window id
-the entropies count (:func:`tefuse.embedding.history_ids`), and joint
+the id of its (k+1)-symbol history window ending at t, a dense id of the
+window the entropies count (:func:`tefuse.embedding.history_ids`), and joint
 states are counted with the same dense-id primitive
 (:func:`tefuse.infotheory._joint_ids`): training counts ``id * alphabet +
 label`` with one bincount, and prediction numbers the training states and
@@ -36,7 +36,7 @@ from .embedding import history_ids
 from .errors import EmptySequence, LengthMismatch, SequenceTooShort
 from .infotheory import _joint_ids
 from .ingest import Dataset, RunConfig, split_index
-from .sdf import SymbolSequence, fit_mep_partition, symbolize
+from .sdf import SymbolSequence, _distinct, fit_mep_partition, symbolize
 
 logger = logging.getLogger(__name__)
 
@@ -196,6 +196,14 @@ class EvaluationReport:
     predictions: tuple[LevelPredictions, ...]
 
 
+def _labels(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending. The sort is stable, so when both -0.0
+    and 0.0 occur the zero label takes the sign of its first occurrence;
+    a bare ``np.unique`` sorts with quicksort and leaves that sign to the
+    sort order."""
+    return _distinct(np.sort(values, kind="stable"))
+
+
 def resolve_target_kind(values, config: RunConfig) -> str:
     """Dispatch rule: integral values with few distinct levels are class
     labels; everything else is treated as continuous and discretized."""
@@ -203,7 +211,7 @@ def resolve_target_kind(values, config: RunConfig) -> str:
         return config.target_kind
     values = np.asarray(values, dtype=np.float64)
     integral = bool(np.all(np.abs(values - np.round(values)) <= 1e-9))
-    if integral and len(np.unique(values)) <= config.target_alphabet:
+    if integral and len(_labels(values)) <= config.target_alphabet:
         return "discrete"
     return "continuous"
 
@@ -220,7 +228,7 @@ def target_symbols(dataset: Dataset, config: RunConfig):
     values = dataset.column(config.target_column)
     kind = resolve_target_kind(values, config)
     if kind == "discrete":
-        labels = np.unique(values)
+        labels = _labels(values)
         symbols = np.searchsorted(labels, values)
         seq = SymbolSequence(symbols, len(labels), config.target_column)
         return seq, kind, labels, labels.astype(np.float64)

@@ -10,13 +10,13 @@ Joint distributions are formed by tupling aligned columns (raw symbols or
 history windows) and counting distinct tuples, never by combining entropies
 of the parts. :func:`_fold` turns the tuples into int64 keys in mixed radix,
 which keeps lexicographic tuple order, with a sort only when the product of
-the column widths would reach 2**62. An entropy takes its counts from one
-value sort of the keys (:func:`_counts`: the run lengths of the sorted keys;
-``np.bincount`` gives the same array for dense ids), so the counts come in
-lexicographic tuple order, the order a sort of the stacked rows gives. Each
-count array, and with it every floating-point sum over it, is therefore the
-same element for element whatever way the tuples are formed. Dense ids 0..m-1 (:func:`_joint_ids`, one more sort) are made
-only where a table needs them: the target's windows and its (next, own
+the column widths would reach 2**62. Every entropy takes its counts from
+one value sort of the keys (:func:`_counts`: the run lengths of the sorted
+keys), so the counts come in lexicographic tuple order, the order a sort of
+the stacked rows gives. Each count array, and with it every floating-point
+sum over it, is therefore the same element for element whatever way the
+tuples are formed. Dense ids 0..m-1 (:func:`_joint_ids`, one more sort) are
+made only where a table needs them: the target's windows and its (next, own
 window) states, which every source is joined with, :func:`_history`, and the
 estimator. A source's windows stay raw keys. A history window is the tuple
 of its k+1 lagged symbols, so every quantity here is invariant under any
@@ -101,14 +101,19 @@ def _joint_ids(*columns) -> np.ndarray:
     return np.unique(_fold(columns), return_inverse=True)[1]
 
 
-def _counts(keys: np.ndarray) -> np.ndarray:
-    """How often each distinct key occurs, in ascending key order: the run
-    lengths of one value sort, equal to ``np.bincount`` of the dense ids."""
-    ordered = np.sort(keys)
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in an ascending array starts, then
+    ``len(ordered)``: run r is ``ordered[starts[r]:starts[r + 1]]``."""
     edge = np.empty(len(ordered) + 1, dtype=bool)
     edge[0] = edge[-1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
-    starts = np.flatnonzero(edge)
+    return np.flatnonzero(edge)
+
+
+def _counts(keys: np.ndarray) -> np.ndarray:
+    """How often each distinct key occurs, in ascending key order: the run
+    lengths of one value sort (for dense ids, the bincount of the ids)."""
+    starts = _run_starts(np.sort(keys))
     return starts[1:] - starts[:-1]
 
 
@@ -193,7 +198,7 @@ def _target_terms(y: np.ndarray, k: int):
     """The target's window ids, (next, own window) ids and H(next | own)."""
     yw = _history(y, k)
     next_own = _joint_ids(y[k + 1:], yw)
-    return yw, next_own, _entropy(np.bincount(next_own)) - _entropy(np.bincount(yw))
+    return yw, next_own, _entropy(_counts(next_own)) - _entropy(_counts(yw))
 
 
 def _transfer(xw: np.ndarray, yw: np.ndarray, next_own: np.ndarray,

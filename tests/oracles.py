@@ -6,7 +6,8 @@ so the oracle path shares no code with the implementations it checks.
 The exceptions are frozen copies of earlier implementations that a faster
 one must match bit for bit: :func:`joint_ids_oracle` and the dense-id
 entropies built on it (:func:`dense_transfer_entropies_oracle`,
-:func:`dense_causation_entropy_pair_oracle`), all numpy, and the writer
+:func:`dense_causation_entropy_pair_oracle`), the radix states
+:func:`embed_oracle`, all numpy, and the writer
 :func:`predictions_csv_oracle`, which reads the package's report objects by
 attribute.
 """
@@ -177,6 +178,19 @@ def dense_causation_entropy_pair_oracle(x, y, z, k):
     h_zxy = (_dense_entropy(joint_ids_oracle(next_zx, yw))
              - _dense_entropy(joint_ids_oracle(zx, yw)))
     return _clamp(h_zy - h_zxy), _clamp(h_zx - h_zxy)
+
+
+def embed_oracle(symbols, k, b):
+    """Radix states of the (k+1)-symbol windows, earliest symbol most
+    significant, as a sliding-window matrix product with the powers of b."""
+    import numpy as np
+
+    symbols = np.asarray(symbols, dtype=np.int64)
+    if k == 0:
+        return symbols.copy()
+    windows = np.lib.stride_tricks.sliding_window_view(symbols, k + 1)
+    powers = b ** np.arange(k, -1, -1, dtype=np.int64)
+    return windows @ powers
 
 
 def sort_and_split_edges(values, b):

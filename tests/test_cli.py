@@ -9,7 +9,8 @@ import pytest
 import tefuse
 from tefuse.cli import main
 
-from synthdata import AHU_SOURCES, AHU_TARGET, ahu_like, occupancy_like, write_dataset_csv
+from synthdata import (AHU_SOURCES, AHU_TARGET, OCC_SOURCES, OCC_TARGET, ahu_like,
+                       occupancy_like, write_dataset_csv)
 
 COMMON = [
     "--target", "Occupancy",
@@ -238,6 +239,18 @@ class TestMalformedArtifacts:
         assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [0, -1, 7])
+    def test_manifest_noise_count_out_of_range(self, occ_csv, tmp_path, capsys, count):
+        # the run has 5 CSV sources and 2 noise channels: 1..6 could be noise
+        run_dir = tmp_path / "noisy"
+        assert main(["inject-noise", "--input", str(occ_csv), *COMMON,
+                     "--noise-count", "2", "--seed", "11", "--out", str(run_dir)]) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["noise"]["count"] = count
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
+        assert "noise count" in capsys.readouterr().err
+
     def test_score_not_a_number(self, run_dir, tmp_path, capsys):
         tree = json.loads((run_dir / "tree.json").read_text())
         tree["merges"][0]["score"] = "x"
@@ -355,21 +368,27 @@ print(json.dumps({"with_numpy": with_numpy, "codes": codes,
 """
 
 
-def test_cluster_and_evaluate_do_not_import_numpy_ma(tmp_path):
+@pytest.mark.parametrize("make, target, sources, metric", [
+    (lambda: ahu_like(n=600, seed=40), AHU_TARGET, AHU_SOURCES, "rmse"),
+    (lambda: occupancy_like(n=4000, seed=20), OCC_TARGET, OCC_SOURCES, "accuracy"),
+], ids=["continuous", "discrete"])
+def test_cluster_and_evaluate_do_not_import_numpy_ma(tmp_path, make, target, sources,
+                                                     metric):
     # numpy 2 imports numpy.ma lazily, at a cost of 10-25 ms per process, on
-    # a bare np.unique or np.median; a continuous target takes the median path
-    csv = tmp_path / "ahu.csv"
-    write_dataset_csv(ahu_like(n=600, seed=40), csv)
+    # a bare np.unique or np.median; a continuous target takes the median
+    # path, a discrete one the class-label path
+    csv = tmp_path / "data.csv"
+    write_dataset_csv(make(), csv)
     src = str(Path(tefuse.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     done = subprocess.run(
         [sys.executable, "-c", MASKED_IMPORT_SCRIPT, str(csv), str(tmp_path / "run"),
-         AHU_TARGET, ",".join(AHU_SOURCES)],
+         target, ",".join(sources)],
         env=env, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0]
     if result["with_numpy"]:
         pytest.skip("this numpy imports numpy.ma with numpy itself")
     assert not result["masked"]
-    assert (tmp_path / "run" / "ev" / "report.csv").read_text().count("rmse") == len(AHU_SOURCES)
+    assert (tmp_path / "run" / "ev" / "report.csv").read_text().count(metric) == len(sources)

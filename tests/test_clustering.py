@@ -257,6 +257,11 @@ class TestPairCache:
             for (i, j), recorded in record.all_candidate_scores:
                 assert recorded == score_pair(view(nodes[i]), view(nodes[j]),
                                               z_train, config.depth)
+            # the winner's score is minus its pair's causation entropies
+            c_x, c_y = causation_entropy_pair(view(nodes[record.pair[0]]),
+                                              view(nodes[record.pair[1]]),
+                                              z_train, config.depth)
+            assert abs(record.score + (c_x + c_y)) <= 1e-10
 
     def test_transfer_entropy_calls_follow_pair_formula(self, noisy_run, monkeypatch):
         leaves, target, config = noisy_run
@@ -276,18 +281,6 @@ class TestPairCache:
         assert len(batches) == len(tree.merges) == n - 1
         assert batches == [n + n * (n - 1) // 2, *range(n - 1, 1, -1)]
         assert sum(batches) == n + n * (n - 1) // 2 + sum(range(2, n))
-
-
-def test_debug_mode_checks_winner_identity(caplog):
-    import logging
-
-    channels, z = xor_system(800, seed=21)
-    with caplog.at_level(logging.DEBUG, logger="tefuse.clustering"):
-        cluster(_seqs(channels, 2), SymbolSequence(z, 2, "z"), _config(4))
-    identity_lines = [r for r in caplog.records
-                      if "matches -(causation entropies)" in r.message]
-    assert len(identity_lines) == 3  # one per merge
-    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 class TestExport:

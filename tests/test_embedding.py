@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tefuse import SequenceTooShort, SymbolSequence, decode_state, embed
 from tefuse.embedding import history_ids
+
+from oracles import embed_oracle
 
 
 def test_depth_two_radix_encoding():
@@ -62,6 +66,29 @@ def test_overflow_guard():
     seq = SymbolSequence(np.zeros(100, dtype=np.int64), 10)
     with pytest.raises(ValueError):
         embed(seq, 25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_states_match_radix_oracle(data):
+    b = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(0, 8))
+    n = data.draw(st.integers(k + 1, 60))
+    symbols = data.draw(st.lists(st.integers(0, b - 1), min_size=n, max_size=n))
+    seq = SymbolSequence(symbols, b)
+    assert embed(seq, k).states.tolist() == embed_oracle(seq.symbols, k, b).tolist()
+
+
+def test_radix_states_up_to_the_id_limit():
+    # 2^61 states still have radix ids; 2^62 reaches the fold's limit
+    rng = np.random.default_rng(5)
+    symbols = rng.integers(0, 2, 70)
+    states = embed(SymbolSequence(symbols, 2), 60).states
+    assert len(states) == 10 and states.max() >= 2**60
+    for i, state in enumerate(states):
+        assert decode_state(state, 60, 2) == tuple(symbols[i: i + 61])
+    with pytest.raises(ValueError, match="2\\^62"):
+        embed(SymbolSequence(symbols, 2), 61)
 
 
 def test_history_ids_rank_radix_states():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tefuse import (
     Dataset,
@@ -17,6 +19,7 @@ from tefuse import (
 from tefuse.clustering import leaf_sequences, replay_merges
 from tefuse.estimate import (
     ACCURACY,
+    _labels,
     _median,
     EvaluationReport,
     LevelPredictions,
@@ -229,6 +232,32 @@ class TestTargetKind:
         assert seq.alphabet_size == 2
         assert labels.tolist() == [0.0, 1.0]
         assert np.array_equal(seq.symbols, ds.column("z").astype(int))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-5, 5), st.integers(-2**53, 2**53)),
+                    min_size=1, max_size=40))
+    def test_labels_and_symbols_match_np_unique(self, ints):
+        values = np.array(ints, dtype=np.float64)
+        want, inverse = np.unique(values, return_inverse=True)
+        assert _labels(values).tolist() == want.tolist()
+        ds = Dataset(names=("a", "z"), columns=(np.zeros(len(values)), values))
+        cfg = RunConfig(target_column="z", source_columns=("a",),
+                        target_kind="discrete")
+        seq, _, labels, reps = target_symbols(ds, cfg)
+        assert labels.tolist() == reps.tolist() == want.tolist()
+        assert seq.symbols.tolist() == inverse.ravel().tolist()
+
+    @pytest.mark.parametrize("values, negative", [
+        ([-0.0, 0.0, 1.0], True),
+        ([0.0, -0.0, 1.0], False),
+        ([1.0, -0.0, 0.0, -0.0], True),
+    ])
+    def test_zero_label_takes_sign_of_first_occurrence(self, values, negative):
+        # written out: np.unique's quicksort picks this sign by sort order
+        labels = _labels(np.array(values))
+        assert labels.tolist() == [0.0, 1.0]
+        assert bool(np.signbit(labels[0])) is negative
 
 
 def _driven_dataset(n=1200, seed=2, independent=False):

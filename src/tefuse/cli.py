@@ -71,6 +71,7 @@ DATA_ERRORS = (
     MalformedArtifact,
     SequenceTooShort,
     TreeDatasetMismatch,
+    OSError,  # a missing, unreadable or mistyped path
 )
 
 # RunConfig fields settable through flags or a key=value config file.
@@ -94,6 +95,8 @@ def _sha256(path) -> str:
 
 
 def _write(path: Path, data) -> None:
+    if isinstance(data, dict):
+        data = json.dumps(data, indent=2) + "\n"
     if isinstance(data, str):
         data = data.encode("utf-8")
     path.write_bytes(data)
@@ -128,12 +131,13 @@ def _versions() -> dict:
     }
 
 
-def _manifest(command: str, args, config: RunConfig, dataset, extra: dict) -> dict:
+def _manifest(command: str, args, digest: str, config: RunConfig, dataset,
+              extra: dict) -> dict:
     doc = {
         "command": command,
         "input": {
             "path": str(args.input),
-            "sha256": _sha256(args.input),
+            "sha256": digest,
             "rows": dataset.n,
             "rows_dropped": dataset.dropped_rows,
         },
@@ -178,8 +182,7 @@ def _run_cluster(args, noise_count: int = 0) -> int:
     _write(out / "tree.json", export_tree(tree, "json"))
     _write(out / "tree.dot", export_tree(tree, "dot"))
     _write(out / "manifest.json",
-           json.dumps(_manifest("cluster", args, config, dataset, extra),
-                      indent=2) + "\n")
+           _manifest("cluster", args, _sha256(args.input), config, dataset, extra))
     return 0
 
 
@@ -239,8 +242,8 @@ def cmd_evaluate(args) -> int:
     _write(out / "report.json", report_json(report))
     _write(out / "predictions.csv", predictions_csv(report))
     _write(out / "evaluate_manifest.json",
-           json.dumps(_manifest("evaluate", args, config, dataset,
-                                {"tree": str(tree_dir)}), indent=2) + "\n")
+           _manifest("evaluate", args, digest, config, dataset,
+                     {"tree": str(tree_dir)}))
     return 0
 
 
@@ -266,10 +269,10 @@ def cmd_symbolize(args) -> int:
 
     out = _out_dir(args)
     _write(out / "symbols.csv", "\n".join(lines) + "\n")
-    _write(out / "partitions.json", json.dumps(partitions, indent=2) + "\n")
+    _write(out / "partitions.json", partitions)
     _write(out / "manifest.json",
-           json.dumps(_manifest("symbolize", args, config, dataset,
-                                {"target_kind_resolved": kind}), indent=2) + "\n")
+           _manifest("symbolize", args, _sha256(args.input), config, dataset,
+                     {"target_kind_resolved": kind}))
     return 0
 
 
@@ -284,7 +287,7 @@ def cmd_export_tree(args) -> int:
         "format": args.format,
         "versions": _versions(),
     }
-    _write(out / "export_manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _write(out / "export_manifest.json", manifest)
     return 0
 
 
@@ -374,9 +377,6 @@ def main(argv=None) -> int:
         print(f"tefuse: configuration error: {exc}", file=sys.stderr)
         return 2
     except DATA_ERRORS as exc:
-        print(f"tefuse: data error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
         print(f"tefuse: data error: {exc}", file=sys.stderr)
         return 3
 

@@ -15,12 +15,13 @@ applies: the target at t+1 is paired with states through t.
 
 Continuous targets are discretized by maximum entropy partitioning and
 predictions are mapped back to values through per-bin training medians.
-Discrete targets (class labels) are used as-is.
+Discrete targets (class labels) are used as-is; each label is its own value.
 
 Per-level evaluation mirrors the fusion pipeline's training discipline:
 partitions and frequency tables are fitted on the contiguous training
 prefix and scored on the held-out suffix. Level 0 tuples all leaf states
 jointly (the unfused baseline); level h uses the partially fused node set.
+The report holds the held-out rows and truth once, for every level.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ def predict(est: FrequencyEstimator, states):
 
     Each state looks up its training distribution, falling back to the
     global prior when unseen; the argmax breaks ties toward the lower
-    symbol id. Returns (symbols, values) with values None for discrete
-    targets.
+    symbol id. Returns (symbols, values) with values None when the
+    estimator has no ``bin_representatives``.
     """
     rows = _state_rows(states)
     seen = len(est.states)
@@ -180,20 +181,16 @@ class LevelScore:
 
 
 @dataclass(frozen=True, eq=False)
-class LevelPredictions:
-    """Held-out prediction series for one level, in original target units."""
-
-    level: int
-    positions: np.ndarray
-    truth: np.ndarray
-    predicted: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class EvaluationReport:
+    """Per-level scores and held-out series. Every level predicts the same
+    rows, so their numbers (``positions``) and ``truth`` are stored once;
+    ``predicted[level]`` holds that level's values, in target units."""
+
     rows: tuple[LevelScore, ...]
     config: dict
-    predictions: tuple[LevelPredictions, ...]
+    positions: np.ndarray
+    truth: np.ndarray
+    predicted: tuple[np.ndarray, ...]
 
 
 def _labels(values: np.ndarray) -> np.ndarray:
@@ -262,41 +259,35 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
 
     leaves = leaf_sequences(dataset, config)
     nodes = replay_merges(leaves, tree, config)
-    target_seq, kind, labels, representatives = target_symbols(dataset, config)
+    target_seq, kind, _, representatives = target_symbols(dataset, config)
     tsyms = target_seq.symbols
     alphabet = target_seq.alphabet_size
     truth = dataset.column(config.target_column)[s:]
+    metric = ACCURACY if kind == "discrete" else RMSE
 
     # Window ids for t = k .. n-2, kept while the node is active: rows before
     # s-k-1 predict tsyms[k+1:s], the rest predict the held-out tsyms[s:].
     windows: dict = {}
     rows: list[LevelScore] = []
-    predictions: list[LevelPredictions] = []
+    predicted: list[np.ndarray] = []
     for level, active in enumerate(tree.levels):
         windows = {a: windows[a] if a in windows else history_ids(nodes[a], k)
                    for a in active}
         matrix = np.column_stack([windows[a] for a in active])
         est = train(matrix[: s - k - 1], tsyms[k + 1: s], target_alphabet=alphabet)
         est.bin_representatives = representatives
-        pred_syms, pred_values = predict(est, matrix[s - k - 1:])
-        if kind == "discrete":
+        pred_syms, values = predict(est, matrix[s - k - 1:])
+        if metric == ACCURACY:
             value = float(np.mean(pred_syms == tsyms[s:]))
-            metric = ACCURACY
-            predicted = labels[pred_syms]
         else:
-            predicted = pred_values
-            value = float(np.sqrt(np.mean((predicted - truth) ** 2)))
-            metric = RMSE
+            value = float(np.sqrt(np.mean((values - truth) ** 2)))
         rows.append(LevelScore(level=level, metric=metric, value=value, n_test=n - s))
-        predictions.append(LevelPredictions(level=level, positions=np.arange(s, n),
-                                            truth=truth, predicted=predicted))
+        predicted.append(values)
         logger.info("level %d (%d nodes): %s = %.4f on %d held-out rows",
                     level, len(active), metric, value, n - s)
-    return EvaluationReport(
-        rows=tuple(rows),
-        config=config.to_dict(),
-        predictions=tuple(predictions),
-    )
+    return EvaluationReport(rows=tuple(rows), config=config.to_dict(),
+                            positions=np.arange(s, n), truth=truth,
+                            predicted=tuple(predicted))
 
 
 def report_csv(report: EvaluationReport) -> str:
@@ -332,20 +323,15 @@ def predictions_csv(report: EvaluationReport) -> str:
     """One line per level and held-out row: ``level,row,truth,predicted``,
     the numbers written as Python ``repr``s.
 
-    Every level of an evaluation holds the same rows and truth, and a
+    The ``row,truth,`` prefixes are built once for all levels, and a
     prediction takes one of a few values, so each distinct number is
     formatted once and the lines are joined from those texts.
     """
+    rows = [f"{pos},{truth}," for pos, truth in
+            zip(report.positions.tolist(), _number_texts(report.truth))]
     lines = ["level,row,truth,predicted"]
-    key = rows = None
-    for block in report.predictions:
-        block_key = [(a.dtype.str, a.shape, a.tobytes())
-                     for a in (block.positions, block.truth)]
-        if block_key != key:
-            key = block_key
-            rows = [f"{pos},{truth}," for pos, truth in
-                    zip(block.positions.tolist(), _number_texts(block.truth))]
-        level = f"{block.level},"
-        lines += [level + row + pred
-                  for row, pred in zip(rows, _number_texts(block.predicted))]
+    for level, predicted in enumerate(report.predicted):
+        prefix = f"{level},"
+        lines += [prefix + row + pred
+                  for row, pred in zip(rows, _number_texts(predicted))]
     return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ import csv
 import io
 import logging
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,9 +54,19 @@ class RunConfig:
     target_kind: str = "auto"
 
     def __post_init__(self):
+        if isinstance(self.source_columns, str) or not all(
+                isinstance(c, str) for c in (self.target_column, *self.source_columns)):
+            raise TypeError("column names must be strings, and the sources a sequence")
         object.__setattr__(self, "source_columns", tuple(self.source_columns))
         if self.fused_alphabet is None:
             object.__setattr__(self, "fused_alphabet", self.alphabet)
+        for name in ("alphabet", "target_alphabet", "depth", "fused_alphabet",
+                     "stop_at", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, "
+                                f"not {getattr(self, name)!r}") from None
         if not self.source_columns:
             raise ValueError("at least one source column is required")
         if len(set(self.source_columns)) != len(self.source_columns):
@@ -86,7 +97,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**{**data, "source_columns": tuple(data["source_columns"])})
+        return cls(**data)
 
 
 @dataclass(frozen=True, eq=False)

@@ -213,8 +213,8 @@ def bin_counts(values, edges):
 def predictions_csv_oracle(report):
     """``predictions.csv`` text written row by row, one repr per number."""
     lines = ["level,row,truth,predicted"]
-    for block in report.predictions:
-        for pos, truth, pred in zip(block.positions.tolist(), block.truth.tolist(),
-                                    block.predicted.tolist()):
-            lines.append(f"{block.level},{pos},{truth!r},{pred!r}")
+    for level, predicted in enumerate(report.predicted):
+        for pos, truth, pred in zip(report.positions.tolist(), report.truth.tolist(),
+                                    predicted.tolist()):
+            lines.append(f"{level},{pos},{truth!r},{pred!r}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import tefuse
-from tefuse.cli import main
+from tefuse import RunConfig, cli
+from tefuse.cli import _CONFIG_FLAGS, main
 
 from synthdata import (AHU_SOURCES, AHU_TARGET, OCC_SOURCES, OCC_TARGET, ahu_like,
                        occupancy_like, write_dataset_csv)
@@ -31,6 +32,26 @@ def occ_csv(tmp_path_factory):
 def run_cluster(occ_csv, out, extra=()):
     return main(["cluster", "--input", str(occ_csv), *COMMON,
                  "--out", str(out), *extra])
+
+
+# one non-default value per configuration key, as a flag or file would give it
+CONFIG_VALUES = {
+    "target": "Occupancy",
+    "sources": "Temperature,Light,CO2",
+    "alphabet": "4",
+    "target_alphabet": "6",
+    "depth": "2",
+    "fused_alphabet": "3",
+    "stop_at": "2",
+    "train_fraction": "0.6",
+    "seed": "5",
+    "partitioner": "uniform",
+    "target_kind": "discrete",
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 class TestCluster:
@@ -124,6 +145,26 @@ class TestCluster:
         assert manifest["config"]["alphabet"] == 3  # flag wins
         assert manifest["config"]["depth"] == 1     # file applies
 
+    @pytest.mark.parametrize("key", list(_CONFIG_FLAGS))
+    def test_config_file_key_matches_flag(self, occ_csv, tmp_path, key):
+        # every value differs from its default, so a key the file reader
+        # dropped would show as a different manifest config
+        expected = RunConfig(**{field: convert(CONFIG_VALUES[k])
+                                for k, (field, convert) in _CONFIG_FLAGS.items()})
+        field = _CONFIG_FLAGS[key][0]
+        assert getattr(expected, field) != getattr(RunConfig("t", ("s",)), field)
+        others = [arg for k, v in CONFIG_VALUES.items() if k != key
+                  for arg in (_flag(k), v)]
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {CONFIG_VALUES[key]}\n")
+        for name, extra in (("flag", [_flag(key), CONFIG_VALUES[key]]),
+                            ("file", ["--config", str(conf)])):
+            out = tmp_path / name
+            assert main(["symbolize", "--input", str(occ_csv), *others, *extra,
+                         "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"] == json.loads(json.dumps(expected.to_dict()))
+
 
 class TestEvaluate:
     def test_report_rows_per_level(self, occ_csv, tmp_path):
@@ -169,6 +210,19 @@ class TestEvaluate:
                      "--out", str(tmp_path / "eval")]) == 0
         lines = (tmp_path / "eval" / "report.csv").read_text().splitlines()
         assert len(lines) == 1 + 5
+
+    def test_input_hashed_once(self, occ_csv, tmp_path, monkeypatch):
+        run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+        run_cluster(occ_csv, run_dir)
+        hashed = []
+        sha256 = cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+        assert main(["evaluate", "--input", str(occ_csv), "--tree", str(run_dir),
+                     "--out", str(eval_dir)]) == 0
+        assert hashed == [str(occ_csv)]
+        manifests = [json.loads((d / name).read_text()) for d, name in
+                     ((run_dir, "manifest.json"), (eval_dir, "evaluate_manifest.json"))]
+        assert manifests[0]["input"]["sha256"] == manifests[1]["input"]["sha256"]
 
     def test_evaluate_idempotent(self, occ_csv, tmp_path):
         run_dir = tmp_path / "run"
@@ -250,6 +304,22 @@ class TestMalformedArtifacts:
         (run_dir / "manifest.json").write_text(json.dumps(manifest))
         assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
         assert "noise count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("alphabet", 3.5),
+        ("depth", 1.0),
+        ("seed", "0"),
+        ("target_column", 7),
+        ("source_columns", "CO"),
+        ("source_columns", ["Temperature", 2]),
+    ])
+    def test_manifest_config_of_wrong_type(self, occ_csv, run_dir, tmp_path, capsys,
+                                           field, value):
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["config"][field] = value
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
+        assert "malformed entry" in capsys.readouterr().err
 
     def test_score_not_a_number(self, run_dir, tmp_path, capsys):
         tree = json.loads((run_dir / "tree.json").read_text())
@@ -344,6 +414,26 @@ class TestSymbolizeAndExport:
         main(["export-tree", "--tree", str(run_dir / "tree.json"),
               "--format", "json", "--out", str(out)])
         assert (out / "tree.json").read_bytes() == (run_dir / "tree.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    lambda csv, run, tmp: ["cluster", "--input", str(tmp), *COMMON,
+                           "--out", str(tmp / "x")],
+    lambda csv, run, tmp: ["cluster", "--input", str(csv), "--config", str(tmp),
+                           *COMMON, "--out", str(tmp / "x")],
+    lambda csv, run, tmp: ["cluster", "--input", str(csv), *COMMON,
+                           "--out", str(run / "tree.json")],
+    lambda csv, run, tmp: ["export-tree", "--tree", str(run), "--out", str(tmp / "x")],
+    lambda csv, run, tmp: ["evaluate", "--input", str(csv),
+                           "--tree", str(run / "tree.json"), "--out", str(tmp / "x")],
+], ids=["input-is-dir", "config-is-dir", "out-is-file", "export-tree-is-dir",
+        "evaluate-tree-is-file"])
+def test_unusable_path_is_data_error(occ_csv, tmp_path, capsys, argv):
+    run_dir = tmp_path / "run"
+    assert run_cluster(occ_csv, run_dir) == 0
+    capsys.readouterr()
+    assert main(argv(occ_csv, run_dir, tmp_path)) == 3
+    assert capsys.readouterr().err.startswith("tefuse: data error: ")
 
 
 def test_usage_error_exit_code(capsys):

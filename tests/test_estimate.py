@@ -22,7 +22,6 @@ from tefuse.estimate import (
     _labels,
     _median,
     EvaluationReport,
-    LevelPredictions,
     predictions_csv,
     report_csv,
     report_json,
@@ -356,9 +355,9 @@ class TestEvaluateLevels:
             est.bin_representatives = reps
             syms, values = predict(est, states[s - k - 1: n - k - 1])
             want = values if continuous else labels[syms]
-            block = report.predictions[level]
-            assert block.positions.tolist() == list(range(s, n))
-            assert block.predicted.tolist() == want.tolist()
+            assert report.predicted[level].tolist() == want.tolist()
+        assert report.positions.tolist() == list(range(s, n))
+        assert len(report.predicted) == len(tree.levels)
 
     def test_deterministic(self):
         ds = _driven_dataset()
@@ -414,24 +413,19 @@ class TestPredictionsCsv:
     def test_signed_zeros_and_non_finite_values(self):
         values = np.array([0.0, -0.0, 1.5, -0.0, np.nan, np.inf, -np.inf, 0.0,
                            5e-324, 1e300, -np.nan])
-        positions = np.arange(10, 10 + len(values))
-        blocks = (
-            LevelPredictions(0, positions, values, values[::-1].copy()),
-            LevelPredictions(1, positions, values.copy(), -values),
-            LevelPredictions(2, positions, -values, values),
-            LevelPredictions(3, positions + 1, values, np.zeros(len(values))),
-        )
-        report = EvaluationReport(rows=(), config={}, predictions=blocks)
-        text = predictions_csv(report)
-        assert text == predictions_csv_oracle(report)
-        assert "10,0.0,-0.0" in text and "11,-0.0,0.0" in text
+        predicted = (values[::-1].copy(), -values, values, np.zeros(len(values)))
+        for truth, zeros in ((values, ("1,10,0.0,-0.0", "1,11,-0.0,0.0")),
+                             (-values, ("2,10,-0.0,0.0", "2,11,0.0,-0.0"))):
+            report = EvaluationReport(rows=(), config={},
+                                      positions=np.arange(10, 10 + len(values)),
+                                      truth=truth, predicted=predicted)
+            text = predictions_csv(report)
+            assert text == predictions_csv_oracle(report)
+            assert all(f"\n{line}\n" in text for line in zeros)
 
     def test_non_float_arrays(self):
-        blocks = (
-            LevelPredictions(0, np.arange(3), np.array([1, 2, 3]),
-                             np.array([0.5, 0.5, 2.0], dtype=np.float32)),
-            LevelPredictions(1, np.arange(3), np.array([1, 2, 3]),
-                             np.array([True, False, True])),
-        )
-        report = EvaluationReport(rows=(), config={}, predictions=blocks)
+        report = EvaluationReport(
+            rows=(), config={}, positions=np.arange(3), truth=np.array([1, 2, 3]),
+            predicted=(np.array([0.5, 0.5, 2.0], dtype=np.float32),
+                       np.array([True, False, True])))
         assert predictions_csv(report) == predictions_csv_oracle(report)

@@ -10,6 +10,9 @@ benchmark operation (cluster, then evaluate) through ``perfbench/run.py``'s
 It exits 1 unless every seed is pinned, every generated input matches its
 pinned digest and every operation stays ok. Timings are not looked at.
 Seeds 0 and 3 are left out: the "Pinned outputs" CI step checks those.
+``long`` is checked too: it is the only discrete-target (accuracy) path, and
+the transfer-entropy kernel runs there on 25k-row windows, one source per
+chunk, where ``ahu`` and ``wide`` batch several.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import Runner  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-WORKLOADS_CHECKED = ("ahu", "wide")
+WORKLOADS_CHECKED = ("ahu", "wide", "long")
 SEEDS = (1, 2, 4, 5, 6, 7, 8, 9, 10)
 
 

@@ -90,8 +90,35 @@ _CONFIG_FLAGS = {
 }
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _load_input(args, config: RunConfig, expected: str | None = None):
+    """Read ``--input`` once: the SHA-256 of its bytes and the dataset
+    parsed from them, as they are read.
+
+    A digest other than ``expected`` raises :class:`TreeDatasetMismatch`,
+    also for a file that does not parse: it is then hashed on its own, so
+    the wrong file is named as such rather than by its first flaw.
+    """
+    sha256 = hashlib.sha256()
+    try:
+        dataset = load_csv(args.input, config, sha256)
+    except (MissingColumn, UnparseableHeader, UnreadableCsv, EmptyAfterFiltering):
+        if expected is not None:
+            _check_digest(args, _sha256(Path(args.input).read_bytes()), expected)
+        raise
+    _check_digest(args, sha256.hexdigest(), expected)
+    return sha256.hexdigest(), dataset
+
+
+def _check_digest(args, digest: str, expected: str | None) -> None:
+    if expected is not None and digest != expected:
+        raise TreeDatasetMismatch(
+            f"{args.input} has digest {digest[:12]}..., tree was built from "
+            f"{expected[:12]}..."
+        )
 
 
 def _write(path: Path, data) -> None:
@@ -155,8 +182,9 @@ def _out_dir(args) -> Path:
 
 
 def _run_cluster(args, noise_count: int = 0) -> int:
+    out = _out_dir(args)
     config = _build_config(args)
-    dataset = load_csv(args.input, config)
+    digest, dataset = _load_input(args, config)
     extra: dict = {"noise": None}
     if noise_count:
         dataset = append_noise_channels(dataset, noise_count, config.seed)
@@ -178,11 +206,10 @@ def _run_cluster(args, noise_count: int = 0) -> int:
         m + m * (m - 1) // 2 if h == 0 else m
         for h, m in enumerate(len(level) for level in tree.levels[:-1])
     ]
-    out = _out_dir(args)
     _write(out / "tree.json", export_tree(tree, "json"))
     _write(out / "tree.dot", export_tree(tree, "dot"))
     _write(out / "manifest.json",
-           _manifest("cluster", args, _sha256(args.input), config, dataset, extra))
+           _manifest("cluster", args, digest, config, dataset, extra))
     return 0
 
 
@@ -221,23 +248,17 @@ def _read_manifest(path: Path) -> tuple[str, RunConfig, dict | None]:
 
 
 def cmd_evaluate(args) -> int:
+    out = _out_dir(args)
     tree_dir = Path(args.tree)
     expected, config, noise = _read_manifest(tree_dir / "manifest.json")
-    digest = _sha256(args.input)
-    if digest != expected:
-        raise TreeDatasetMismatch(
-            f"{args.input} has digest {digest[:12]}..., tree was built from "
-            f"{expected[:12]}..."
-        )
     if args.target_kind is not None:
         config = dataclasses.replace(config, target_kind=args.target_kind)
-    dataset = load_csv(args.input, config_without_noise(config, noise))
+    digest, dataset = _load_input(args, config_without_noise(config, noise), expected)
     if noise:
         dataset = append_noise_channels(dataset, noise["count"], noise["seed"])
     tree = tree_from_json((tree_dir / "tree.json").read_bytes())
     report = evaluate_levels(tree, dataset, config)
 
-    out = _out_dir(args)
     _write(out / "report.csv", report_csv(report))
     _write(out / "report.json", report_json(report))
     _write(out / "predictions.csv", predictions_csv(report))
@@ -257,8 +278,9 @@ def config_without_noise(config: RunConfig, noise: dict | None) -> RunConfig:
 
 
 def cmd_symbolize(args) -> int:
+    out = _out_dir(args)
     config = _build_config(args)
-    dataset = load_csv(args.input, config)
+    digest, dataset = _load_input(args, config)
     leaves = fit_leaves(dataset, config)
     target_seq, kind, _, _ = target_symbols(dataset, config)
 
@@ -267,23 +289,23 @@ def cmd_symbolize(args) -> int:
     lines = [",".join([*config.source_columns, config.target_column])]
     lines += [",".join(map(str, row)) for row in np.column_stack(columns).tolist()]
 
-    out = _out_dir(args)
     _write(out / "symbols.csv", "\n".join(lines) + "\n")
     _write(out / "partitions.json", partitions)
     _write(out / "manifest.json",
-           _manifest("symbolize", args, _sha256(args.input), config, dataset,
+           _manifest("symbolize", args, digest, config, dataset,
                      {"target_kind_resolved": kind}))
     return 0
 
 
 def cmd_export_tree(args) -> int:
-    tree_path = Path(args.tree)
-    tree = tree_from_json(tree_path.read_bytes())
     out = _out_dir(args)
+    tree_path = Path(args.tree)
+    data = tree_path.read_bytes()
+    tree = tree_from_json(data)
     _write(out / f"tree.{args.format}", export_tree(tree, args.format))
     manifest = {
         "command": "export-tree",
-        "input": {"path": str(tree_path), "sha256": _sha256(tree_path)},
+        "input": {"path": str(tree_path), "sha256": _sha256(data)},
         "format": args.format,
         "versions": _versions(),
     }

@@ -20,10 +20,13 @@ kept in one table keyed by node-id tuple, ``(i,)`` or ``(i, j)``: the first
 level computes every single and every pair, and each later level only the
 new node's TE and its pairs with the other active nodes. A level computes
 its missing keys in one batched :func:`~tefuse.infotheory.transfer_entropies`
-call, which builds the target's terms once per call. Its values equal the
-single :func:`~tefuse.infotheory.transfer_entropy` calls :func:`score_pair`
-makes, and kept and fresh values are the same floats, so the candidate list
-and the winner depend on neither the batching nor the table. Each score
+call, which builds the target's terms once per call and scores the sources
+in row-wise chunks of a fixed key budget; a merged pair's column is made
+only when its chunk is gathered. Its values equal the single
+:func:`~tefuse.infotheory.transfer_entropy` calls :func:`score_pair` makes,
+whatever the chunk size, and kept and fresh values are the same floats, so
+the candidate list and the winner depend on neither the batching nor the
+table. Each score
 equals minus the sum of the pair's
 :func:`~tefuse.infotheory.causation_entropy_pair` values, up to round-off.
 """

@@ -1,4 +1,8 @@
+import builtins
+import hashlib
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -48,6 +52,22 @@ CONFIG_VALUES = {
     "partitioner": "uniform",
     "target_kind": "discrete",
 }
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The paths passed to open(), in call order (pathlib opens through
+    io.open)."""
+    paths = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        paths.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return paths
 
 
 def _flag(key):
@@ -197,6 +217,19 @@ class TestEvaluate:
                      "--tree", str(run_dir), "--out", str(tmp_path / "eval")])
         assert code == 3
 
+    def test_other_input_that_does_not_parse_is_a_mismatch(self, occ_csv, tmp_path,
+                                                           capsys):
+        # a file without the configured columns is named as the wrong file
+        # (exit 3), not reported as a missing column (exit 2)
+        run_dir = tmp_path / "run"
+        run_cluster(occ_csv, run_dir)
+        other = tmp_path / "other.csv"
+        other.write_text("a,b\n1,2\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--input", str(other), "--tree", str(run_dir),
+                     "--out", str(tmp_path / "eval")]) == 3
+        assert "tree was built from" in capsys.readouterr().err
+
     def test_depth_beyond_radix_state_range(self, occ_csv, tmp_path):
         # 3^41 windows do not fit a 64-bit radix state id; evaluation must
         # accept every tree that clustering produced. This checks only that
@@ -211,18 +244,17 @@ class TestEvaluate:
         lines = (tmp_path / "eval" / "report.csv").read_text().splitlines()
         assert len(lines) == 1 + 5
 
-    def test_input_hashed_once(self, occ_csv, tmp_path, monkeypatch):
+    def test_input_hashed_once(self, occ_csv, tmp_path):
+        # the digest is that of the bytes parsed; test_command_opens_input_once
+        # checks that they are read once
         run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
         run_cluster(occ_csv, run_dir)
-        hashed = []
-        sha256 = cli._sha256
-        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
         assert main(["evaluate", "--input", str(occ_csv), "--tree", str(run_dir),
                      "--out", str(eval_dir)]) == 0
-        assert hashed == [str(occ_csv)]
         manifests = [json.loads((d / name).read_text()) for d, name in
                      ((run_dir, "manifest.json"), (eval_dir, "evaluate_manifest.json"))]
-        assert manifests[0]["input"]["sha256"] == manifests[1]["input"]["sha256"]
+        digest = hashlib.sha256(occ_csv.read_bytes()).hexdigest()
+        assert manifests[0]["input"]["sha256"] == manifests[1]["input"]["sha256"] == digest
 
     def test_evaluate_idempotent(self, occ_csv, tmp_path):
         run_dir = tmp_path / "run"
@@ -434,6 +466,49 @@ def test_unusable_path_is_data_error(occ_csv, tmp_path, capsys, argv):
     capsys.readouterr()
     assert main(argv(occ_csv, run_dir, tmp_path)) == 3
     assert capsys.readouterr().err.startswith("tefuse: data error: ")
+
+
+# each command with an --out that the test replaces; {csv} and {run} are
+# the input CSV and a finished cluster run directory
+COMMANDS = {
+    "cluster": ["cluster", "--input", "{csv}", *COMMON],
+    "inject-noise": ["inject-noise", "--input", "{csv}", *COMMON, "--noise-count", "1"],
+    "symbolize": ["symbolize", "--input", "{csv}", *COMMON],
+    "evaluate": ["evaluate", "--input", "{csv}", "--tree", "{run}"],
+    "export-tree": ["export-tree", "--tree", "{run}/tree.json"],
+}
+
+
+def _command(name, csv, run, out):
+    return [a.format(csv=csv, run=run) for a in COMMANDS[name]] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("name", [n for n in COMMANDS if n != "export-tree"])
+def test_command_opens_input_once(occ_csv, tmp_path, opened, name):
+    run_dir = tmp_path / "run"
+    assert run_cluster(occ_csv, run_dir) == 0
+    opened.clear()
+    assert main(_command(name, occ_csv, run_dir, tmp_path / "out")) == 0
+    assert opened.count(str(occ_csv)) == 1
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_out_is_file_fails_before_work(occ_csv, tmp_path, capsys, caplog, opened, name):
+    run_dir, taken = tmp_path / "run", tmp_path / "taken"
+    assert run_cluster(occ_csv, run_dir) == 0
+    with caplog.at_level(logging.INFO, logger="tefuse"):
+        # the same command with a usable --out logs its work
+        assert main(["--verbose", *_command(name, occ_csv, run_dir, tmp_path / "ok")]) == 0
+        assert "wrote" in caplog.text
+        assert name not in ("cluster", "inject-noise") or "level 1:" in caplog.text
+        taken.write_text("not a directory\n")
+        caplog.clear()
+        capsys.readouterr()
+        opened.clear()
+        assert main(["--verbose", *_command(name, occ_csv, run_dir, taken)]) == 3
+    assert capsys.readouterr().err.startswith("tefuse: data error: ")
+    assert caplog.text == ""
+    assert str(occ_csv) not in opened and str(run_dir / "tree.json") not in opened
 
 
 def test_usage_error_exit_code(capsys):

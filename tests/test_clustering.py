@@ -20,7 +20,7 @@ from tefuse import (
     transfer_entropy,
     tree_from_json,
 )
-from tefuse import clustering
+from tefuse import clustering, infotheory
 from tefuse.clustering import leaf_sequences
 from tefuse.estimate import target_symbols
 
@@ -281,6 +281,15 @@ class TestPairCache:
         assert len(batches) == len(tree.merges) == n - 1
         assert batches == [n + n * (n - 1) // 2, *range(n - 1, 1, -1)]
         assert sum(batches) == n + n * (n - 1) // 2 + sum(range(2, n))
+
+
+    def test_tree_bytes_do_not_depend_on_the_chunk_budget(self, noisy_run, monkeypatch):
+        leaves, target, config = noisy_run
+        default = export_tree(cluster(leaves, target, config))
+        # one source per chunk, then every source of a level in one chunk
+        for budget in (1, 2**40):
+            monkeypatch.setattr(infotheory, "_CHUNK_KEYS", budget)
+            assert export_tree(cluster(leaves, target, config)) == default
 
 
 class TestExport:

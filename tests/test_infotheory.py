@@ -159,7 +159,7 @@ class TestValueSortCounts:
     def test_named_counts_equal_dense_id_bincount(self, name, n):
         columns = _crossing_columns(np.random.default_rng(n), n)[name]
         want = np.bincount(joint_ids_oracle(*columns))
-        got = _counts(_fold(columns))
+        got = _counts(_fold(columns)[None])[0]
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
     @settings(deadline=None)
@@ -167,7 +167,7 @@ class TestValueSortCounts:
                   elements=LABELS))
     def test_counts_equal_dense_id_bincount(self, rows):
         want = np.bincount(joint_ids_oracle(*rows.T))
-        assert _counts(_fold(rows.T)).tolist() == want.tolist()
+        assert _counts(_fold(rows.T)[None])[0].tolist() == want.tolist()
 
     def test_fold_sorts_only_when_the_span_overflows(self, monkeypatch):
         # columns that each span the row count stay raw: no dense rank
@@ -430,6 +430,85 @@ class TestTransferEntropies:
             transfer_entropy(source, target, k)
         with pytest.raises(single.type, match=re.escape(str(single.value))):
             transfer_entropies([source, target], target, k)
+
+
+class TestChunks:
+    """transfer_entropies scores its sources in row-wise chunks; no chunk
+    size, row mix or fallback may change a float."""
+
+    @staticmethod
+    def _sources(rng, n):
+        return [
+            rng.integers(-3, 3, n),
+            rng.integers(-40, -30, n),
+            # three labels 2**20 apart: at k = 2 the windows still fold in
+            # the batch, but the joint width product passes 2**62 and the
+            # rows are re-ranked; from k = 3 the windows fold row by row
+            rng.choice([0, 5, 2**20 - 1], n),
+            # int64-extreme labels: every window fold re-ranks
+            rng.integers(INT64.min, INT64.max, n, endpoint=True),
+            np.full(n, -7),
+            SymbolSequence(rng.integers(0, 4, n), 4),
+            rng.integers(0, 7, n) * 10**17 - 3 * 10**17,
+        ]
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("rows", [1, 2, None], ids=["one-row", "two-rows", "one-chunk"])
+    @pytest.mark.parametrize("limit", [2**62, 2**8], ids=["limit", "low-limit"])
+    def test_chunks_equal_single_calls(self, monkeypatch, k, rows, limit):
+        rng = np.random.default_rng(70 + k)
+        n = 240
+        z = rng.integers(-2, 3, n)
+        sources = self._sources(rng, n)
+        single = [transfer_entropy(s, z, k) for s in sources]
+        columns = [getattr(s, "symbols", s) for s in sources]
+        assert single == dense_transfer_entropies_oracle(columns, z, k)
+        # a budget of rows * (windows per source) keys puts that many sources
+        # in a chunk; a low id limit forces every re-rank on small labels
+        monkeypatch.setattr(infotheory, "_CHUNK_KEYS",
+                            2**40 if rows is None else rows * (n - 1 - k))
+        monkeypatch.setattr(infotheory, "_ID_LIMIT", limit)
+        assert transfer_entropies(sources, z, k) == single
+        assert transfer_entropies(iter(sources), z, k) == single
+
+    def test_budget_bounds_the_chunk(self, monkeypatch):
+        rng = np.random.default_rng(75)
+        n, k = 100, 1
+        z = rng.integers(0, 3, n)
+        sources = [rng.integers(0, 3, n) for _ in range(7)]
+        chunks = []
+        kernel = infotheory._transfer_rows
+
+        def recording(rows, *args):
+            chunks.append(rows.shape)
+            return kernel(rows, *args)
+
+        monkeypatch.setattr(infotheory, "_transfer_rows", recording)
+        for budget, want in ((1, [1] * 7), (3 * (n - 1 - k), [3, 3, 1]),
+                             (2**40, [7])):
+            monkeypatch.setattr(infotheory, "_CHUNK_KEYS", budget)
+            chunks.clear()
+            transfer_entropies(sources, z, k)
+            assert chunks == [(rows, n) for rows in want]
+
+    def test_sources_read_lazily(self):
+        rng = np.random.default_rng(76)
+        z = rng.integers(0, 3, 50)
+        taken = []
+
+        def sources():
+            for index in range(3):
+                taken.append(index)
+                yield rng.integers(0, 3, 50)
+            raise AssertionError("read past the bad source")
+
+        def with_bad_third():
+            for index, source in enumerate(sources()):
+                yield source if index < 2 else source[:-1]
+
+        with pytest.raises(LengthMismatch):
+            transfer_entropies(with_bad_third(), z, 1)
+        assert taken == [0, 1, 2]
 
 
 @pytest.mark.parametrize("call", [

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import re
 import warnings
 from unittest import mock
 
@@ -129,6 +131,32 @@ class TestLoadCsv:
         assert da.names == db.names
         for name in da.names:
             assert np.array_equal(da.column(name), db.column(name))
+
+    @pytest.mark.parametrize("text", [
+        "a,b,c,z\n1,2,3,4\n5,6,7,8\n",
+        "\ufeffa,b,c,z\r\n1,2,3,4\r\n,6,7,8\r\n9,1,2,3",  # BOM, a bad row, no last break
+        "a,b,c,z\n" + "1.5,2,3,4\n" * 20_000,  # many read chunks
+    ], ids=["small", "bom-bad-row", "large"])
+    def test_digest_sees_every_byte(self, tmp_path, config, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        digest = hashlib.sha256()
+        loaded, plain = load_csv(path, config, digest), load_csv(path, config)
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert loaded.dropped_rows == plain.dropped_rows
+        for name in plain.names:
+            assert loaded.column(name).tobytes() == plain.column(name).tobytes()
+
+    @pytest.mark.parametrize("row", [1, 300])
+    def test_invalid_utf8_raises_with_digest(self, tmp_path, config, row):
+        lines = [b"a,b,c,z"] + [b"1,2,3,4"] * 400
+        lines[row] += b",\xff"
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(UnreadableCsv) as plain:
+            load_csv(path, config)
+        with pytest.raises(UnreadableCsv, match=re.escape(str(plain.value))):
+            load_csv(path, config, hashlib.sha256())
 
     def test_column_order_follows_config(self, tmp_path):
         rows = [[1, 2, 3, 4]]

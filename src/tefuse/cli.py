@@ -182,8 +182,8 @@ def _out_dir(args) -> Path:
 
 
 def _run_cluster(args, noise_count: int = 0) -> int:
-    out = _out_dir(args)
     config = _build_config(args)
+    out = _out_dir(args)
     digest, dataset = _load_input(args, config)
     extra: dict = {"noise": None}
     if noise_count:
@@ -248,11 +248,11 @@ def _read_manifest(path: Path) -> tuple[str, RunConfig, dict | None]:
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args)
     tree_dir = Path(args.tree)
     expected, config, noise = _read_manifest(tree_dir / "manifest.json")
     if args.target_kind is not None:
         config = dataclasses.replace(config, target_kind=args.target_kind)
+    out = _out_dir(args)
     digest, dataset = _load_input(args, config_without_noise(config, noise), expected)
     if noise:
         dataset = append_noise_channels(dataset, noise["count"], noise["seed"])
@@ -278,8 +278,8 @@ def config_without_noise(config: RunConfig, noise: dict | None) -> RunConfig:
 
 
 def cmd_symbolize(args) -> int:
-    out = _out_dir(args)
     config = _build_config(args)
+    out = _out_dir(args)
     digest, dataset = _load_input(args, config)
     leaves = fit_leaves(dataset, config)
     target_seq, kind, _, _ = target_symbols(dataset, config)

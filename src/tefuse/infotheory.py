@@ -31,11 +31,11 @@ giving aligned tuples for t = k .. n-2.
 target's windows and H(next | own history) are computed once per call, and
 the sources are then scored in chunks, a (sources, n) batch each, with at
 most ``_CHUNK_KEYS`` source window keys per chunk (and at least one
-source). A chunk costs one row-wise fold of its windows, one batch of
-(next, own, source) and (own, source) keys, and one row-wise sort of that
-batch, whatever the number of sources in it; the budget bounds the memory a
-chunk holds. :func:`transfer_entropy` runs the same kernel on a one-source
-batch, so the formula is written once.
+source). A chunk costs one :func:`_fold` of its windows, one of its
+(next, own, source) and (own, source) keys, each over the whole batch, and
+one row-wise sort of those keys, whatever the number of sources in it; the
+budget bounds the memory a chunk holds. :func:`transfer_entropy` runs the
+same kernel on a one-source batch, so the formula is written once.
 """
 
 from __future__ import annotations
@@ -81,6 +81,12 @@ def _fold(columns, bounds=None) -> np.ndarray:
     re-ranked with one sort and the product restarts at the number of
     distinct keys; a column whose own width still overflows is dense-ranked
     too. Otherwise no column costs a sort.
+
+    The columns may also be N-D arrays of one shape (the first may be a
+    broadcast view): a batch of rows is then folded at once, within the
+    bounds of the whole batch, and a re-rank ranks the whole batch. Within
+    each row the keys still follow tuple order, so each row counts the same
+    as it would alone.
     """
     keys, span = None, 1
     for col in columns:
@@ -89,11 +95,11 @@ def _fold(columns, bounds=None) -> np.ndarray:
         width = hi - lo + 1
         if span * width >= _ID_LIMIT:
             if keys is not None:
-                distinct, keys = np.unique(keys, return_inverse=True)
-                span = len(distinct)
+                distinct, ids = np.unique(keys, return_inverse=True)
+                keys, span = ids.reshape(keys.shape), len(distinct)
             if span * width >= _ID_LIMIT:
-                distinct, col = np.unique(col, return_inverse=True)
-                lo, width = 0, len(distinct)
+                distinct, ids = np.unique(col, return_inverse=True)
+                col, lo, width = ids.reshape(col.shape), 0, len(distinct)
         if keys is None:
             keys = col - lo
         else:
@@ -169,36 +175,13 @@ def _clamped(value: float, what: str) -> float:
     return value
 
 
-def _window_rows(rows: np.ndarray, k: int) -> np.ndarray:
-    """Keys of the (k+1)-symbol windows ending at t = k .. n-2 of each row of
-    a 2-D array, each row folded within its own bounds.
-
-    The widths are Python ints, as in :func:`_fold`. While every row's width
-    product stays below 2**62, one fold of the k+1 lagged column slices
-    keys the whole batch; otherwise each row takes :func:`_fold`, which
-    re-ranks where it must. Either way a row's keys are those
-    :func:`_fold` gives it.
-    """
-    n = rows.shape[1]
-    lows = rows.min(axis=1, keepdims=True)
-    bounds = list(zip(lows.ravel().tolist(), rows.max(axis=1).tolist()))
-    widths = [hi - lo + 1 for lo, hi in bounds]
-    if max(widths) ** (k + 1) >= _ID_LIMIT:
-        return np.stack([_fold([row[j: n - 1 - k + j] for j in range(k + 1)], b)
-                         for row, b in zip(rows, bounds)])
-    shifted = rows - lows if lows.any() else rows
-    width = np.array(widths)[:, None]
-    keys = shifted[:, : n - 1 - k].copy()
-    for j in range(1, k + 1):
-        keys *= width
-        keys += shifted[:, j: n - 1 - k + j]
-    return keys
-
-
 def _windows(arr: np.ndarray, k: int) -> np.ndarray:
-    """Keys of the (k+1)-symbol windows ending at t = k .. n-2: one fold of
-    the k+1 lagged slices, all within the bounds of the whole array."""
-    return _window_rows(arr[None], k)[0]
+    """Keys of the (k+1)-symbol windows ending at t = k .. n-2 of a 1-D
+    array, or of each row of a 2-D one: one fold of the k+1 lagged slices,
+    all within the bounds of the whole array."""
+    n = arr.shape[-1]
+    bounds = int(arr.min()), int(arr.max())
+    return _fold([arr[..., j: n - 1 - k + j] for j in range(k + 1)], bounds)
 
 
 def _history(arr: np.ndarray, k: int) -> np.ndarray:
@@ -268,22 +251,12 @@ def _transfer_rows(rows: np.ndarray, k: int, yw: np.ndarray,
     """H(next | own) - H(next | own, source) for each source row of ``rows``.
 
     The (next, own, source window) and (own, source window) keys of every
-    row go into one (2 * rows, windows) batch: the target's id times the
-    row's window-key width, plus the window key. When the largest row's
-    width product would reach 2**62, each row's window keys are
-    dense-ranked first.
+    row are one :func:`_fold` of the target's ids with the rows' window
+    keys, a (2, rows, windows) batch counted with one row-wise sort.
     """
-    xw = _window_rows(rows, k)
-    span = int(next_own.max()) + 1
-    width = [top + 1 for top in xw.max(axis=1).tolist()]
-    if span * max(width) >= _ID_LIMIT:
-        xw = np.stack([np.unique(row, return_inverse=True)[1] for row in xw])
-        width = [top + 1 for top in xw.max(axis=1).tolist()]
-    width = np.array(width)[:, None]
-    keys = np.empty((2, *xw.shape), dtype=np.int64)
-    for out, ids in zip(keys, (next_own, yw)):
-        np.multiply(ids, width, out=out)
-        out += xw
+    xw = _windows(rows, k)
+    ids = np.stack([next_own, yw])[:, None]
+    keys = _fold((np.broadcast_to(ids, (2, *xw.shape)), xw))
     del xw  # not needed while the keys are counted
     h = _entropies(keys.reshape(-1, keys.shape[2]))
     return [_clamped(h_own - (h_joint - h_given), "transfer entropy")

@@ -511,6 +511,25 @@ def test_out_is_file_fails_before_work(occ_csv, tmp_path, capsys, caplog, opened
     assert str(occ_csv) not in opened and str(run_dir / "tree.json") not in opened
 
 
+@pytest.mark.parametrize("name", [n for n in COMMANDS if n != "export-tree"])
+def test_config_error_creates_no_out(occ_csv, tmp_path, capsys, name):
+    run_dir, out = tmp_path / "run", tmp_path / "out"
+    assert run_cluster(occ_csv, run_dir) == 0
+    argv = _command(name, occ_csv, run_dir, out)
+    if name == "evaluate":
+        (run_dir / "manifest.json").write_text("{}\n")
+        code, message = 3, "lacks the entry"
+    else:
+        config = tmp_path / "bad.cfg"
+        config.write_text("no_such_key = 1\n")
+        argv += ["--config", str(config)]
+        code, message = 2, "unknown configuration key"
+    capsys.readouterr()
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["cluster"])  # missing required flags

@@ -185,6 +185,27 @@ class TestValueSortCounts:
                 assert np.array_equal(np.unique(keys, return_inverse=True)[1],
                                       _history(symbols, k))
 
+    @pytest.mark.parametrize("extreme", [False, True], ids=["no-sort", "re-rank"])
+    def test_batch_fold_ranks_each_row_as_alone(self, extreme):
+        # a shared leading column broadcast over a batch of rows with mixed
+        # widths and negative labels; an int64-extreme row re-ranks the batch
+        rng = np.random.default_rng(20)
+        n = 80
+        rows = [rng.integers(0, 3, n), rng.integers(-50, -40, n), np.full(n, -7)]
+        if extreme:
+            rows.append(rng.integers(INT64.min, INT64.max, n, endpoint=True))
+        rows = np.stack(rows)
+        lead = rng.integers(0, 4, n)
+        batch = _fold((np.broadcast_to(lead, rows.shape), rows, rows[::-1]))
+        for got, row, flipped in zip(batch, rows, rows[::-1]):
+            alone = _fold((lead, row, flipped))
+            assert np.array_equal(np.unique(got, return_inverse=True)[1],
+                                  np.unique(alone, return_inverse=True)[1])
+        for k in range(3):
+            for got, row in zip(_windows(rows, k), rows):
+                assert np.array_equal(np.unique(got, return_inverse=True)[1],
+                                      _history(row, k))
+
     @pytest.mark.parametrize("k", range(4))
     def test_named_scores_equal_dense_id_path(self, k):
         rng = np.random.default_rng(60 + k)
@@ -441,11 +462,13 @@ class TestChunks:
         return [
             rng.integers(-3, 3, n),
             rng.integers(-40, -30, n),
-            # three labels 2**20 apart: at k = 2 the windows still fold in
-            # the batch, but the joint width product passes 2**62 and the
-            # rows are re-ranked; from k = 3 the windows fold row by row
+            # three labels 2**20 apart: at k = 2 the windows still fold
+            # without a sort, but the joint width product passes 2**62 and
+            # the window keys are re-ranked; from k = 3 the window fold
+            # re-ranks too
             rng.choice([0, 5, 2**20 - 1], n),
-            # int64-extreme labels: every window fold re-ranks
+            # int64-extreme labels: every window fold re-ranks, and so does
+            # every fold of a chunk that holds them
             rng.integers(INT64.min, INT64.max, n, endpoint=True),
             np.full(n, -7),
             SymbolSequence(rng.integers(0, 4, n), 4),

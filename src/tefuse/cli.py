@@ -57,6 +57,7 @@ from .ingest import (
     load_csv,
     read_config_file,
 )
+from .jsonout import _json_bytes
 
 logger = logging.getLogger(__name__)
 
@@ -123,7 +124,7 @@ def _check_digest(args, digest: str, expected: str | None) -> None:
 
 def _write(path: Path, data) -> None:
     if isinstance(data, dict):
-        data = json.dumps(data, indent=2) + "\n"
+        data = _json_bytes(data)
     if isinstance(data, str):
         data = data.encode("utf-8")
     path.write_bytes(data)

@@ -18,17 +18,22 @@ configuration. A node's sequence never changes once created, so each
 single-node TE and each pair's joint TE is computed once, on first use, and
 kept in one table keyed by node-id tuple, ``(i,)`` or ``(i, j)``: the first
 level computes every single and every pair, and each later level only the
-new node's TE and its pairs with the other active nodes. A level computes
-its missing keys in one batched :func:`~tefuse.infotheory.transfer_entropies`
-call, which builds the target's terms once per call and scores the sources
-in row-wise chunks of a fixed key budget; a merged pair's column is made
-only when its chunk is gathered. Its values equal the single
+new node's TE and its pairs with the other active nodes. The target's
+terms (its window ids and H(next | own history)) are built once per run,
+and a level computes its missing keys in one batch scored like
+:func:`~tefuse.infotheory.transfer_entropies`, in row-wise chunks of a
+fixed key budget; a merged pair's column is made only when its chunk is
+gathered. Its values equal the single
 :func:`~tefuse.infotheory.transfer_entropy` calls :func:`score_pair` makes,
 whatever the chunk size, and kept and fresh values are the same floats, so
 the candidate list and the winner depend on neither the batching nor the
-table. Each score
-equals minus the sum of the pair's
+table. Each score equals minus the sum of the pair's
 :func:`~tefuse.infotheory.causation_entropy_pair` values, up to round-off.
+
+``tree.json`` is ``json.dumps(doc, indent=2)`` plus a line break, byte for
+byte. :func:`_export_json` builds the document, the one place that knows
+its schema, and :func:`tefuse.jsonout._json_bytes` writes it: the C encoder
+writes the one-line text, which numpy then re-indents block by block.
 """
 
 from __future__ import annotations
@@ -40,8 +45,9 @@ from dataclasses import dataclass
 
 from .errors import LengthMismatch, MalformedArtifact, SequenceTooShort, TreeDatasetMismatch
 from .fusion import as_symbol_sequence, fuse, merge_pair
-from .infotheory import transfer_entropies, transfer_entropy
+from .infotheory import _column, _scores, _target_terms, transfer_entropy
 from .ingest import Dataset, RunConfig, split_index
+from .jsonout import _json_bytes
 from .sdf import (Partition, SymbolSequence, fit_mep_partition, fit_uniform_partition,
                   symbolize)
 
@@ -110,7 +116,8 @@ def cluster(
 
     nodes: dict[int, SymbolSequence] = dict(enumerate(sources))
     names = [seq.source_name for seq in sources]
-    z_train = target.symbols[:train_len]
+    z_train = _column(target.symbols[:train_len])
+    z_terms = _target_terms(z_train, k)
     active = list(range(len(sources)))
     levels = [tuple(active)]
     merges: list[MergeRecord] = []
@@ -128,7 +135,7 @@ def cluster(
         level += 1
         pairs = list(itertools.combinations(active, 2))
         missing = [key for key in [*((i,) for i in active), *pairs] if key not in te]
-        te.update(zip(missing, transfer_entropies(map(train_view, missing), z_train, k)))
+        te.update(zip(missing, _scores(map(train_view, missing), z_train, k, z_terms)))
         scores = [(te[i,] - te[i, j]) + (te[j,] - te[i, j]) for i, j in pairs]
 
         # Pairs are enumerated in ascending (i, j) order, so the first
@@ -237,7 +244,7 @@ def _export_json(tree: MergeTree) -> bytes:
         ],
         "levels": [list(level) for level in tree.levels],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return _json_bytes(doc)
 
 
 def tree_from_json(data: bytes | str) -> MergeTree:
@@ -261,10 +268,10 @@ def tree_from_json(data: bytes | str) -> MergeTree:
 
 
 def _check_tree(tree: MergeTree) -> None:
-    """Names are strings, node ids integers and scores numbers; each merge
-    pairs two distinct nodes active at its level, the node names cover
-    leaves and merges, and the levels are the active sets the merges produce
-    (evaluation indexes nodes through them)."""
+    """Names are strings, node ids integers and scores numbers; merge i is
+    at the integer level i + 1 and pairs two distinct nodes active at that
+    level, the node names cover leaves and merges, and the levels are the
+    active sets the merges produce (evaluation indexes nodes through them)."""
     ids = [i for level in tree.levels for i in level]
     scores = []
     for record in tree.merges:
@@ -287,7 +294,7 @@ def _check_tree(tree: MergeTree) -> None:
     active = list(range(n_leaves))
     levels = [tuple(active)]
     for index, record in enumerate(tree.merges):
-        if record.level != index + 1:
+        if type(record.level) is not int or record.level != index + 1:
             raise MalformedArtifact(f"merge {index} claims level {record.level!r}")
         pair = record.pair
         if len(pair) != 2 or pair[0] == pair[1] or not all(i in active for i in pair):

@@ -26,7 +26,6 @@ The report holds the held-out rows and truth once, for every level.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -37,6 +36,7 @@ from .embedding import history_ids
 from .errors import EmptySequence, LengthMismatch, SequenceTooShort
 from .infotheory import _joint_ids
 from .ingest import Dataset, RunConfig, split_index
+from .jsonout import _json_bytes
 from .sdf import SymbolSequence, _distinct, fit_mep_partition, symbolize
 
 logger = logging.getLogger(__name__)
@@ -305,7 +305,7 @@ def report_json(report: EvaluationReport) -> str:
             for r in report.rows
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_bytes(doc).decode("ascii")
 
 
 def _number_texts(values: np.ndarray) -> list[str]:

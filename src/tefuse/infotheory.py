@@ -28,8 +28,10 @@ Lag convention: the target symbol at t+1 is paired with states through t,
 giving aligned tuples for t = k .. n-2.
 
 :func:`transfer_entropies` scores many sources against one target: the
-target's windows and H(next | own history) are computed once per call, and
-the sources are then scored in chunks, a (sources, n) batch each, with at
+target's windows and H(next | own history) are computed once per call
+(:func:`_scores`, which does the scoring, takes them ready-made, so a
+caller with many batches for one target builds them once), and the
+sources are then scored in chunks, a (sources, n) batch each, with at
 most ``_CHUNK_KEYS`` source window keys per chunk (and at least one
 source). A chunk costs one :func:`_fold` of its windows, one of its
 (next, own, source) and (own, source) keys, each over the whole batch, and
@@ -40,6 +42,7 @@ same kernel on a one-source batch, so the formula is written once.
 
 from __future__ import annotations
 
+import itertools
 import logging
 
 import numpy as np
@@ -284,15 +287,22 @@ def transfer_entropies(sources, target, k: int) -> list[float]:
     ``_CHUNK_KEYS`` window keys (at least one source per chunk), each
     chunk with one row-wise kernel.
     """
-    values, chunk, y = [], [], None
+    sources = iter(sources)
+    for first in sources:
+        x, y = _aligned(k, first, target)
+        return _scores(itertools.chain([x], sources), y, k, _target_terms(y, k))
+    return []
+
+
+def _scores(sources, y: np.ndarray, k: int, terms) -> list[float]:
+    """:func:`transfer_entropies` of ``sources`` toward the checked target
+    column ``y``, given its :func:`_target_terms` ``terms``, so that a
+    caller scoring many batches against one target builds them once."""
+    values, chunk = [], []
+    rows_per_chunk = max(1, _CHUNK_KEYS // len(terms[0]))
     for source in sources:
-        if y is None:
-            x, y = _aligned(k, source, target)
-            terms = _target_terms(y, k)
-            rows_per_chunk = max(1, _CHUNK_KEYS // len(terms[0]))
-        else:
-            x = _column(source)
-            _check_lengths(k, (x, y))
+        x = _column(source)
+        _check_lengths(k, (x, y))
         chunk.append(x)
         if len(chunk) == rows_per_chunk:
             values += _transfer_rows(np.stack(chunk), k, *terms)

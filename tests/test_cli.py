@@ -289,6 +289,18 @@ class TestMalformedArtifacts:
         assert main(["export-tree", "--tree", str(run_dir / "tree.json"),
                      "--out", str(tmp_path / "export")]) == 3
 
+    @pytest.mark.parametrize("level", [True, 1.0])
+    def test_merge_level_not_an_integer(self, occ_csv, run_dir, tmp_path, capsys, level):
+        # equal to 1 by value, so only its type tells it from the first level
+        tree = json.loads((run_dir / "tree.json").read_text())
+        tree["merges"][0]["level"] = level
+        (run_dir / "tree.json").write_text(json.dumps(tree))
+        assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
+        assert "claims level" in capsys.readouterr().err
+        assert main(["export-tree", "--tree", str(run_dir / "tree.json"), "--format",
+                     "json", "--out", str(tmp_path / "export")]) == 3
+        assert not (tmp_path / "export" / "tree.json").exists()
+
     @pytest.mark.parametrize("edit", [
         lambda leaves: leaves[1:] + leaves[:1],
         lambda leaves: [leaves[1], leaves[0], *leaves[2:]],

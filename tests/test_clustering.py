@@ -16,7 +16,6 @@ from tefuse import (
     replay_merges,
     score_pair,
     split_index,
-    transfer_entropies,
     transfer_entropy,
     tree_from_json,
 )
@@ -265,23 +264,48 @@ class TestPairCache:
 
     def test_transfer_entropy_calls_follow_pair_formula(self, noisy_run, monkeypatch):
         leaves, target, config = noisy_run
-        batches = []
+        batches, terms_built = [], []
 
-        def counting(sources, *args, **kwargs):
+        def counting(sources, *args):
             sources = list(sources)
             batches.append(len(sources))
-            return transfer_entropies(sources, *args, **kwargs)
+            return scores(sources, *args)
 
-        monkeypatch.setattr(clustering, "transfer_entropies", counting)
+        def building(*args):
+            terms_built.append(args)
+            return target_terms(*args)
+
+        scores, target_terms = clustering._scores, clustering._target_terms
+        monkeypatch.setattr(clustering, "_scores", counting)
+        monkeypatch.setattr(clustering, "_target_terms", building)
         tree = cluster(leaves, target, config)
         n = len(leaves)
-        # one batched call per level: all singles and pairs first, then at
-        # each later level with m active nodes the new node alone and paired
-        # with each of the other m - 1
+        # the target's terms once per run, and one batch per level: all
+        # singles and pairs first, then at each later level with m active
+        # nodes the new node alone and paired with each of the other m - 1
+        assert len(terms_built) == 1
         assert len(batches) == len(tree.merges) == n - 1
         assert batches == [n + n * (n - 1) // 2, *range(n - 1, 1, -1)]
         assert sum(batches) == n + n * (n - 1) // 2 + sum(range(2, n))
 
+    def test_te_table_equals_transfer_entropy(self, noisy_run, monkeypatch):
+        leaves, target, config = noisy_run
+        scored = []
+
+        def recording(sources, *args):
+            sources = list(sources)
+            values = scores(sources, *args)
+            scored.extend(zip(sources, values))
+            return values
+
+        scores = clustering._scores
+        monkeypatch.setattr(clustering, "_scores", recording)
+        cluster(leaves, target, config)
+        z_train = target.symbols[:split_index(len(target), config.train_fraction)]
+        n = len(leaves)
+        assert len(scored) == n + n * (n - 1) // 2 + sum(range(2, n))
+        for source, value in scored:
+            assert value == transfer_entropy(source, z_train, config.depth)
 
     def test_tree_bytes_do_not_depend_on_the_chunk_budget(self, noisy_run, monkeypatch):
         leaves, target, config = noisy_run
@@ -334,6 +358,8 @@ class TestExport:
         lambda doc: doc["merges"][0].update(pair=7),
         lambda doc: doc["merges"][0].update(pair=[0.0, 1]),
         lambda doc: doc["merges"][0].update(level=5),
+        lambda doc: doc["merges"][0].update(level=True),
+        lambda doc: doc["merges"][0].update(level=1.0),
         lambda doc: doc["merges"][0].update(score="x"),
         lambda doc: doc["merges"][0].update(score=None),
         lambda doc: doc["merges"][0].update(score=True),

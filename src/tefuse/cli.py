@@ -30,18 +30,7 @@ import numpy as np
 
 from . import __version__
 from .clustering import cluster, export_tree, fit_leaves, leaf_sequences, tree_from_json
-from .errors import (
-    DegenerateInput,
-    EmptyAfterFiltering,
-    EmptySequence,
-    LengthMismatch,
-    MalformedArtifact,
-    MissingColumn,
-    SequenceTooShort,
-    TreeDatasetMismatch,
-    UnparseableHeader,
-    UnreadableCsv,
-)
+from .errors import MalformedArtifact, MissingColumn, PipelineError, TreeDatasetMismatch
 from .estimate import (
     evaluate_levels,
     predictions_csv,
@@ -61,19 +50,11 @@ from .jsonout import _json_bytes
 
 logger = logging.getLogger(__name__)
 
+# Caught in this order: a MissingColumn is a configuration error, every
+# other PipelineError a data error, as is an OSError (a missing, unreadable
+# or mistyped path).
 CONFIG_ERRORS = (ValueError, MissingColumn)
-DATA_ERRORS = (
-    UnparseableHeader,
-    UnreadableCsv,
-    EmptyAfterFiltering,
-    DegenerateInput,
-    EmptySequence,
-    LengthMismatch,
-    MalformedArtifact,
-    SequenceTooShort,
-    TreeDatasetMismatch,
-    OSError,  # a missing, unreadable or mistyped path
-)
+DATA_ERRORS = (PipelineError, OSError)
 
 # RunConfig fields settable through flags or a key=value config file.
 _CONFIG_FLAGS = {
@@ -97,29 +78,20 @@ def _sha256(data: bytes) -> str:
 
 def _load_input(args, config: RunConfig, expected: str | None = None):
     """Read ``--input`` once: the SHA-256 of its bytes and the dataset
-    parsed from them, as they are read.
+    parsed from the same bytes.
 
-    A digest other than ``expected`` raises :class:`TreeDatasetMismatch`,
-    also for a file that does not parse: it is then hashed on its own, so
+    The bytes are hashed before they are parsed. A digest other than
+    ``expected`` raises :class:`TreeDatasetMismatch` without a parse, so
     the wrong file is named as such rather than by its first flaw.
     """
-    sha256 = hashlib.sha256()
-    try:
-        dataset = load_csv(args.input, config, sha256)
-    except (MissingColumn, UnparseableHeader, UnreadableCsv, EmptyAfterFiltering):
-        if expected is not None:
-            _check_digest(args, _sha256(Path(args.input).read_bytes()), expected)
-        raise
-    _check_digest(args, sha256.hexdigest(), expected)
-    return sha256.hexdigest(), dataset
-
-
-def _check_digest(args, digest: str, expected: str | None) -> None:
+    data = Path(args.input).read_bytes()
+    digest = _sha256(data)
     if expected is not None and digest != expected:
         raise TreeDatasetMismatch(
             f"{args.input} has digest {digest[:12]}..., tree was built from "
             f"{expected[:12]}..."
         )
+    return digest, load_csv(args.input, config, data=data)
 
 
 def _write(path: Path, data) -> None:
@@ -237,7 +209,10 @@ def _read_manifest(path: Path) -> tuple[str, RunConfig, dict | None]:
         config = RunConfig.from_dict(manifest["config"])
         noise = manifest.get("noise")
         if noise:
-            noise = {"count": int(noise["count"]), "seed": int(noise["seed"])}
+            noise = {"count": noise["count"], "seed": noise["seed"]}
+            for key, value in noise.items():
+                if type(value) is not int:
+                    raise TypeError(f"noise {key} {value!r} is not an integer")
             if not 1 <= noise["count"] < len(config.source_columns):
                 raise ValueError(f"noise count {noise['count']} is not in "
                                  f"1..{len(config.source_columns) - 1}")

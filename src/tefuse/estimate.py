@@ -319,19 +319,21 @@ def _number_texts(values: np.ndarray) -> list[str]:
     return [texts[i] for i in inverse.tolist()]
 
 
-def predictions_csv(report: EvaluationReport) -> str:
+def predictions_csv(report: EvaluationReport) -> bytes:
     """One line per level and held-out row: ``level,row,truth,predicted``,
-    the numbers written as Python ``repr``s.
+    the numbers written as Python ``repr``s, as UTF-8 bytes.
 
     The ``row,truth,`` prefixes are built once for all levels, and a
     prediction takes one of a few values, so each distinct number is
-    formatted once and the lines are joined from those texts.
+    formatted once and the lines are joined from those texts. Each level's
+    lines are encoded as one chunk, so only one level is held as text.
     """
     rows = [f"{pos},{truth}," for pos, truth in
             zip(report.positions.tolist(), _number_texts(report.truth))]
-    lines = ["level,row,truth,predicted"]
+    chunks = [b"level,row,truth,predicted"]
     for level, predicted in enumerate(report.predicted):
-        prefix = f"{level},"
-        lines += [prefix + row + pred
-                  for row, pred in zip(rows, _number_texts(predicted))]
-    return "\n".join(lines) + "\n"
+        prefix = f"\n{level},"  # ends the line before
+        chunks.append("".join([prefix + row + pred for row, pred in
+                               zip(rows, _number_texts(predicted))]).encode())
+    chunks.append(b"\n")
+    return b"".join(chunks)

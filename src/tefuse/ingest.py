@@ -132,7 +132,7 @@ class Dataset:
             raise MissingColumn(name) from None
 
 
-def load_csv(path, config: RunConfig, digest=None) -> Dataset:
+def load_csv(path, config: RunConfig, *, data: bytes | None = None) -> Dataset:
     """Load the configured columns from an RFC-4180-style CSV with header.
 
     Rows with a missing, non-numeric or non-finite (NaN, ±inf) cell in any
@@ -152,12 +152,12 @@ def load_csv(path, config: RunConfig, digest=None) -> Dataset:
     field longer than :func:`csv.field_size_limit`, in the header or in any
     row, selected column or not.
 
-    ``digest``, a :mod:`hashlib` object, is fed every byte read from the
-    file, so a caller that records the file's digest reads it only once;
-    once the dataset is returned, the whole file has passed through it.
+    ``data``, the file's bytes, is parsed in place of the file, which is
+    then not opened; ``path`` only names the input in messages. A caller
+    that hashes the bytes it has read this way reads the file only once.
     """
     selected = list(config.source_columns) + [config.target_column]
-    raw = open(path, "rb") if digest is None else io.BufferedReader(_Digesting(path, digest))
+    raw = open(path, "rb") if data is None else io.BytesIO(data)
     try:
         with io.TextIOWrapper(raw, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -184,33 +184,6 @@ def load_csv(path, config: RunConfig, digest=None) -> Dataset:
         logger.info("%s: dropped %d rows with missing, non-numeric or "
                     "non-finite cells", path, dropped)
     return Dataset(names=tuple(selected), columns=tuple(columns), dropped_rows=dropped)
-
-
-class _Digesting(io.RawIOBase):
-    """A file opened for reading that feeds each byte it reads to ``digest``."""
-
-    def __init__(self, path, digest):
-        self._file = open(path, "rb", buffering=0)
-        self._digest = digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._file.readinto(buffer)
-        self._digest.update(memoryview(buffer)[:n])
-        return n
-
-    def readall(self) -> bytes:
-        # one read of the rest, as a plain file gives it; the inherited
-        # readall joins small chunks, which briefly holds the rest twice
-        data = self._file.readall()
-        self._digest.update(data)
-        return data
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
 
 
 # Characters that numpy strips around a number where float() rejects them.

@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import os
+import pathlib
 import subprocess
 import sys
 from pathlib import Path
@@ -57,7 +58,7 @@ CONFIG_VALUES = {
 @pytest.fixture
 def opened(monkeypatch):
     """The paths passed to open(), in call order (pathlib opens through
-    io.open)."""
+    io.open; before Python 3.11 through its accessor's copy of it)."""
     paths = []
     real_open = io.open
 
@@ -67,6 +68,9 @@ def opened(monkeypatch):
 
     monkeypatch.setattr(io, "open", counting_open)
     monkeypatch.setattr(builtins, "open", counting_open)
+    accessor = getattr(pathlib, "_NormalAccessor", None)
+    if accessor is not None:
+        monkeypatch.setattr(accessor, "open", staticmethod(counting_open))
     return paths
 
 
@@ -230,6 +234,20 @@ class TestEvaluate:
                      "--out", str(tmp_path / "eval")]) == 3
         assert "tree was built from" in capsys.readouterr().err
 
+    def test_mismatched_input_is_not_parsed(self, occ_csv, tmp_path, capsys,
+                                            monkeypatch):
+        run_dir = tmp_path / "run"
+        run_cluster(occ_csv, run_dir)
+        other = tmp_path / "other.csv"
+        other.write_bytes(occ_csv.read_bytes() + b"\n")
+        calls = []
+        monkeypatch.setattr(cli, "load_csv", lambda *a, **k: calls.append(a))
+        capsys.readouterr()
+        assert main(["evaluate", "--input", str(other), "--tree", str(run_dir),
+                     "--out", str(tmp_path / "eval")]) == 3
+        assert "tree was built from" in capsys.readouterr().err
+        assert calls == []
+
     def test_depth_beyond_radix_state_range(self, occ_csv, tmp_path):
         # 3^41 windows do not fit a 64-bit radix state id; evaluation must
         # accept every tree that clustering produced. This checks only that
@@ -348,6 +366,27 @@ class TestMalformedArtifacts:
         (run_dir / "manifest.json").write_text(json.dumps(manifest))
         assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
         assert "noise count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("count", 1.5),
+        ("count", True),
+        ("count", "2"),
+        ("seed", 11.7),
+        ("seed", "11"),
+    ])
+    def test_manifest_noise_not_an_integer(self, occ_csv, tmp_path, capsys, key, value):
+        # 1.5 and true once read as a count of 1 (exit 2, noise_1 not found),
+        # and a seed of 11.7 as 11 (exit 0)
+        run_dir = tmp_path / "noisy"
+        assert main(["inject-noise", "--input", str(occ_csv), *COMMON,
+                     "--noise-count", "2", "--seed", "11", "--out", str(run_dir)]) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["noise"][key] = value
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
+        assert f"noise {key} {value!r} is not an integer" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "report.csv").exists()
 
     @pytest.mark.parametrize("field, value", [
         ("alphabet", 3.5),
@@ -540,6 +579,30 @@ def test_config_error_creates_no_out(occ_csv, tmp_path, capsys, name):
     assert main(argv) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("error", [tefuse.PipelineError, *_subclasses(tefuse.PipelineError)],
+                         ids=lambda cls: cls.__name__)
+def test_exit_code_follows_error_class(tmp_path, capsys, monkeypatch, error):
+    # every package error is a data error (exit 3) but a missing column,
+    # which the configuration names (exit 2)
+    def command(args):
+        raise error("x")
+
+    monkeypatch.setattr(cli, "cmd_export_tree", command)
+    code = main(["export-tree", "--tree", str(tmp_path / "tree.json"),
+                 "--out", str(tmp_path / "out")])
+    if error is tefuse.MissingColumn:
+        assert (code, capsys.readouterr().err) == (
+            2, "tefuse: configuration error: column 'x' not found in header\n")
+    else:
+        assert (code, capsys.readouterr().err) == (3, "tefuse: data error: x\n")
 
 
 def test_usage_error_exit_code(capsys):

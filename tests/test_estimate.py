@@ -372,7 +372,7 @@ class TestEvaluateLevels:
         assert csv_text.splitlines()[0] == "level,metric,value,n_test"
         assert len(csv_text.splitlines()) == 1 + len(report.rows)
         assert '"levels"' in report_json(report)
-        pred_lines = predictions_csv(report).splitlines()
+        pred_lines = predictions_csv(report).decode().splitlines()
         assert pred_lines[0] == "level,row,truth,predicted"
         assert len(pred_lines) == 1 + len(report.rows) * report.rows[0].n_test
 
@@ -408,7 +408,7 @@ class TestPredictionsCsv:
         ds = _continuous_dataset() if continuous else _driven_dataset()
         sources = ("a", "b") if continuous else ("a", "b", "c")
         report, _ = _run(ds, source_columns=sources, target_alphabet=8)
-        assert predictions_csv(report) == predictions_csv_oracle(report)
+        assert predictions_csv(report).decode() == predictions_csv_oracle(report)
 
     def test_signed_zeros_and_non_finite_values(self):
         values = np.array([0.0, -0.0, 1.5, -0.0, np.nan, np.inf, -np.inf, 0.0,
@@ -419,7 +419,7 @@ class TestPredictionsCsv:
             report = EvaluationReport(rows=(), config={},
                                       positions=np.arange(10, 10 + len(values)),
                                       truth=truth, predicted=predicted)
-            text = predictions_csv(report)
+            text = predictions_csv(report).decode()
             assert text == predictions_csv_oracle(report)
             assert all(f"\n{line}\n" in text for line in zeros)
 
@@ -428,4 +428,11 @@ class TestPredictionsCsv:
             rows=(), config={}, positions=np.arange(3), truth=np.array([1, 2, 3]),
             predicted=(np.array([0.5, 0.5, 2.0], dtype=np.float32),
                        np.array([True, False, True])))
-        assert predictions_csv(report) == predictions_csv_oracle(report)
+        assert predictions_csv(report).decode() == predictions_csv_oracle(report)
+
+    def test_no_held_out_rows(self):
+        empty = np.array([])
+        report = EvaluationReport(rows=(), config={}, positions=np.arange(0),
+                                  truth=empty, predicted=(empty, empty))
+        assert predictions_csv(report) == b"level,row,truth,predicted\n"
+        assert predictions_csv_oracle(report) == "level,row,truth,predicted\n"

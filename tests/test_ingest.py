@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import re
 import warnings
 from unittest import mock
@@ -135,20 +134,28 @@ class TestLoadCsv:
     @pytest.mark.parametrize("text", [
         "a,b,c,z\n1,2,3,4\n5,6,7,8\n",
         "\ufeffa,b,c,z\r\n1,2,3,4\r\n,6,7,8\r\n9,1,2,3",  # BOM, a bad row, no last break
-        "a,b,c,z\n" + "1.5,2,3,4\n" * 20_000,  # many read chunks
+        "a,b,c,z\n" + "1.5,2,3,4\n" * 20_000,  # many parse blocks
     ], ids=["small", "bom-bad-row", "large"])
-    def test_digest_sees_every_byte(self, tmp_path, config, text):
+    def test_bytes_given_load_as_the_file(self, tmp_path, config, text):
         path = tmp_path / "d.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        digest = hashlib.sha256()
-        loaded, plain = load_csv(path, config, digest), load_csv(path, config)
-        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert loaded.dropped_rows == plain.dropped_rows
+        given, plain = load_csv(path, config, data=path.read_bytes()), load_csv(path, config)
+        assert given.names == plain.names
+        assert given.dropped_rows == plain.dropped_rows
         for name in plain.names:
-            assert loaded.column(name).tobytes() == plain.column(name).tobytes()
+            assert given.column(name).tobytes() == plain.column(name).tobytes()
+
+    def test_bytes_given_are_read_in_place_of_the_file(self, tmp_path, config):
+        # the path only names the input: it is not opened
+        path = tmp_path / "absent.csv"
+        ds = load_csv(path, config, data=b"a,b,c,z\n1,2,3,4\nx,6,7,8\n")
+        assert ds.column("z").tolist() == [4.0]
+        assert ds.dropped_rows == 1
+        with pytest.raises(UnparseableHeader, match=re.escape(str(path))):
+            load_csv(path, config, data=b"")
 
     @pytest.mark.parametrize("row", [1, 300])
-    def test_invalid_utf8_raises_with_digest(self, tmp_path, config, row):
+    def test_invalid_utf8_raises_with_bytes_given(self, tmp_path, config, row):
         lines = [b"a,b,c,z"] + [b"1,2,3,4"] * 400
         lines[row] += b",\xff"
         path = tmp_path / "latin.csv"
@@ -156,7 +163,7 @@ class TestLoadCsv:
         with pytest.raises(UnreadableCsv) as plain:
             load_csv(path, config)
         with pytest.raises(UnreadableCsv, match=re.escape(str(plain.value))):
-            load_csv(path, config, hashlib.sha256())
+            load_csv(path, config, data=path.read_bytes())
 
     def test_column_order_follows_config(self, tmp_path):
         rows = [[1, 2, 3, 4]]

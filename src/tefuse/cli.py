@@ -12,6 +12,11 @@ input content digest, and library versions, so a run can be replayed and a
 stored tree refuses to evaluate against tampered data. Outputs are
 byte-identical across reruns and across --threads settings.
 
+Each run option is declared once, in ``_CONFIG_FLAGS``: its RunConfig
+field, the parser of its flag and config-file text, and its help; the
+help's defaults are RunConfig's. RunConfig then checks flags, config files
+and stored manifests alike.
+
 Exit codes: 0 ok, 2 configuration error, 3 data error.
 """
 
@@ -20,7 +25,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import logging
 import platform
 import sys
@@ -29,24 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clustering import cluster, export_tree, fit_leaves, leaf_sequences, tree_from_json
-from .errors import MalformedArtifact, MissingColumn, PipelineError, TreeDatasetMismatch
-from .estimate import (
-    evaluate_levels,
-    predictions_csv,
-    report_csv,
-    report_json,
-    target_symbols,
-)
-from .ingest import (
-    PARTITIONERS,
-    TARGET_KINDS,
-    RunConfig,
-    append_noise_channels,
-    load_csv,
-    read_config_file,
-)
-from .jsonout import _json_bytes
+from .clustering import (cluster, export_tree, fit_leaves, leaf_sequences, te_computed,
+                         tree_from_json)
+from .errors import MissingColumn, PipelineError, TreeDatasetMismatch
+from .estimate import (evaluate_levels, predictions_csv, report_csv, report_json,
+                       target_symbols)
+from .ingest import (PARTITIONERS, TARGET_KINDS, RunConfig, append_noise_channels, load_csv,
+                     read_config_file)
+from .jsonout import _json_bytes, _parse_json
 
 logger = logging.getLogger(__name__)
 
@@ -56,20 +50,36 @@ logger = logging.getLogger(__name__)
 CONFIG_ERRORS = (ValueError, MissingColumn)
 DATA_ERRORS = (PipelineError, OSError)
 
-# RunConfig fields settable through flags or a key=value config file.
+# Each run option, declared once: key -> (RunConfig field, parser, help).
+# The flag is --key with "_" written as "-", and a --config file takes the
+# key; both texts go through the parser, and RunConfig checks the result.
 _CONFIG_FLAGS = {
-    "target": ("target_column", str),
-    "sources": ("source_columns", lambda s: tuple(p.strip() for p in s.split(","))),
-    "alphabet": ("alphabet", int),
-    "target_alphabet": ("target_alphabet", int),
-    "depth": ("depth", int),
-    "fused_alphabet": ("fused_alphabet", int),
-    "stop_at": ("stop_at", int),
-    "train_fraction": ("train_fraction", float),
-    "seed": ("seed", int),
-    "partitioner": ("partitioner", str),
-    "target_kind": ("target_kind", str),
+    "target": ("target_column", str, "target column name"),
+    "sources": ("source_columns", lambda s: tuple(p.strip() for p in s.split(",")),
+                "comma-separated source column names"),
+    "alphabet": ("alphabet", int, "symbols per source"),
+    "target_alphabet": ("target_alphabet", int, "symbols for a continuous target"),
+    "depth": ("depth", int, "embedded history length"),
+    "fused_alphabet": ("fused_alphabet", int,
+                       "symbols after repartitioning a fused pair; unset, the "
+                       "source alphabet"),
+    "stop_at": ("stop_at", int, "stop when this many supernodes remain"),
+    "train_fraction": ("train_fraction", float, "contiguous training prefix fraction"),
+    "seed": ("seed", int, "noise-injection seed"),
+    "partitioner": ("partitioner", str,
+                    f"source partitioning scheme: {', '.join(PARTITIONERS)}"),
+    "target_kind": ("target_kind", str,
+                    "treat the target as class labels or as a continuous series: "
+                    f"{', '.join(TARGET_KINDS)}"),
 }
+
+# RunConfig's field defaults; an option whose field has none is required.
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)
+             if f.default is not dataclasses.MISSING}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _sha256(data: bytes) -> str:
@@ -94,32 +104,26 @@ def _load_input(args, config: RunConfig, expected: str | None = None):
     return digest, load_csv(args.input, config, data=data)
 
 
-def _write(path: Path, data) -> None:
-    if isinstance(data, dict):
-        data = _json_bytes(data)
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+def _write(path: Path, data: bytes) -> None:
     path.write_bytes(data)
     logger.info("wrote %s (%d bytes)", path, len(data))
 
 
 def _build_config(args) -> RunConfig:
-    """Merge the key=value config file (if any) with CLI flags; flags win."""
+    """Merge the key=value config file (if any) with CLI flags; flags win.
+    argparse has parsed the flags; file text goes through the same parsers."""
     values: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         for key, raw in read_config_file(args.config).items():
             if key not in _CONFIG_FLAGS:
                 raise ValueError(f"unknown configuration key {key!r} in {args.config}")
-            field, convert = _CONFIG_FLAGS[key]
-            values[field] = convert(raw)
-    for key, (field, convert) in _CONFIG_FLAGS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[field] = convert(flag) if isinstance(flag, str) else flag
-    if "target_column" not in values:
-        raise ValueError("--target is required (flag or config file)")
-    if "source_columns" not in values:
-        raise ValueError("--sources is required (flag or config file)")
+            field, parse, _ = _CONFIG_FLAGS[key]
+            values[field] = parse(raw)
+    for key, (field, _, _) in _CONFIG_FLAGS.items():
+        if getattr(args, key) is not None:
+            values[field] = getattr(args, key)
+        elif field not in values and field not in _DEFAULTS:
+            raise ValueError(f"{_flag(key)} is required (flag or config file)")
     return RunConfig(**values)
 
 
@@ -132,7 +136,7 @@ def _versions() -> dict:
 
 
 def _manifest(command: str, args, digest: str, config: RunConfig, dataset,
-              extra: dict) -> dict:
+              extra: dict) -> bytes:
     doc = {
         "command": command,
         "input": {
@@ -145,7 +149,7 @@ def _manifest(command: str, args, digest: str, config: RunConfig, dataset,
     }
     doc.update(extra)
     doc["versions"] = _versions()
-    return doc
+    return _json_bytes(doc)
 
 
 def _out_dir(args) -> Path:
@@ -154,31 +158,24 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _run_cluster(args, noise_count: int = 0) -> int:
+def cmd_cluster(args, noise_count: int = 0) -> int:
     config = _build_config(args)
     out = _out_dir(args)
     digest, dataset = _load_input(args, config)
-    extra: dict = {"noise": None}
+    noise = None
     if noise_count:
         dataset = append_noise_channels(dataset, noise_count, config.seed)
         config = dataclasses.replace(
             config, source_columns=config.source_columns + dataset.names[-noise_count:])
-        extra["noise"] = {"count": noise_count, "seed": config.seed}
+        noise = {"count": noise_count, "seed": config.seed}
 
     leaves = leaf_sequences(dataset, config)
     target_seq, kind, _, _ = target_symbols(dataset, config)
     tree = cluster(leaves, target_seq, config)
 
-    extra["target_kind_resolved"] = kind
-    extra["candidate_evaluations"] = [
-        len(m.all_candidate_scores) for m in tree.merges
-    ]
-    # cluster() computes every single and pair TE of the leaves first, then
-    # at each later level only the newest node's TE and its m - 1 pairs.
-    extra["te_computed"] = [
-        m + m * (m - 1) // 2 if h == 0 else m
-        for h, m in enumerate(len(level) for level in tree.levels[:-1])
-    ]
+    extra = {"noise": noise, "target_kind_resolved": kind,
+             "candidate_evaluations": [len(m.all_candidate_scores) for m in tree.merges],
+             "te_computed": te_computed(tree)}
     _write(out / "tree.json", export_tree(tree, "json"))
     _write(out / "tree.dot", export_tree(tree, "dot"))
     _write(out / "manifest.json",
@@ -186,41 +183,32 @@ def _run_cluster(args, noise_count: int = 0) -> int:
     return 0
 
 
-def cmd_cluster(args) -> int:
-    return _run_cluster(args)
-
-
 def cmd_inject_noise(args) -> int:
     if args.noise_count < 1:
         raise ValueError("--noise-count must be >= 1")
-    return _run_cluster(args, noise_count=args.noise_count)
+    return cmd_cluster(args, noise_count=args.noise_count)
 
 
 def _read_manifest(path: Path) -> tuple[str, RunConfig, dict | None]:
     """The input digest, configuration and noise spec a cluster run recorded."""
-    try:
-        manifest = json.loads(path.read_text("utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise MalformedArtifact(f"{path} is not valid JSON: {exc}") from None
-    try:
-        digest = manifest["input"]["sha256"]
-        if not isinstance(digest, str):
-            raise TypeError(f"input digest {digest!r} is not a string")
-        config = RunConfig.from_dict(manifest["config"])
-        noise = manifest.get("noise")
-        if noise:
-            noise = {"count": noise["count"], "seed": noise["seed"]}
-            for key, value in noise.items():
-                if type(value) is not int:
-                    raise TypeError(f"noise {key} {value!r} is not an integer")
-            if not 1 <= noise["count"] < len(config.source_columns):
-                raise ValueError(f"noise count {noise['count']} is not in "
-                                 f"1..{len(config.source_columns) - 1}")
-        return digest, config, noise
-    except KeyError as exc:
-        raise MalformedArtifact(f"{path} lacks the entry {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise MalformedArtifact(f"{path} has a malformed entry: {exc}") from None
+    return _parse_json(path.read_bytes(), str(path), _manifest_entries)
+
+
+def _manifest_entries(manifest: dict) -> tuple[str, RunConfig, dict | None]:
+    digest = manifest["input"]["sha256"]
+    if not isinstance(digest, str):
+        raise TypeError(f"input digest {digest!r} is not a string")
+    config = RunConfig.from_dict(manifest["config"])
+    noise = manifest.get("noise")
+    if noise:
+        noise = {"count": noise["count"], "seed": noise["seed"]}
+        for key, value in noise.items():
+            if type(value) is not int:
+                raise TypeError(f"noise {key} {value!r} is not an integer")
+        if not 1 <= noise["count"] < len(config.source_columns):
+            raise ValueError(f"noise count {noise['count']} is not in "
+                             f"1..{len(config.source_columns) - 1}")
+    return digest, config, noise
 
 
 def cmd_evaluate(args) -> int:
@@ -265,8 +253,8 @@ def cmd_symbolize(args) -> int:
     lines = [",".join([*config.source_columns, config.target_column])]
     lines += [",".join(map(str, row)) for row in np.column_stack(columns).tolist()]
 
-    _write(out / "symbols.csv", "\n".join(lines) + "\n")
-    _write(out / "partitions.json", partitions)
+    _write(out / "symbols.csv", ("\n".join(lines) + "\n").encode())
+    _write(out / "partitions.json", _json_bytes(partitions))
     _write(out / "manifest.json",
            _manifest("symbolize", args, digest, config, dataset,
                      {"target_kind_resolved": kind}))
@@ -285,33 +273,23 @@ def cmd_export_tree(args) -> int:
         "format": args.format,
         "versions": _versions(),
     }
-    _write(out / "export_manifest.json", manifest)
+    _write(out / "export_manifest.json", _json_bytes(manifest))
     return 0
+
+
+def _add_flag(parser: argparse.ArgumentParser, key: str, default) -> None:
+    """Declare ``--key`` from its table entry; the help names ``default`` unless None."""
+    _, parse, text = _CONFIG_FLAGS[key]
+    if default is not None:
+        text += f" (default {default})"
+    parser.add_argument(_flag(key), dest=key, type=parse, help=text)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="input CSV file")
     parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--target", help="target column name")
-    parser.add_argument("--sources", help="comma-separated source column names")
-    parser.add_argument("--alphabet", type=int, help="symbols per source (default 5)")
-    parser.add_argument("--target-alphabet", dest="target_alphabet", type=int,
-                        help="symbols for a continuous target (default 10)")
-    parser.add_argument("--depth", type=int, help="embedded history length (default 3)")
-    parser.add_argument("--fused-alphabet", dest="fused_alphabet", type=int,
-                        help="symbols after repartitioning a fused pair "
-                             "(default: same as --alphabet)")
-    parser.add_argument("--stop-at", dest="stop_at", type=int,
-                        help="stop when this many supernodes remain (default 1)")
-    parser.add_argument("--train-fraction", dest="train_fraction", type=float,
-                        help="contiguous training prefix fraction (default 0.7)")
-    parser.add_argument("--seed", type=int, help="noise-injection seed (default 0)")
-    parser.add_argument("--partitioner", choices=PARTITIONERS,
-                        help="source partitioning scheme (default mep)")
-    parser.add_argument("--target-kind", dest="target_kind",
-                        choices=TARGET_KINDS,
-                        help="treat the target as class labels or as a "
-                             "continuous series (default auto)")
+    for key, (field, _, _) in _CONFIG_FLAGS.items():
+        _add_flag(parser, key, _DEFAULTS.get(field))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="the original CSV file")
     p.add_argument("--tree", required=True,
                    help="directory holding tree.json and manifest.json")
-    p.add_argument("--target-kind", dest="target_kind",
-                   choices=TARGET_KINDS)
+    _add_flag(p, "target_kind", "as the tree was built")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
 

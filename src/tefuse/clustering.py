@@ -39,7 +39,6 @@ writes the one-line text, which numpy then re-indents block by block.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 from dataclasses import dataclass
 
@@ -47,7 +46,7 @@ from .errors import LengthMismatch, MalformedArtifact, SequenceTooShort, TreeDat
 from .fusion import as_symbol_sequence, fuse, merge_pair
 from .infotheory import _column, _scores, _target_terms, transfer_entropy
 from .ingest import Dataset, RunConfig, split_index
-from .jsonout import _json_bytes
+from .jsonout import _json_bytes, _parse_json
 from .sdf import (Partition, SymbolSequence, fit_mep_partition, fit_uniform_partition,
                   symbolize)
 
@@ -170,6 +169,14 @@ def cluster(
     )
 
 
+def te_computed(tree: MergeTree) -> list[int]:
+    """The transfer entropies :func:`cluster` computes per level: every single
+    and pair of the m leaves first, then at each later level with m active
+    nodes the newest node alone and paired with each of the other m - 1."""
+    return [m + m * (m - 1) // 2 if h == 0 else m
+            for h, m in enumerate(len(level) for level in tree.levels[:-1])]
+
+
 def replay_merges(
     leaf_seqs: list[SymbolSequence], tree: MergeTree, config: RunConfig
 ) -> dict[int, SymbolSequence]:
@@ -253,16 +260,7 @@ def tree_from_json(data: bytes | str) -> MergeTree:
     Raises :class:`MalformedArtifact` for bytes that are not JSON, a missing
     or mistyped entry, or a tree that no run could have produced.
     """
-    try:
-        doc = json.loads(data)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise MalformedArtifact(f"tree is not valid JSON: {exc}") from None
-    try:
-        tree = _tree_from_doc(doc)
-    except KeyError as exc:
-        raise MalformedArtifact(f"tree lacks the entry {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise MalformedArtifact(f"tree has a malformed entry: {exc}") from None
+    tree = _parse_json(data, "tree", _tree_from_doc)
     _check_tree(tree)
     return tree
 

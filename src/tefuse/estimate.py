@@ -290,14 +290,14 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
                             predicted=tuple(predicted))
 
 
-def report_csv(report: EvaluationReport) -> str:
+def report_csv(report: EvaluationReport) -> bytes:
     lines = ["level,metric,value,n_test"]
     for row in report.rows:
         lines.append(f"{row.level},{row.metric},{row.value!r},{row.n_test}")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
-def report_json(report: EvaluationReport) -> str:
+def report_json(report: EvaluationReport) -> bytes:
     doc = {
         "config": report.config,
         "levels": [
@@ -305,7 +305,7 @@ def report_json(report: EvaluationReport) -> str:
             for r in report.rows
         ],
     }
-    return _json_bytes(doc).decode("ascii")
+    return _json_bytes(doc)
 
 
 def _number_texts(values: np.ndarray) -> list[str]:

@@ -60,13 +60,18 @@ class RunConfig:
         object.__setattr__(self, "source_columns", tuple(self.source_columns))
         if self.fused_alphabet is None:
             object.__setattr__(self, "fused_alphabet", self.alphabet)
+        # The one type check for flags, config files and stored manifests: a
+        # bool is refused, though operator.index and float comparison take it.
         for name in ("alphabet", "target_alphabet", "depth", "fused_alphabet",
                      "stop_at", "seed"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, "
-                                f"not {getattr(self, name)!r}") from None
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, operator.index(value))
+        if isinstance(self.train_fraction, bool) or not isinstance(
+                self.train_fraction, (int, float)):
+            raise TypeError(f"train_fraction must be a number, "
+                            f"not {self.train_fraction!r}")
         if not self.source_columns:
             raise ValueError("at least one source column is required")
         if len(set(self.source_columns)) != len(self.source_columns):

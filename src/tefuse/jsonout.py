@@ -1,4 +1,5 @@
-"""Indented JSON artifacts, written by the C encoder.
+"""Indented JSON artifacts, written by the C encoder and read back by
+:func:`_parse_json`.
 
 Every JSON file tefuse writes is ``json.dumps(doc, indent=2)`` plus a line
 break. An indent makes CPython fall back to its pure-Python encoder, which
@@ -11,7 +12,7 @@ re-indented in blocks of about ``_BLOCK_CHARS`` characters, so that the
 index arrays of a block stay small. Each block but the last ends just
 after a comma outside every string, where no empty ``[]`` or ``{}`` can be
 split, and the nesting depth carries from block to block. Nothing here
-knows a schema.
+knows a schema: a reader passes :func:`_parse_json` a builder that does.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import json
 
 import numpy as np
+
+from .errors import MalformedArtifact
 
 # Characters per block to re-indent. A block's index arrays take 8 bytes per
 # character: for the 81 KB one-line text of a 24-source tree (275 KB
@@ -87,3 +90,19 @@ def _indent(chars: np.ndarray, marks: np.ndarray, depth: int) -> tuple[bytes, in
     out[pos[after] + 1] = ord("\n")
     out[pos[closes] - width[closes]] = ord("\n")
     return out.tobytes(), int(level[-1])
+
+
+def _parse_json(data: bytes | str, name: str, build):
+    """``build(json.loads(data))``. Bytes that are not JSON, and a ``KeyError``,
+    ``AttributeError``, ``TypeError`` or ``ValueError`` from ``build`` (a
+    missing or mistyped entry), raise :class:`MalformedArtifact` naming ``name``."""
+    try:
+        doc = json.loads(data)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise MalformedArtifact(f"{name} is not valid JSON: {exc}") from None
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise MalformedArtifact(f"{name} lacks the entry {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise MalformedArtifact(f"{name} has a malformed entry: {exc}") from None

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import hashlib
 import io
 import json
@@ -173,8 +174,8 @@ class TestCluster:
     def test_config_file_key_matches_flag(self, occ_csv, tmp_path, key):
         # every value differs from its default, so a key the file reader
         # dropped would show as a different manifest config
-        expected = RunConfig(**{field: convert(CONFIG_VALUES[k])
-                                for k, (field, convert) in _CONFIG_FLAGS.items()})
+        expected = RunConfig(**{field: parse(CONFIG_VALUES[k])
+                                for k, (field, parse, _) in _CONFIG_FLAGS.items()})
         field = _CONFIG_FLAGS[key][0]
         assert getattr(expected, field) != getattr(RunConfig("t", ("s",)), field)
         others = [arg for k, v in CONFIG_VALUES.items() if k != key
@@ -188,6 +189,31 @@ class TestCluster:
                          "--out", str(out)]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["config"] == json.loads(json.dumps(expected.to_dict()))
+
+
+    def test_partitioner_outside_choices_is_config_error(self, occ_csv, tmp_path,
+                                                         capsys):
+        out = tmp_path / "x"
+        assert run_cluster(occ_csv, out, ["--partitioner", "bogus"]) == 2
+        assert "partitioner must be one of" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cluster", "inject-noise", "symbolize"])
+    def test_help_lists_every_option_with_its_default(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        for key, (field, _, _) in _CONFIG_FLAGS.items():
+            # argparse's line for a flag: "--key KEY help", up to the next flag
+            _, _, entry = text.partition(f"{_flag(key)} {key.upper()} ")
+            entry = entry.split(" --")[0]
+            assert entry
+            if defaults[field] not in (dataclasses.MISSING, None):
+                assert entry.endswith(f"(default {defaults[field]})")
+            else:
+                assert "(default" not in entry
 
 
 class TestEvaluate:
@@ -273,6 +299,23 @@ class TestEvaluate:
                      ((run_dir, "manifest.json"), (eval_dir, "evaluate_manifest.json"))]
         digest = hashlib.sha256(occ_csv.read_bytes()).hexdigest()
         assert manifests[0]["input"]["sha256"] == manifests[1]["input"]["sha256"] == digest
+
+    def test_target_kind_overrides_stored_config(self, occ_csv, tmp_path, capsys):
+        run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+        assert run_cluster(occ_csv, run_dir, ["--target-alphabet", "2"]) == 0
+        assert main(["evaluate", "--input", str(occ_csv), "--tree", str(run_dir),
+                     "--target-kind", "continuous", "--out", str(eval_dir)]) == 0
+        lines = (eval_dir / "report.csv").read_text().splitlines()
+        assert len(lines) == 1 + 5
+        assert all(line.split(",")[1] == "rmse" for line in lines[1:])
+        manifest = json.loads((eval_dir / "evaluate_manifest.json").read_text())
+        assert manifest["config"]["target_kind"] == "continuous"
+        capsys.readouterr()
+        bogus = tmp_path / "bogus"
+        assert main(["evaluate", "--input", str(occ_csv), "--tree", str(run_dir),
+                     "--target-kind", "bogus", "--out", str(bogus)]) == 2
+        assert "target kind must be one of" in capsys.readouterr().err
+        assert not bogus.exists()
 
     def test_evaluate_idempotent(self, occ_csv, tmp_path):
         run_dir = tmp_path / "run"
@@ -395,6 +438,12 @@ class TestMalformedArtifacts:
         ("target_column", 7),
         ("source_columns", "CO"),
         ("source_columns", ["Temperature", 2]),
+        # a JSON boolean once ran as 1 or 0, and a train fraction of true
+        # was reported as a configuration error
+        ("depth", True),
+        ("stop_at", True),
+        ("seed", False),
+        ("train_fraction", True),
     ])
     def test_manifest_config_of_wrong_type(self, occ_csv, run_dir, tmp_path, capsys,
                                            field, value):

@@ -286,6 +286,8 @@ class TestPairCache:
         assert len(terms_built) == 1
         assert len(batches) == len(tree.merges) == n - 1
         assert batches == [n + n * (n - 1) // 2, *range(n - 1, 1, -1)]
+        # the manifest's te_computed counts the same batches
+        assert batches == clustering.te_computed(tree)
         assert sum(batches) == n + n * (n - 1) // 2 + sum(range(2, n))
 
     def test_te_table_equals_transfer_entropy(self, noisy_run, monkeypatch):

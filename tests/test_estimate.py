@@ -368,10 +368,10 @@ class TestEvaluateLevels:
 
     def test_exports(self):
         report, _ = _run(_driven_dataset())
-        csv_text = report_csv(report)
+        csv_text = report_csv(report).decode()
         assert csv_text.splitlines()[0] == "level,metric,value,n_test"
         assert len(csv_text.splitlines()) == 1 + len(report.rows)
-        assert '"levels"' in report_json(report)
+        assert '"levels"' in report_json(report).decode()
         pred_lines = predictions_csv(report).decode().splitlines()
         assert pred_lines[0] == "level,row,truth,predicted"
         assert len(pred_lines) == 1 + len(report.rows) * report.rows[0].n_test

@@ -397,6 +397,17 @@ class TestRunConfig:
         cfg = RunConfig(target_column="z", source_columns=("a", "b"), alphabet=4)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_booleans_are_not_numbers(self):
+        # operator.index(True) is 1 and 0 < True <= 1, so only the type
+        # tells a stored JSON true from a depth or fraction of 1
+        with pytest.raises(TypeError, match="depth must be an integer"):
+            RunConfig(target_column="z", source_columns=("a",), depth=True)
+        with pytest.raises(TypeError, match="train_fraction must be a number"):
+            RunConfig(target_column="z", source_columns=("a",), train_fraction=True)
+        cfg = RunConfig(target_column="z", source_columns=("a",), depth=np.int64(3),
+                        train_fraction=1)
+        assert type(cfg.depth) is int and cfg.depth == 3
+
 
 class TestSplitIndex:
     def test_ceiling(self):

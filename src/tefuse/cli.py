@@ -70,7 +70,7 @@ _CONFIG_FLAGS = {
                     f"source partitioning scheme: {', '.join(PARTITIONERS)}"),
     "target_kind": ("target_kind", str,
                     "treat the target as class labels or as a continuous series: "
-                    f"{', '.join(TARGET_KINDS)}"),
+                    f"{', '.join(TARGET_KINDS)}; discrete needs integer values"),
 }
 
 # RunConfig's field defaults; an option whose field has none is required.

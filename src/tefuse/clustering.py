@@ -18,15 +18,15 @@ configuration. A node's sequence never changes once created, so each
 single-node TE and each pair's joint TE is computed once, on first use, and
 kept in one table keyed by node-id tuple, ``(i,)`` or ``(i, j)``: the first
 level computes every single and every pair, and each later level only the
-new node's TE and its pairs with the other active nodes. The target's
-terms (its window ids and H(next | own history)) are built once per run,
-and a level computes its missing keys in one batch scored like
-:func:`~tefuse.infotheory.transfer_entropies`, in row-wise chunks of a
-fixed key budget; a merged pair's column is made only when its chunk is
-gathered. Its values equal the single
-:func:`~tefuse.infotheory.transfer_entropy` calls :func:`score_pair` makes,
-whatever the chunk size, and kept and fresh values are the same floats, so
-the candidate list and the winner depend on neither the batching nor the
+new node's TE and its pairs with the other active nodes. The target is
+prepared once per run (:func:`~tefuse.infotheory._target_terms`), and a
+level passes its missing keys in one batch to
+:func:`~tefuse.infotheory._scores`, the one path to the TE kernel, which
+scores in row-wise chunks of a fixed key budget; a merged pair's column is
+made only when its chunk is gathered. The values equal :func:`score_pair`'s,
+whatever the chunk size; :func:`_pair_score` writes the distance for both,
+and kept and fresh values are the same floats, so the candidate list and
+the winner depend on neither the batching nor the
 table. Each score equals minus the sum of the pair's
 :func:`~tefuse.infotheory.causation_entropy_pair` values, up to round-off.
 
@@ -43,8 +43,8 @@ import logging
 from dataclasses import dataclass
 
 from .errors import LengthMismatch, MalformedArtifact, SequenceTooShort, TreeDatasetMismatch
-from .fusion import as_symbol_sequence, fuse, merge_pair
-from .infotheory import _column, _scores, _target_terms, transfer_entropy
+from .fusion import fuse, merge_pair
+from .infotheory import _scores, _target_terms, transfer_entropies
 from .ingest import Dataset, RunConfig, split_index
 from .jsonout import _json_bytes, _parse_json
 from .sdf import (Partition, SymbolSequence, fit_mep_partition, fit_uniform_partition,
@@ -80,9 +80,11 @@ class MergeTree:
 
 def score_pair(x: SymbolSequence, y: SymbolSequence, z: SymbolSequence, k: int) -> float:
     """Information lost toward z by replacing x and y with their raw merge."""
-    te_x = transfer_entropy(x, z, k)
-    te_y = transfer_entropy(y, z, k)
-    te_xy = transfer_entropy(as_symbol_sequence(merge_pair(x, y)), z, k)
+    return _pair_score(*transfer_entropies([x, y, merge_pair(x, y).values], z, k))
+
+
+def _pair_score(te_x: float, te_y: float, te_xy: float) -> float:
+    """A pair's distance from its nodes' and its merge's TE to the target."""
     return (te_x - te_xy) + (te_y - te_xy)
 
 
@@ -115,8 +117,7 @@ def cluster(
 
     nodes: dict[int, SymbolSequence] = dict(enumerate(sources))
     names = [seq.source_name for seq in sources]
-    z_train = _column(target.symbols[:train_len])
-    z_terms = _target_terms(z_train, k)
+    z_terms = _target_terms(target.symbols[:train_len], k)
     active = list(range(len(sources)))
     levels = [tuple(active)]
     merges: list[MergeRecord] = []
@@ -134,8 +135,8 @@ def cluster(
         level += 1
         pairs = list(itertools.combinations(active, 2))
         missing = [key for key in [*((i,) for i in active), *pairs] if key not in te]
-        te.update(zip(missing, _scores(map(train_view, missing), z_train, k, z_terms)))
-        scores = [(te[i,] - te[i, j]) + (te[j,] - te[i, j]) for i, j in pairs]
+        te.update(zip(missing, _scores(map(train_view, missing), z_terms)))
+        scores = [_pair_score(te[i,], te[j,], te[i, j]) for i, j in pairs]
 
         # Pairs are enumerated in ascending (i, j) order, so the first
         # minimum is the lexicographic tie-break winner.

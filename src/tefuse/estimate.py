@@ -203,11 +203,20 @@ def _labels(values: np.ndarray) -> np.ndarray:
 
 def resolve_target_kind(values, config: RunConfig) -> str:
     """Dispatch rule: integral values with few distinct levels are class
-    labels; everything else is treated as continuous and discretized."""
-    if config.target_kind != "auto":
-        return config.target_kind
+    labels; everything else is treated as continuous and discretized.
+
+    A forced ``discrete`` kind skips the bound on the number of levels but
+    not the integrality test: a target that fails it raises ``ValueError``.
+    """
+    if config.target_kind == "continuous":
+        return "continuous"
     values = np.asarray(values, dtype=np.float64)
     integral = bool(np.all(np.abs(values - np.round(values)) <= 1e-9))
+    if config.target_kind == "discrete":
+        if not integral:
+            raise ValueError(f"target column {config.target_column!r} holds values "
+                             "that are not integers, so it cannot be discrete")
+        return "discrete"
     if integral and len(_labels(values)) <= config.target_alphabet:
         return "discrete"
     return "continuous"

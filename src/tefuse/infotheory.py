@@ -27,22 +27,22 @@ relabeling of the input alphabets.
 Lag convention: the target symbol at t+1 is paired with states through t,
 giving aligned tuples for t = k .. n-2.
 
-:func:`transfer_entropies` scores many sources against one target: the
-target's windows and H(next | own history) are computed once per call
-(:func:`_scores`, which does the scoring, takes them ready-made, so a
-caller with many batches for one target builds them once), and the
-sources are then scored in chunks, a (sources, n) batch each, with at
-most ``_CHUNK_KEYS`` source window keys per chunk (and at least one
-source). A chunk costs one :func:`_fold` of its windows, one of its
-(next, own, source) and (own, source) keys, each over the whole batch, and
-one row-wise sort of those keys, whatever the number of sources in it; the
-budget bounds the memory a chunk holds. :func:`transfer_entropy` runs the
-same kernel on a one-source batch, so the formula is written once.
+Every transfer entropy takes one path. :func:`_target_terms` checks a
+target and a depth and prepares the target's windows and H(next | own
+history). :func:`_scores`, the one caller of the kernel
+:func:`_transfer_rows`, scores sources against a prepared target, which a
+caller with many batches prepares once. :func:`transfer_entropies` is
+``_scores`` over a target prepared for the call, checked before any source
+is read, and :func:`transfer_entropy` is ``transfer_entropies`` of one
+source. Sources are scored in chunks, a (sources, n) batch each, of at
+most ``_CHUNK_KEYS`` source window keys (and at least one source). A chunk
+costs one :func:`_fold` of its windows, one of its (next, own, source) and
+(own, source) keys, each over the whole batch, and one row-wise sort of
+those keys, whatever the number of sources in it.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 
 import numpy as np
@@ -241,12 +241,14 @@ def conditional_entropy(next_symbols, given) -> float:
     return _joint_entropy(nxt, *g.T) - _joint_entropy(*g.T)
 
 
-def _target_terms(y: np.ndarray, k: int):
-    """The target's window ids, (next, own window) ids and H(next | own)."""
+def _target_terms(target, k: int):
+    """Check a target and a depth; return the target's column, ``k``, its
+    window ids, its (next, own window) ids and H(next | own)."""
+    (y,) = _aligned(k, target)
     yw = _history(y, k)
     next_own = _joint_ids(y[k + 1:], yw)
     h_next_own, h_own = _entropies(np.stack([next_own, yw]))
-    return yw, next_own, h_next_own - h_own
+    return y, k, yw, next_own, h_next_own - h_own
 
 
 def _transfer_rows(rows: np.ndarray, k: int, yw: np.ndarray,
@@ -273,31 +275,23 @@ def transfer_entropy(source, target, k: int) -> float:
     the source's depth-k state history in addition to the target's own:
     H(next | own history) - H(next | own and source history).
     """
-    x, y = _aligned(k, source, target)
-    return _transfer_rows(x[None], k, *_target_terms(y, k))[0]
+    return transfer_entropies([source], target, k)[0]
 
 
 def transfer_entropies(sources, target, k: int) -> list[float]:
     """``[transfer_entropy(s, target, k) for s in sources]``, equal float for
-    float, with the target's terms computed once.
-
-    ``sources`` may be any iterable and is read lazily; each source is
-    checked as :func:`transfer_entropy` checks it when its turn comes, the
-    target with the first. Sources are scored in chunks of at most
-    ``_CHUNK_KEYS`` window keys (at least one source per chunk), each
-    chunk with one row-wise kernel.
+    float, with the target's terms computed once. The target and ``k`` are
+    checked first; ``sources`` may be any iterable and is read lazily, each
+    source checked against the target when its turn comes.
     """
-    sources = iter(sources)
-    for first in sources:
-        x, y = _aligned(k, first, target)
-        return _scores(itertools.chain([x], sources), y, k, _target_terms(y, k))
-    return []
+    return _scores(sources, _target_terms(target, k))
 
 
-def _scores(sources, y: np.ndarray, k: int, terms) -> list[float]:
-    """:func:`transfer_entropies` of ``sources`` toward the checked target
-    column ``y``, given its :func:`_target_terms` ``terms``, so that a
-    caller scoring many batches against one target builds them once."""
+def _scores(sources, target) -> list[float]:
+    """:func:`transfer_entropies` of ``sources`` toward a target prepared by
+    :func:`_target_terms`, so that a caller scoring many batches against
+    one target prepares it once."""
+    y, k, *terms = target
     values, chunk = [], []
     rows_per_chunk = max(1, _CHUNK_KEYS // len(terms[0]))
     for source in sources:
@@ -320,7 +314,7 @@ def causation_entropy_pair(x, y, z, k: int) -> tuple[float, float]:
     symmetric quantity with x and y swapped.
     """
     xa, ya, za = _aligned(k, x, y, z)
-    zw, next_own, _ = _target_terms(za, k)
+    _, _, zw, next_own, _ = _target_terms(za, k)
     xw, yw = _windows(xa, k), _windows(ya, k)
     h_zx = _joint_entropy(next_own, xw) - _joint_entropy(zw, xw)
     h_zy = _joint_entropy(next_own, yw) - _joint_entropy(zw, yw)

@@ -102,6 +102,15 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """The inverse of :meth:`to_dict`: ``data`` must hold every field,
+        no other key and no ``None``, or this raises ``ValueError``."""
+        names = {f.name for f in fields(cls)}
+        if data.keys() != names:
+            raise ValueError(f"config keys {sorted(data)} are not the fields "
+                             f"{sorted(names)}")
+        nulls = sorted(name for name, value in data.items() if value is None)
+        if nulls:
+            raise ValueError(f"config holds null for {nulls}")
         return cls(**data)
 
 

@@ -35,6 +35,10 @@ def occ_csv(tmp_path_factory):
     return path
 
 
+# a stored entry deleted, where a test parameter gives the stored value
+REMOVED = object()
+
+
 def run_cluster(occ_csv, out, extra=()):
     return main(["cluster", "--input", str(occ_csv), *COMMON,
                  "--out", str(out), *extra])
@@ -317,6 +321,20 @@ class TestEvaluate:
         assert "target kind must be one of" in capsys.readouterr().err
         assert not bogus.exists()
 
+    def test_forced_discrete_continuous_target_rejected(self, tmp_path, capsys):
+        # once every distinct float became a class, and evaluate wrote an
+        # accuracy of 0.0 at every level and exited 0
+        csv, run_dir, eval_dir = tmp_path / "ahu.csv", tmp_path / "run", tmp_path / "eval"
+        write_dataset_csv(ahu_like(n=1500, seed=40), csv)
+        assert main(["cluster", "--input", str(csv), "--target", AHU_TARGET,
+                     "--sources", ",".join(AHU_SOURCES), "--alphabet", "4",
+                     "--depth", "2", "--out", str(run_dir)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--input", str(csv), "--tree", str(run_dir),
+                     "--target-kind", "discrete", "--out", str(eval_dir)]) == 2
+        assert f"target column {AHU_TARGET!r}" in capsys.readouterr().err
+        assert not (eval_dir / "report.csv").exists()
+
     def test_evaluate_idempotent(self, occ_csv, tmp_path):
         run_dir = tmp_path / "run"
         run_cluster(occ_csv, run_dir)
@@ -444,11 +462,20 @@ class TestMalformedArtifacts:
         ("stop_at", True),
         ("seed", False),
         ("train_fraction", True),
+        # a null or missing key once took its default: a null fused
+        # alphabet became the source alphabet and changed report.csv
+        ("fused_alphabet", None),
+        ("fused_alphabet", REMOVED),
+        ("target_kind", REMOVED),
+        ("color", "red"),
     ])
     def test_manifest_config_of_wrong_type(self, occ_csv, run_dir, tmp_path, capsys,
                                            field, value):
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        manifest["config"][field] = value
+        if value is REMOVED:
+            del manifest["config"][field]
+        else:
+            manifest["config"][field] = value
         (run_dir / "manifest.json").write_text(json.dumps(manifest))
         assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
         assert "malformed entry" in capsys.readouterr().err

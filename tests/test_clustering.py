@@ -108,6 +108,29 @@ class TestScorePair:
             c_x, c_y = causation_entropy_pair(x, y, z, k)
             assert math.isclose(score, -(c_x + c_y), abs_tol=1e-10)
 
+    def test_target_terms_built_once(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x, y, z = (SymbolSequence(rng.integers(0, 3, 300), 3) for _ in range(3))
+        built = []
+
+        def building(*args):
+            built.append(args)
+            return target_terms(*args)
+
+        target_terms = infotheory._target_terms
+        monkeypatch.setattr(infotheory, "_target_terms", building)
+        score_pair(x, y, z, 2)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_equals_three_transfer_entropy_calls(self, k):
+        rng = np.random.default_rng(9 + k)
+        for b in (2, 3, 5):
+            x, y, z = (SymbolSequence(rng.integers(0, b, 500), b) for _ in range(3))
+            merged = SymbolSequence(x.symbols * b + y.symbols, b * b)
+            te_x, te_y, te_xy = (transfer_entropy(s, z, k) for s in (x, y, merged))
+            assert score_pair(x, y, z, k) == (te_x - te_xy) + (te_y - te_xy)
+
 
 class TestCluster:
     def test_two_sources_single_merge(self):

@@ -218,6 +218,15 @@ class TestTargetKind:
                         target_kind="continuous")
         assert resolve_target_kind(np.array([0.0, 1.0]), cfg) == "continuous"
 
+    def test_forced_discrete_needs_integral_values(self):
+        # forcing discrete lifts the target_alphabet bound on the class
+        # count, but a continuous series once made every float a class
+        cfg = RunConfig(target_column="z", source_columns=("a",), target_alphabet=2,
+                        target_kind="discrete")
+        assert resolve_target_kind(np.arange(5.0), cfg) == "discrete"
+        with pytest.raises(ValueError, match="'z'"):
+            resolve_target_kind(np.array([71.2, 70.9, 72.4]), cfg)
+
     def test_discrete_labels_bypass_discretization(self):
         rng = np.random.default_rng(1)
         ds = Dataset(

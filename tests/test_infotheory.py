@@ -420,6 +420,10 @@ class TestTransferEntropy:
             transfer_entropy([0, 1, 0], [0, 1], 0)
         with pytest.raises(SequenceTooShort):
             transfer_entropy([0, 1], [1, 0], 1)
+        # the target and the depth are checked before the source: this once
+        # raised LengthMismatch
+        with pytest.raises(SequenceTooShort):
+            transfer_entropy([0, 1, 0], [0, 1], 5)
 
 
 class TestTransferEntropies:
@@ -451,6 +455,22 @@ class TestTransferEntropies:
             transfer_entropy(source, target, k)
         with pytest.raises(single.type, match=re.escape(str(single.value))):
             transfer_entropies([source, target], target, k)
+
+
+    @pytest.mark.parametrize("sources", [[], [[0, 1, 0]]], ids=["none", "longer"])
+    def test_target_and_depth_checked_before_any_source(self, sources):
+        # with no source this once returned [], and with a longer one raised
+        # LengthMismatch; SequenceTooShort is a data error (exit 3) too
+        read = []
+
+        def reading():
+            for source in sources:
+                read.append(source)
+                yield source
+
+        with pytest.raises(SequenceTooShort, match=re.escape("k+2=7")):
+            transfer_entropies(reading(), [0, 1], 5)
+        assert read == []
 
 
 class TestChunks:

@@ -35,18 +35,19 @@ import numpy as np
 from . import __version__
 from .clustering import (cluster, export_tree, fit_leaves, leaf_sequences, te_computed,
                          tree_from_json)
-from .errors import MissingColumn, PipelineError, TreeDatasetMismatch
+from .errors import MalformedArtifact, MissingColumn, PipelineError, TreeDatasetMismatch
 from .estimate import (evaluate_levels, predictions_csv, report_csv, report_json,
                        target_symbols)
 from .ingest import (PARTITIONERS, TARGET_KINDS, RunConfig, append_noise_channels, load_csv,
-                     read_config_file)
+                     noise_columns, read_config_file)
 from .jsonout import _json_bytes, _parse_json
 
 logger = logging.getLogger(__name__)
 
-# Caught in this order: a MissingColumn is a configuration error, every
-# other PipelineError a data error, as is an OSError (a missing, unreadable
-# or mistyped path).
+# Caught in this order: a MissingColumn is a configuration error (evaluate
+# raises one from a stored config as a MalformedArtifact), every other
+# PipelineError a data error, as is an OSError (a missing, unreadable or
+# mistyped path).
 CONFIG_ERRORS = (ValueError, MissingColumn)
 DATA_ERRORS = (PipelineError, OSError)
 
@@ -200,14 +201,18 @@ def _manifest_entries(manifest: dict) -> tuple[str, RunConfig, dict | None]:
         raise TypeError(f"input digest {digest!r} is not a string")
     config = RunConfig.from_dict(manifest["config"])
     noise = manifest.get("noise")
-    if noise:
-        noise = {"count": noise["count"], "seed": noise["seed"]}
-        for key, value in noise.items():
-            if type(value) is not int:
-                raise TypeError(f"noise {key} {value!r} is not an integer")
-        if not 1 <= noise["count"] < len(config.source_columns):
-            raise ValueError(f"noise count {noise['count']} is not in "
-                             f"1..{len(config.source_columns) - 1}")
+    if noise is None:
+        return digest, config, None
+    noise = {"count": noise["count"], "seed": noise["seed"]}
+    for key, value in noise.items():
+        if type(value) is not int:
+            raise TypeError(f"noise {key} {value!r} is not an integer")
+    count, sources = noise["count"], config.source_columns
+    if not 1 <= count < len(sources) or sources[-count:] != noise_columns(count):
+        raise ValueError(f"noise count {count} does not match the trailing "
+                         f"noise sources of {list(sources)}")
+    if noise["seed"] < 0:
+        raise ValueError(f"noise seed {noise['seed']} is negative")
     return digest, config, noise
 
 
@@ -217,7 +222,12 @@ def cmd_evaluate(args) -> int:
     if args.target_kind is not None:
         config = dataclasses.replace(config, target_kind=args.target_kind)
     out = _out_dir(args)
-    digest, dataset = _load_input(args, config_without_noise(config, noise), expected)
+    try:
+        digest, dataset = _load_input(args, config_without_noise(config, noise), expected)
+    except MissingColumn as exc:
+        # the digest matched, so the stored config names a column the run never read
+        raise MalformedArtifact(f"{tree_dir / 'manifest.json'} configures column "
+                                f"{exc.name!r}, which {args.input} lacks") from None
     if noise:
         dataset = append_noise_channels(dataset, noise["count"], noise["seed"])
     tree = tree_from_json((tree_dir / "tree.json").read_bytes())

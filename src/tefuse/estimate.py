@@ -11,7 +11,10 @@ states are counted with the same dense-id primitive
 label`` with one bincount, and prediction numbers the training states and
 the queried states together, so a query row is seen exactly when it shares
 an id with a training row. The same lag-1 convention as transfer entropy
-applies: the target at t+1 is paired with states through t.
+applies: the target at t+1 is paired with states through t. A prediction
+is the state's most frequent next symbol, or the prior's when the state was
+never seen in training; :func:`train`, :func:`predict` and
+:func:`evaluate_levels` share that count step and that argmax.
 
 Continuous targets are discretized by maximum entropy partitioning and
 predictions are mapped back to values through per-bin training medians.
@@ -22,6 +25,17 @@ partitions and frequency tables are fitted on the contiguous training
 prefix and scored on the held-out suffix. Level 0 tuples all leaf states
 jointly (the unfused baseline); level h uses the partially fused node set.
 The report holds the held-out rows and truth once, for every level.
+
+A fused node's symbol at t is a function of its pair's symbols at t, so its
+window is a function of theirs, and a level's joint state is a function of
+the next coarser level's joint state together with the windows of the pair
+merged there; that triple in turn gives back every window of the level.
+:func:`evaluate_levels` therefore ranks the coarsest level's states once,
+over every row, and each finer level as a 3-column rank of the coarser
+level's ids and the merged pair's windows. Predictions depend only on how
+rows group into states, not on how the ids are numbered, so they equal
+those of :func:`train` and :func:`predict` on each level's full window
+matrix.
 """
 
 from __future__ import annotations
@@ -117,6 +131,23 @@ def discretize_target(values, b: int):
     return seq, partition, representatives
 
 
+def _state_counts(ids: np.ndarray, targets: np.ndarray, alphabet: int,
+                  distinct: int) -> np.ndarray:
+    """Row i counts the next target symbols of the rows whose state id is i,
+    for ids 0..distinct-1: one bincount of ``id * alphabet + target``."""
+    counts = np.bincount(ids * alphabet + targets, minlength=distinct * alphabet)
+    return counts.reshape(distinct, alphabet)
+
+
+def _best_symbols(table: np.ndarray, prior: np.ndarray, found: np.ndarray) -> np.ndarray:
+    """The argmax symbol of ``table`` row ``found[r]`` for each query r, or the
+    prior's argmax where ``found`` is -1 (a state unseen in training); ties
+    go to the lower symbol. Counts and their normalized distributions pick
+    the same symbols."""
+    # -1 picks the prior's argmax, appended last
+    return np.append(np.argmax(table, axis=1), np.argmax(prior))[found]
+
+
 def train(states, target_symbols, target_alphabet: int | None = None) -> FrequencyEstimator:
     """Fit the frequency table from aligned (state, next target symbol) pairs."""
     rows = _state_rows(states)
@@ -139,8 +170,7 @@ def train(states, target_symbols, target_alphabet: int | None = None) -> Frequen
     distinct = int(ids.max()) + 1
     states = np.empty((distinct, rows.shape[1]), dtype=np.int64)
     states[ids] = rows
-    counts = np.bincount(ids * alphabet + targets, minlength=distinct * alphabet)
-    counts = counts.reshape(distinct, alphabet).astype(np.float64)
+    counts = _state_counts(ids, targets, alphabet, distinct).astype(np.float64)
     prior = np.bincount(targets, minlength=alphabet) / len(targets)
     return FrequencyEstimator(
         states=states,
@@ -163,10 +193,7 @@ def predict(est: FrequencyEstimator, states):
     ids = _joint_ids(*np.concatenate([est.states, rows]).T)
     row_of_id = np.full(int(ids.max()) + 1, -1)
     row_of_id[ids[:seen]] = np.arange(seen)
-    found = row_of_id[ids[seen:]]
-    # An unseen row finds -1, which picks the prior's argmax appended last.
-    best = np.append(np.argmax(est.distributions, axis=1), np.argmax(est.prior))
-    symbols = best[found]
+    symbols = _best_symbols(est.distributions, est.prior, row_of_id[ids[seen:]])
     if est.bin_representatives is None:
         return symbols, None
     return symbols, est.bin_representatives[symbols]
@@ -255,6 +282,15 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     configuration; leaves and merges are replayed deterministically, so a
     tree whose leaves are not the configured sources, in order, raises
     :class:`TreeDatasetMismatch`.
+
+    Each level's joint states are ranked once, coarsest level first: the
+    last level's ids are the joint ids of its nodes' windows, and level h's
+    are the joint ids of level h+1's ids and the windows of the pair merged
+    at level h+1, a 3-column rank however many nodes are active. Each level
+    then counts its training rows' next symbols per state and predicts every
+    held-out row from its state's counts, or from the prior when no training
+    row shares its state: the predictions of :func:`train` and
+    :func:`predict` on the level's window matrix.
     """
     n = dataset.n
     s = split_index(n, config.train_fraction)
@@ -274,18 +310,29 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     truth = dataset.column(config.target_column)[s:]
     metric = ACCURACY if kind == "discrete" else RMSE
 
-    # Window ids for t = k .. n-2, kept while the node is active: rows before
-    # s-k-1 predict tsyms[k+1:s], the rest predict the held-out tsyms[s:].
-    windows: dict = {}
+    # Window ids for t = k .. n-2: rows before s-k-1 predict tsyms[k+1:s],
+    # the rest predict the held-out tsyms[s:].
+    n_train = s - k - 1
+    targets = tsyms[k + 1: s]
+    prior = np.bincount(targets, minlength=alphabet)
+    windows = {a: history_ids(seq, k) for a, seq in nodes.items()}
+
+    def held_out_symbols(ids: np.ndarray) -> np.ndarray:
+        counts = _state_counts(ids[:n_train], targets, alphabet, int(ids.max()) + 1)
+        test = ids[n_train:]
+        return _best_symbols(counts, prior, np.where(counts.any(axis=1)[test], test, -1))
+
+    ids = _joint_ids(*(windows[a] for a in tree.levels[-1]))
+    symbols = [held_out_symbols(ids)]
+    for record in reversed(tree.merges):
+        ids = _joint_ids(ids, *(windows[a] for a in record.pair))
+        symbols.append(held_out_symbols(ids))
+    symbols.reverse()
+
     rows: list[LevelScore] = []
     predicted: list[np.ndarray] = []
-    for level, active in enumerate(tree.levels):
-        windows = {a: windows[a] if a in windows else history_ids(nodes[a], k)
-                   for a in active}
-        matrix = np.column_stack([windows[a] for a in active])
-        est = train(matrix[: s - k - 1], tsyms[k + 1: s], target_alphabet=alphabet)
-        est.bin_representatives = representatives
-        pred_syms, values = predict(est, matrix[s - k - 1:])
+    for level, (active, pred_syms) in enumerate(zip(tree.levels, symbols)):
+        values = representatives[pred_syms]
         if metric == ACCURACY:
             value = float(np.mean(pred_syms == tsyms[s:]))
         else:

@@ -90,6 +90,8 @@ class RunConfig:
             raise ValueError("depth must be >= 0")
         if self.stop_at < 1:
             raise ValueError("stop-at must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ValueError("train fraction must be in (0, 1]")
         if self.partitioner not in PARTITIONERS:
@@ -315,6 +317,11 @@ def split_index(n: int, fraction: float) -> int:
     return min(n, max(1, math.ceil(fraction * n - 1e-9)))
 
 
+def noise_columns(count: int) -> tuple[str, ...]:
+    """The names of ``count`` injected noise channels, in order."""
+    return tuple(f"noise_{i + 1}" for i in range(count))
+
+
 def append_noise_channels(dataset: Dataset, count: int, seed: int) -> Dataset:
     """Append ``count`` standard-normal channels named noise_1..noise_count.
 
@@ -323,14 +330,14 @@ def append_noise_channels(dataset: Dataset, count: int, seed: int) -> Dataset:
     """
     if count < 1:
         raise ValueError("noise channel count must be >= 1")
-    names = [f"noise_{i + 1}" for i in range(count)]
+    names = noise_columns(count)
     for name in names:
         if name in dataset.names:
             raise ValueError(f"dataset already has a column named {name!r}")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((count, dataset.n))
     return Dataset(
-        names=dataset.names + tuple(names),
+        names=dataset.names + names,
         columns=dataset.columns + tuple(noise),
         dropped_rows=dataset.dropped_rows,
     )

@@ -480,6 +480,43 @@ class TestMalformedArtifacts:
         assert self.evaluate(occ_csv, run_dir, tmp_path) == 3
         assert "malformed entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, code, message", [
+        # a negative noise seed was refused by numpy only after --out existed
+        (None, 2, "configuration error: seed must be >= 0"),
+        # a noise block that does not give the config's trailing noise
+        # sources, or gives a negative seed, exited 2 (noise_1 not found, or
+        # numpy's message)
+        (lambda m: m.update(noise=None), 3, "configures column 'noise_1'"),
+        (lambda m: m.pop("noise"), 3, "configures column 'noise_1'"),
+        (lambda m: m.update(noise=False), 3, "malformed entry"),
+        (lambda m: m.update(noise={}), 3, "lacks the entry 'count'"),
+        (lambda m: m["noise"].update(count=1), 3, "noise count 1 does not match"),
+        (lambda m: m["noise"].update(seed=-1), 3, "noise seed -1 is negative"),
+        (lambda m: m["config"].update(seed=-1), 3, "seed must be >= 0"),
+        # the digest matched, so a column the input lacks is the manifest's fault
+        (lambda m: m["config"]["source_columns"].__setitem__(0, "Temp"), 3,
+         "configures column 'Temp'"),
+    ], ids=["flag-seed", "noise-null", "noise-removed", "noise-false", "noise-empty",
+            "noise-count", "noise-seed", "config-seed", "renamed-column"])
+    def test_noise_and_column_faults(self, occ_csv, tmp_path, capsys, edit, code,
+                                     message):
+        run_dir, out = tmp_path / "noisy", tmp_path / "eval"
+        inject = ["inject-noise", "--input", str(occ_csv), *COMMON, "--noise-count", "2"]
+        if edit is None:
+            argv = [*inject, "--seed", "-1", "--out", str(out)]
+        else:
+            assert main([*inject, "--seed", "11", "--out", str(run_dir)]) == 0
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            edit(manifest)
+            (run_dir / "manifest.json").write_text(json.dumps(manifest))
+            argv = ["evaluate", "--input", str(occ_csv), "--tree", str(run_dir),
+                    "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+        assert code == 3 or not out.exists()
+
     def test_score_not_a_number(self, run_dir, tmp_path, capsys):
         tree = json.loads((run_dir / "tree.json").read_text())
         tree["merges"][0]["score"] = "x"

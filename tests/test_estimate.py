@@ -8,6 +8,7 @@ from tefuse import (
     LengthMismatch,
     RunConfig,
     TreeDatasetMismatch,
+    append_noise_channels,
     cluster,
     discretize_target,
     embed,
@@ -19,15 +20,18 @@ from tefuse import (
 from tefuse.clustering import leaf_sequences, replay_merges
 from tefuse.estimate import (
     ACCURACY,
+    RMSE,
     _labels,
     _median,
     EvaluationReport,
+    LevelScore,
     predictions_csv,
     report_csv,
     report_json,
     resolve_target_kind,
     target_symbols,
 )
+from tefuse.ingest import noise_columns
 
 from oracles import predictions_csv_oracle, sort_and_split_edges
 
@@ -341,22 +345,33 @@ class TestEvaluateLevels:
         assert all(r.metric == "rmse" for r in report.rows)
         assert all(r.value >= 0.0 for r in report.rows)
 
+    @pytest.mark.parametrize("noise, stop_at", [(0, 1), (4, 1), (4, 3)])
     @pytest.mark.parametrize("continuous", [False, True])
-    def test_matches_radix_state_reference(self, continuous):
-        # Each level's states built from the radix embedding, windows ending
-        # at t predicting the target at t+1, must give the same predictions
-        # as the window ids evaluate_levels takes from the entropy primitive.
+    def test_matches_radix_state_reference(self, continuous, noise, stop_at):
+        # Each level's states built from the radix embedding of all its
+        # nodes, windows ending at t predicting the target at t+1, must give
+        # the same predictions as evaluate_levels, which ranks the coarsest
+        # level's window ids and folds each merged pair's ids into the next
+        # finer level. With four noise channels the tree has 6 or 7 leaves,
+        # and at stop_at 3 its coarsest level holds three nodes.
         ds = _continuous_dataset() if continuous else _driven_dataset()
         sources = ("a", "b") if continuous else ("a", "b", "c")
+        if noise:
+            ds = append_noise_channels(ds, noise, seed=5)
+            sources += noise_columns(noise)
         report, config = _run(ds, source_columns=sources, depth=2,
-                              target_alphabet=8)
-        assert (report.rows[0].metric == ACCURACY) is not continuous
+                              target_alphabet=8, stop_at=stop_at)
+        metric = RMSE if continuous else ACCURACY
+        assert report.rows[0].metric == metric
         leaves = leaf_sequences(ds, config)
         target_seq, _, labels, reps = target_symbols(ds, config)
         tree = cluster(leaves, target_seq, config)
+        assert len(tree.levels[-1]) == stop_at
         nodes = replay_merges(leaves, tree, config)
         n, s, k = ds.n, split_index(ds.n, config.train_fraction), config.depth
         tsyms = target_seq.symbols
+        truth = ds.column("z")[s:]
+        rows, predicted = [], []
         for level, active in enumerate(tree.levels):
             states = np.column_stack([embed(nodes[a], k).states for a in active])
             est = train(states[: s - k - 1], tsyms[k + 1: s],
@@ -365,8 +380,18 @@ class TestEvaluateLevels:
             syms, values = predict(est, states[s - k - 1: n - k - 1])
             want = values if continuous else labels[syms]
             assert report.predicted[level].tolist() == want.tolist()
+            value = (np.sqrt(np.mean((values - truth) ** 2)) if continuous
+                     else np.mean(syms == tsyms[s:]))
+            rows.append(LevelScore(level=level, metric=metric, value=float(value),
+                                   n_test=n - s))
+            predicted.append(values)
         assert report.positions.tolist() == list(range(s, n))
         assert len(report.predicted) == len(tree.levels)
+        reference = EvaluationReport(rows=tuple(rows), config=config.to_dict(),
+                                     positions=np.arange(s, n), truth=truth,
+                                     predicted=tuple(predicted))
+        assert report_json(report) == report_json(reference)
+        assert predictions_csv(report) == predictions_csv(reference)
 
     def test_deterministic(self):
         ds = _driven_dataset()

@@ -392,6 +392,8 @@ class TestRunConfig:
             RunConfig(target_column="z", source_columns=("a",), stop_at=0)
         with pytest.raises(ValueError):
             RunConfig(target_column="z", source_columns=("a",), depth=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            RunConfig(target_column="z", source_columns=("a",), seed=-1)
 
     def test_dict_round_trip(self):
         cfg = RunConfig(target_column="z", source_columns=("a", "b"), alphabet=4)

@@ -211,8 +211,10 @@ def _manifest_entries(manifest: dict) -> tuple[str, RunConfig, dict | None]:
     if not 1 <= count < len(sources) or sources[-count:] != noise_columns(count):
         raise ValueError(f"noise count {count} does not match the trailing "
                          f"noise sources of {list(sources)}")
-    if noise["seed"] < 0:
-        raise ValueError(f"noise seed {noise['seed']} is negative")
+    # cmd_cluster records the config's seed; another would make other noise
+    if noise["seed"] != config.seed:
+        raise ValueError(f"noise seed {noise['seed']} is not the configured "
+                         f"seed {config.seed}")
     return digest, config, noise
 
 

@@ -22,31 +22,37 @@ new node's TE and its pairs with the other active nodes. The target is
 prepared once per run (:func:`~tefuse.infotheory._target_terms`), and a
 level passes its missing keys in one batch to
 :func:`~tefuse.infotheory._scores`, the one path to the TE kernel, which
-scores in row-wise chunks of a fixed key budget; a merged pair's column is
-made only when its chunk is gathered. The values equal :func:`score_pair`'s,
-whatever the chunk size; :func:`_pair_score` writes the distance for both,
-and kept and fresh values are the same floats, so the candidate list and
-the winner depend on neither the batching nor the
-table. Each score equals minus the sum of the pair's
-:func:`~tefuse.infotheory.causation_entropy_pair` values, up to round-off.
+scores in row-wise chunks of a fixed key budget. Each node's training
+prefix is sliced once, and a pair's merged column is made from the two
+prefixes with :func:`~tefuse.fusion.merge_pair`'s arithmetic, only when its
+chunk is gathered. The values equal :func:`score_pair`'s, whatever the
+chunk size; :func:`_pair_score` writes the distance for both, and kept and
+fresh values are the same floats, so the candidate list and the winner
+depend on neither the batching nor the table. Each score equals minus the
+sum of the pair's :func:`~tefuse.infotheory.causation_entropy_pair` values,
+up to round-off.
 
 ``tree.json`` is ``json.dumps(doc, indent=2)`` plus a line break, byte for
-byte. :func:`_export_json` builds the document, the one place that knows
-its schema, and :func:`tefuse.jsonout._json_bytes` writes it: the C encoder
-writes the one-line text, which numpy then re-indents block by block.
+byte, and :func:`_export_json`, the one writer that knows its schema,
+writes that text itself: an indent would send ``json.dumps`` to its
+pure-Python encoder. A candidate keeps its pair's score from level to
+level, so most candidate and TE entries repeat, and each distinct entry is
+formatted once.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import logging
+import math
 from dataclasses import dataclass
 
 from .errors import LengthMismatch, MalformedArtifact, SequenceTooShort, TreeDatasetMismatch
 from .fusion import fuse, merge_pair
 from .infotheory import _scores, _target_terms, transfer_entropies
 from .ingest import Dataset, RunConfig, split_index
-from .jsonout import _json_bytes, _parse_json
+from .jsonout import _parse_json
 from .sdf import (Partition, SymbolSequence, fit_mep_partition, fit_uniform_partition,
                   symbolize)
 
@@ -116,6 +122,8 @@ def cluster(
         )
 
     nodes: dict[int, SymbolSequence] = dict(enumerate(sources))
+    # each node's training prefix, sliced once
+    views = {i: seq.symbols[:train_len] for i, seq in nodes.items()}
     names = [seq.source_name for seq in sources]
     z_terms = _target_terms(target.symbols[:train_len], k)
     active = list(range(len(sources)))
@@ -127,8 +135,9 @@ def cluster(
 
     def train_view(key):
         if len(key) == 1:
-            return nodes[key[0]].symbols[:train_len]
-        return merge_pair(nodes[key[0]], nodes[key[1]]).values[:train_len]
+            return views[key[0]]
+        i, j = key  # merge_pair's x * b_y + y, on the prefixes
+        return views[i] * nodes[j].alphabet_size + views[j]
 
     level = 0
     while len(active) > config.stop_at:
@@ -148,6 +157,7 @@ def cluster(
         new_id = len(names)
         names.append(fused.source_name)
         nodes[new_id] = fused
+        views[new_id] = fused.symbols[:train_len]
         merges.append(MergeRecord(
             level=level,
             pair=(win_i, win_j),
@@ -232,27 +242,61 @@ def export_tree(tree: MergeTree, format: str = "json") -> bytes:
 
 
 def _export_json(tree: MergeTree) -> bytes:
-    doc = {
-        "leaves": list(tree.leaves),
-        "node_names": list(tree.node_names),
-        "merges": [
-            {
-                "level": record.level,
-                "pair": list(record.pair),
-                "score": record.score,
-                "candidates": [
-                    [list(pair), score]
-                    for pair, score in record.all_candidate_scores
-                ],
-                "te_to_target": [
-                    [node_id, value] for node_id, value in record.te_to_target
-                ],
-            }
-            for record in tree.merges
-        ],
-        "levels": [list(level) for level in tree.levels],
-    }
-    return _json_bytes(doc)
+    """``json.dumps(doc, indent=2) + "\\n"``, UTF-8 encoded, of the document
+    ``{"leaves", "node_names", "merges", "levels"}``; each merge is
+    ``{"level", "pair", "score", "candidates": [[[i, j], score], ...],
+    "te_to_target": [[i, value], ...]}``.
+
+    A candidate or TE entry is formatted once per distinct entry. Its key
+    holds the value's type and the sign of a zero, since a dict takes
+    ``1 == 1.0`` and ``0.0 == -0.0`` as one key.
+    """
+    entries: dict = {}
+
+    def entry(first, value) -> str:  # a list item at depth 4, as in merge()
+        key = (first, value, type(value), value == 0 and math.copysign(1.0, value))
+        text = entries.get(key)
+        if text is None:
+            head = _block([str(i) for i in first], 5) if isinstance(first, tuple) else str(first)
+            text = entries[key] = _block([head, _number(value)], 4)
+        return text
+
+    def merge(record: MergeRecord) -> str:
+        return _block([
+            f'"level": {record.level}',
+            '"pair": ' + _block([str(i) for i in record.pair], 3),
+            '"score": ' + _number(record.score),
+            '"candidates": ' + _block([entry(pair, score) for pair, score
+                                       in record.all_candidate_scores], 3),
+            '"te_to_target": ' + _block([entry(node_id, value) for node_id, value
+                                         in record.te_to_target], 3),
+        ], 2, "{}")
+
+    text = _block([
+        '"leaves": ' + _block([json.dumps(name) for name in tree.leaves], 1),
+        '"node_names": ' + _block([json.dumps(name) for name in tree.node_names], 1),
+        '"merges": ' + _block([merge(record) for record in tree.merges], 1),
+        '"levels": ' + _block([_block([str(i) for i in level], 2)
+                               for level in tree.levels], 1),
+    ], 0, "{}")
+    return (text + "\n").encode()
+
+
+def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """``json.dumps(indent=2)``'s text of a list (or, with ``"{}"``, an
+    object) at nesting depth ``depth``, from its items' texts."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
+def _number(value) -> str:
+    """``json.dumps`` of an int or float: its ``repr``, or ``NaN``,
+    ``Infinity`` or ``-Infinity``."""
+    if type(value) is float and not math.isfinite(value):
+        return json.dumps(value)
+    return repr(value)
 
 
 def tree_from_json(data: bytes | str) -> MergeTree:

@@ -4,17 +4,17 @@ The estimator is a conditional frequency table over joint history states:
 for each distinct state tuple observed in training it stores the empirical
 distribution of the next target symbol, and unseen states fall back to the
 global target distribution, so prediction is total. A node's state at t is
-the id of its (k+1)-symbol history window ending at t, a dense id of the
-window the entropies count (:func:`tefuse.embedding.history_ids`), and joint
-states are counted with the same dense-id primitive
-(:func:`tefuse.infotheory._joint_ids`): training counts ``id * alphabet +
-label`` with one bincount, and prediction numbers the training states and
-the queried states together, so a query row is seen exactly when it shares
-an id with a training row. The same lag-1 convention as transfer entropy
-applies: the target at t+1 is paired with states through t. A prediction
-is the state's most frequent next symbol, or the prior's when the state was
-never seen in training; :func:`train`, :func:`predict` and
-:func:`evaluate_levels` share that count step and that argmax.
+its (k+1)-symbol history window ending at t, the window the entropies count
+(:func:`tefuse.infotheory._windows`), and joint states are counted with
+the dense-id primitive (:func:`tefuse.infotheory._joint_ids`): training
+counts ``id * alphabet + label`` with one bincount, and prediction numbers
+the training states and the queried states together, so a query row is
+seen exactly when it shares an id with a training row. The same lag-1
+convention as transfer entropy applies: the target at t+1 is paired with
+states through t. A prediction is the state's most frequent next symbol,
+or the prior's when the state was never seen in training; :func:`train`,
+:func:`predict` and :func:`evaluate_levels` share that count step and that
+argmax.
 
 Continuous targets are discretized by maximum entropy partitioning and
 predictions are mapped back to values through per-bin training medians.
@@ -32,10 +32,12 @@ the next coarser level's joint state together with the windows of the pair
 merged there; that triple in turn gives back every window of the level.
 :func:`evaluate_levels` therefore ranks the coarsest level's states once,
 over every row, and each finer level as a 3-column rank of the coarser
-level's ids and the merged pair's windows. Predictions depend only on how
-rows group into states, not on how the ids are numbered, so they equal
-those of :func:`train` and :func:`predict` on each level's full window
-matrix.
+level's ids and the merged pair's window keys. Dense ranking keeps the
+order of the keys, so ranking raw window keys gives the ids that ranking
+dense window ids (:func:`tefuse.embedding.history_ids`) would. Predictions
+depend only on how rows group into states, not on how the ids are
+numbered, so they equal those of :func:`train` and :func:`predict` on each
+level's full window matrix.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import MergeTree, leaf_sequences, replay_merges
-from .embedding import history_ids
 from .errors import EmptySequence, LengthMismatch, SequenceTooShort
-from .infotheory import _joint_ids
+from .infotheory import _joint_ids, _windows
 from .ingest import Dataset, RunConfig, split_index
 from .jsonout import _json_bytes
 from .sdf import SymbolSequence, _distinct, fit_mep_partition, symbolize
@@ -315,7 +316,7 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     n_train = s - k - 1
     targets = tsyms[k + 1: s]
     prior = np.bincount(targets, minlength=alphabet)
-    windows = {a: history_ids(seq, k) for a, seq in nodes.items()}
+    windows = {a: _windows(seq.symbols, k) for a, seq in nodes.items()}
 
     def held_out_symbols(ids: np.ndarray) -> np.ndarray:
         counts = _state_counts(ids[:n_train], targets, alphabet, int(ids.max()) + 1)

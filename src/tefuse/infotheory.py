@@ -36,9 +36,10 @@ caller with many batches prepares once. :func:`transfer_entropies` is
 is read, and :func:`transfer_entropy` is ``transfer_entropies`` of one
 source. Sources are scored in chunks, a (sources, n) batch each, of at
 most ``_CHUNK_KEYS`` source window keys (and at least one source). A chunk
-costs one :func:`_fold` of its windows, one of its (next, own, source) and
-(own, source) keys, each over the whole batch, and one row-wise sort of
-those keys, whatever the number of sources in it.
+costs one :func:`_fold` of its windows, one pass that folds the target's
+ids in to give its (next, own, source) and (own, source) keys, each over
+the whole batch, and one row-wise sort of those keys, whatever the number
+of sources in it.
 """
 
 from __future__ import annotations
@@ -256,12 +257,20 @@ def _transfer_rows(rows: np.ndarray, k: int, yw: np.ndarray,
     """H(next | own) - H(next | own, source) for each source row of ``rows``.
 
     The (next, own, source window) and (own, source window) keys of every
-    row are one :func:`_fold` of the target's ids with the rows' window
-    keys, a (2, rows, windows) batch counted with one row-wise sort.
+    row are the target's ids folded with the rows' window keys, a
+    (2, rows, windows) batch counted with one row-wise sort. The target's
+    ids are dense, so they start at 0, and the keys are :func:`_fold`'s,
+    ``id * width + window - lo``, written in one pass; only when that
+    product would reach 2**62 does ``_fold`` re-rank them.
     """
     xw = _windows(rows, k)
     ids = np.stack([next_own, yw])[:, None]
-    keys = _fold((np.broadcast_to(ids, (2, *xw.shape)), xw))
+    lo = int(xw.min())
+    width = int(xw.max()) - lo + 1
+    if (int(ids.max()) + 1) * width < _ID_LIMIT:
+        keys = ids * width - lo + xw
+    else:
+        keys = _fold((np.broadcast_to(ids, (2, *xw.shape)), xw))
     del xw  # not needed while the keys are counted
     h = _entropies(keys.reshape(-1, keys.shape[2]))
     return [_clamped(h_own - (h_joint - h_given), "transfer entropy")

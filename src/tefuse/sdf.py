@@ -59,14 +59,6 @@ class Partition:
             "kind": self.kind,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Partition":
-        return cls(
-            edges=np.asarray(data["edges"], dtype=np.float64),
-            alphabet_size=int(data["alphabet_size"]),
-            kind=data["kind"],
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class SymbolSequence:

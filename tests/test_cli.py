@@ -485,19 +485,23 @@ class TestMalformedArtifacts:
         (None, 2, "configuration error: seed must be >= 0"),
         # a noise block that does not give the config's trailing noise
         # sources, or gives a negative seed, exited 2 (noise_1 not found, or
-        # numpy's message)
+        # numpy's message), and another seed made other noise with exit 0
         (lambda m: m.update(noise=None), 3, "configures column 'noise_1'"),
         (lambda m: m.pop("noise"), 3, "configures column 'noise_1'"),
         (lambda m: m.update(noise=False), 3, "malformed entry"),
         (lambda m: m.update(noise={}), 3, "lacks the entry 'count'"),
         (lambda m: m["noise"].update(count=1), 3, "noise count 1 does not match"),
-        (lambda m: m["noise"].update(seed=-1), 3, "noise seed -1 is negative"),
+        (lambda m: m["noise"].update(seed=-1), 3,
+         "noise seed -1 is not the configured seed 11"),
+        (lambda m: m["noise"].update(seed=12), 3,
+         "noise seed 12 is not the configured seed 11"),
         (lambda m: m["config"].update(seed=-1), 3, "seed must be >= 0"),
         # the digest matched, so a column the input lacks is the manifest's fault
         (lambda m: m["config"]["source_columns"].__setitem__(0, "Temp"), 3,
          "configures column 'Temp'"),
     ], ids=["flag-seed", "noise-null", "noise-removed", "noise-false", "noise-empty",
-            "noise-count", "noise-seed", "config-seed", "renamed-column"])
+            "noise-count", "noise-seed", "noise-other-seed", "config-seed",
+            "renamed-column"])
     def test_noise_and_column_faults(self, occ_csv, tmp_path, capsys, edit, code,
                                      message):
         run_dir, out = tmp_path / "noisy", tmp_path / "eval"
@@ -692,6 +696,41 @@ def test_config_error_creates_no_out(occ_csv, tmp_path, capsys, name):
     assert main(argv) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+
+# per configuration key, values of the wrong sign or type: argparse refuses
+# a number that does not parse, RunConfig every other value
+BAD_FLAG_VALUES = {
+    "target": ["Temperature"],  # also a source
+    "sources": ["Temperature,Temperature", "Occupancy,CO2"],
+    "alphabet": ["-3", "1", "2.5"],
+    "target_alphabet": ["-2", "x"],
+    "depth": ["-1", "1.0"],
+    "fused_alphabet": ["-3", "3.0"],
+    "stop_at": ["-1", "0", "1e3"],
+    "train_fraction": ["-0.5", "1.5", "half"],
+    "seed": ["-1", "0.5"],
+    "partitioner": ["MEP", ""],
+    "target_kind": ["-discrete", "1"],
+}
+
+
+@pytest.mark.parametrize("key", list(_CONFIG_FLAGS))
+def test_bad_flag_value_is_config_error_and_creates_no_out(occ_csv, tmp_path, capsys,
+                                                           key):
+    common = [arg for k, v in CONFIG_VALUES.items() if k != key for arg in (_flag(k), v)]
+    for command, extra in (("cluster", []), ("inject-noise", ["--noise-count", "1"]),
+                           ("symbolize", [])):
+        for value in BAD_FLAG_VALUES[key]:
+            out = tmp_path / "out"
+            try:
+                code = main([command, "--input", str(occ_csv), *common, *extra,
+                             f"{_flag(key)}={value}", "--out", str(out)])
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+            assert code == 2, (command, value, capsys.readouterr().err)
+            assert not out.exists(), (command, value)
 
 
 def _subclasses(cls):

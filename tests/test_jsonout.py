@@ -1,32 +1,40 @@
-"""_json_bytes writes ``json.dumps(doc, indent=2)`` plus a line break, byte
-for byte, whatever the block size."""
+"""tree.json is ``json.dumps(doc, indent=2)`` plus a line break, byte for
+byte, though :func:`tefuse.clustering._export_json` writes the text itself."""
 
 import json
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tefuse.cli import main
-from tefuse.jsonout import _BLOCK_CHARS, _json_bytes
+from tefuse.clustering import MergeRecord, MergeTree, export_tree
 
 from synthdata import ahu_like, write_dataset_csv
 
-BLOCK_CHARS = [1, 2, 3, 7, _BLOCK_CHARS]
-# JSON's structure, escapes, controls, a lone surrogate and non-ASCII text,
-# all of which must stay inside their strings
+NAN, INF = float("nan"), float("inf")
+# JSON's structure, escapes, controls, a lone surrogate and non-ASCII text
 TRICKY = st.sampled_from('"\\[]{},: \n\t\x00\x1f\x7f\ud800é€𝄞')
-TEXT = st.text(TRICKY | st.characters(), max_size=8)
-SCALARS = (
-    st.none() | st.booleans() | TEXT
-    | st.integers() | st.sampled_from([2**64, -(2**100), 10**40])
-    | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+NAMES = st.text(TRICKY | st.characters(), max_size=8)
+# few ids and a few equal-valued scores, so that entries repeat and the
+# writer's cache must tell 0.0 from -0.0 and 1 from 1.0
+IDS = st.integers(0, 3) | st.integers(0, 10**6)
+SCORES = (st.sampled_from([0, -0.0, 0.0, 1, 1.0, -1, NAN, INF, -INF, 2**64, -(2**100)])
+          | st.integers() | st.floats())
+MERGES = st.builds(
+    MergeRecord,
+    level=st.integers(0, 30),
+    pair=st.tuples(IDS, IDS),
+    score=SCORES,
+    all_candidate_scores=st.lists(st.tuples(st.tuples(IDS, IDS), SCORES),
+                                  max_size=8).map(tuple),
+    te_to_target=st.lists(st.tuples(IDS, SCORES), max_size=6).map(tuple),
 )
-DOCS = st.recursive(
-    SCALARS,
-    lambda children: (st.lists(children, max_size=5)
-                      | st.dictionaries(TEXT, children, max_size=5)),
-    max_leaves=40,
+TREES = st.builds(
+    MergeTree,
+    leaves=st.lists(NAMES, max_size=4).map(tuple),
+    node_names=st.lists(NAMES, max_size=6).map(tuple),
+    merges=st.lists(MERGES, max_size=4).map(tuple),
+    levels=st.lists(st.lists(IDS, max_size=4).map(tuple), max_size=4).map(tuple),
 )
 
 
@@ -34,21 +42,44 @@ def indented(doc) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode()
 
 
-@settings(deadline=None, max_examples=100)
-@given(DOCS)
-def test_equals_indented_dumps(doc):
-    expected = indented(doc)
-    for block_chars in BLOCK_CHARS:
-        assert _json_bytes(doc, block_chars) == expected
+def tree_doc(tree: MergeTree) -> dict:
+    """The document tree.json holds, as json.loads gives it back."""
+    return {
+        "leaves": list(tree.leaves),
+        "node_names": list(tree.node_names),
+        "merges": [
+            {
+                "level": record.level,
+                "pair": list(record.pair),
+                "score": record.score,
+                "candidates": [[list(pair), score]
+                               for pair, score in record.all_candidate_scores],
+                "te_to_target": [[node_id, value] for node_id, value in record.te_to_target],
+            }
+            for record in tree.merges
+        ],
+        "levels": [list(level) for level in tree.levels],
+    }
 
 
-@pytest.mark.parametrize("doc", [
-    [], {}, [[]], [{}], {"": {}}, [[], [[]], {}], "[,]", 0, None,
-    {"a\\": ["\\\"", "]", "{", ","]},
-], ids=repr)
-@pytest.mark.parametrize("block_chars", BLOCK_CHARS)
-def test_named_cases(doc, block_chars):
-    assert _json_bytes(doc, block_chars) == indented(doc)
+@settings(deadline=None, max_examples=200)
+@given(TREES)
+@example(MergeTree(leaves=(), node_names=(), merges=(), levels=((),)))
+@example(MergeTree(leaves=('a"b', "c\\d", "é€𝄞"), node_names=('a"b', "c\\d", "é€𝄞"),
+                   merges=(), levels=((0, 1, 2),)))
+@example(MergeTree(
+    leaves=("x", "y"), node_names=("x", "y", "(x+y)"),
+    merges=(MergeRecord(
+        level=1, pair=(0, 1), score=-0.0,
+        all_candidate_scores=(((0, 1), 0.0), ((0, 1), -0.0), ((0, 1), 0),
+                              ((0, 1), 1), ((0, 1), 1.0), ((0, 1), NAN),
+                              ((0, 1), INF), ((0, 1), -INF)),
+        te_to_target=((0, 1.0), (0, 1), (1, -0.0), (1, 0.0)),
+    ),),
+    levels=((0, 1), (2,)),
+))
+def test_export_equals_indented_dumps(tree):
+    assert export_tree(tree, "json") == indented(tree_doc(tree))
 
 
 def test_wide_inject_noise_tree(tmp_path):
@@ -67,5 +98,3 @@ def test_wide_inject_noise_tree(tmp_path):
     doc = json.loads(written)
     assert len(doc["leaves"]) == 24 and len(doc["merges"]) == 23
     assert written == indented(doc)
-    for block_chars in BLOCK_CHARS:
-        assert _json_bytes(doc, block_chars) == written

@@ -166,11 +166,3 @@ class TestRepartition:
         assert out.alphabet_size == 2
         assert out.symbols.tolist() == [0, 1, 0, 1, 1]
 
-
-class TestPartitionSerialization:
-    def test_round_trip(self):
-        part = fit_mep_partition(np.arange(1, 101, dtype=float), 5)
-        back = Partition.from_dict(part.to_dict())
-        assert np.array_equal(back.edges, part.edges)
-        assert back.alphabet_size == part.alphabet_size
-        assert back.kind == part.kind

@@ -19,7 +19,7 @@ from tefuse import (
     transfer_entropy,
     tree_from_json,
 )
-from tefuse import clustering, infotheory
+from tefuse import clustering, fusion, infotheory
 from tefuse.clustering import leaf_sequences
 from tefuse.estimate import target_symbols
 
@@ -243,6 +243,55 @@ class TestCluster:
                 zs_train, 0,
             )
             assert got == m.score
+
+
+class TestTrainViews:
+    """cluster builds a candidate pair's column from the two nodes' training
+    prefixes, with merge_pair's arithmetic, and merges only to fuse."""
+
+    @pytest.mark.parametrize("n_sources", range(2, 7))
+    def test_merge_pair_runs_once_per_fuse(self, monkeypatch, n_sources):
+        rng = np.random.default_rng(30 + n_sources)
+        seqs = _seqs([rng.integers(0, 3, 300) for _ in range(n_sources)], 3)
+        z = SymbolSequence(rng.integers(0, 2, 300), 2, "z")
+        calls = []
+
+        def counting(x, y):
+            calls.append((x.source_name, y.source_name))
+            return merge_pair(x, y)
+
+        merge_pair = fusion.merge_pair
+        monkeypatch.setattr(fusion, "merge_pair", counting)
+        monkeypatch.setattr(clustering, "merge_pair", counting)
+        tree = cluster(seqs, z, _config(n_sources, depth=1, train_fraction=0.7))
+        assert len(tree.merges) == n_sources - 1
+        assert calls == [(tree.node_names[m.pair[0]], tree.node_names[m.pair[1]])
+                         for m in tree.merges]
+
+    # with unequal alphabets, x * b + y pairs distinct symbols only for
+    # b = b_y; a small fused alphabet gives fused nodes an alphabet of their own
+    @pytest.mark.parametrize("alphabets, fused", [
+        ((2, 3, 5), 4), ((5, 3, 2), 4), ((4, 4, 7, 2), 3), ((7, 2, 6, 3), 9),
+    ])
+    def test_recorded_scores_equal_score_pair(self, alphabets, fused):
+        rng = np.random.default_rng(sum(alphabets) + fused)
+        n = 400
+        seqs = [SymbolSequence(rng.integers(0, b, n), b, f"s{i}")
+                for i, b in enumerate(alphabets)]
+        z = SymbolSequence(rng.integers(0, 3, n), 3, "z")
+        config = _config(len(alphabets), depth=1, train_fraction=0.6,
+                         fused_alphabet=fused)
+        tree = cluster(seqs, z, config)
+        nodes = replay_merges(seqs, tree, config)
+        train_len = split_index(n, config.train_fraction)
+
+        def view(seq):
+            return SymbolSequence(seq.symbols[:train_len], seq.alphabet_size)
+
+        for record in tree.merges:
+            for (i, j), recorded in record.all_candidate_scores:
+                assert recorded == score_pair(view(nodes[i]), view(nodes[j]),
+                                              view(z), config.depth)
 
 
 class TestPairCache:

@@ -554,6 +554,42 @@ class TestChunks:
         assert taken == [0, 1, 2]
 
 
+class TestTransferRows:
+    """_transfer_rows writes the joint keys in one pass, and hands them to
+    _fold's re-rank only when the id-times-width product reaches the limit."""
+
+    LABELS = {
+        "small": lambda rng, n: rng.integers(0, 4, n),
+        "negative": lambda rng, n: rng.integers(-40, -30, n),
+        "offset": lambda rng, n: rng.integers(0, 4, n) + 10**17,
+        # a window span of 2**61 stays raw at k = 0, where any target id
+        # above 0 takes the product past 2**62; from k = 1 the windows re-rank
+        "wide-span": lambda rng, n: rng.choice([0, 1, 2**61], n),
+    }
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("labels", list(LABELS))
+    def test_keys_fold_only_past_the_limit(self, monkeypatch, labels, k):
+        rng = np.random.default_rng(90 + k)
+        n = 200
+        z = rng.integers(0, 3, n)
+        sources = [self.LABELS[labels](rng, n) for _ in range(3)]
+        fallbacks = []
+
+        def recording(columns, *args):
+            if len(columns) == 2 and np.ndim(columns[0]) == 3:
+                fallbacks.append(np.shape(columns[0]))
+            return fold(columns, *args)
+
+        fold = infotheory._fold
+        monkeypatch.setattr(infotheory, "_fold", recording)
+        monkeypatch.setattr(infotheory, "_CHUNK_KEYS", 2**40)
+        assert transfer_entropies(sources, z, k) == dense_transfer_entropies_oracle(
+            sources, z, k)
+        assert fallbacks == ([(2, 3, n - 1 - k)]
+                             if labels == "wide-span" and k == 0 else [])
+
+
 @pytest.mark.parametrize("call", [
     lambda x, y: transfer_entropy(x, y, -1),
     lambda x, y: transfer_entropies([x], y, -1),

@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -166,3 +167,18 @@ class TestRepartition:
         assert out.alphabet_size == 2
         assert out.symbols.tolist() == [0, 1, 0, 1, 1]
 
+
+
+class TestPartitionSerialization:
+    @pytest.mark.parametrize("fit, kind", [(fit_mep_partition, "max-entropy"),
+                                           (fit_uniform_partition, "uniform")],
+                             ids=["mep", "uniform"])
+    def test_to_dict_is_plain_json(self, fit, kind):
+        # partitions.json holds each leaf's to_dict(): builtin types whose
+        # edges read back as the same floats
+        part = fit(np.linspace(-3.5, 96.25, 101) ** 3, 5)
+        doc = part.to_dict()
+        assert doc == {"edges": part.edges.tolist(), "alphabet_size": 5, "kind": kind}
+        assert [type(e) for e in doc["edges"]] == [float] * 4
+        assert type(doc["alphabet_size"]) is int
+        assert json.loads(json.dumps(doc)) == doc

@@ -6,8 +6,9 @@ target variable at every level:
 
 1. continuous channels are symbolized by maximum entropy (quantile)
    partitioning (:mod:`tefuse.sdf`),
-2. symbol histories become window ids, shared by the entropies and the
-   estimator (:mod:`tefuse.embedding`),
+2. symbol histories become window keys, folded in mixed radix, which the
+   entropies and the estimator count alike (:mod:`tefuse.infotheory`;
+   :mod:`tefuse.embedding` exposes the radix encoding itself),
 3. directed information flow toward the target is measured with plug-in
    transfer entropy (:mod:`tefuse.infotheory`),
 4. the pair of channels whose fusion best preserves that flow is merged and

@@ -12,6 +12,11 @@ input content digest, and library versions, so a run can be replayed and a
 stored tree refuses to evaluate against tampered data. Outputs are
 byte-identical across reruns and across --threads settings.
 
+Each ``cmd_*`` returns its artifacts as ``{file name: bytes}``, and only
+:func:`main` touches ``--out``: it refuses an unusable ``--out`` before the
+command runs and creates it only once the command has returned, so a run
+that fails leaves no ``--out`` behind.
+
 Each run option is declared once, in ``_CONFIG_FLAGS``: its RunConfig
 field, the parser of its flag and config-file text, and its help; the
 help's defaults are RunConfig's. RunConfig then checks flags, config files
@@ -37,7 +42,7 @@ from .clustering import (cluster, export_tree, fit_leaves, leaf_sequences, te_co
                          tree_from_json)
 from .errors import MalformedArtifact, MissingColumn, PipelineError, TreeDatasetMismatch
 from .estimate import (evaluate_levels, predictions_csv, report_csv, report_json,
-                       target_symbols)
+                       resolve_target_kind, target_symbols)
 from .ingest import (PARTITIONERS, TARGET_KINDS, RunConfig, append_noise_channels, load_csv,
                      noise_columns, read_config_file)
 from .jsonout import _json_bytes, _parse_json
@@ -87,13 +92,16 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _load_input(args, config: RunConfig, expected: str | None = None):
+def _read_input(args, config: RunConfig, noise: dict | None = None,
+                expected: str | None = None):
     """Read ``--input`` once: the SHA-256 of its bytes and the dataset
-    parsed from the same bytes.
+    parsed from the same bytes, with ``noise``'s channels appended.
 
     The bytes are hashed before they are parsed. A digest other than
     ``expected`` raises :class:`TreeDatasetMismatch` without a parse, so
-    the wrong file is named as such rather than by its first flaw.
+    the wrong file is named as such rather than by its first flaw. The CSV
+    holds every configured source but the last ``noise["count"]``, the
+    injected channels, which are regenerated from ``noise["seed"]``.
     """
     data = Path(args.input).read_bytes()
     digest = _sha256(data)
@@ -102,12 +110,11 @@ def _load_input(args, config: RunConfig, expected: str | None = None):
             f"{args.input} has digest {digest[:12]}..., tree was built from "
             f"{expected[:12]}..."
         )
-    return digest, load_csv(args.input, config, data=data)
-
-
-def _write(path: Path, data: bytes) -> None:
-    path.write_bytes(data)
-    logger.info("wrote %s (%d bytes)", path, len(data))
+    if noise is None:
+        return digest, load_csv(args.input, config, data=data)
+    own = dataclasses.replace(config, source_columns=config.source_columns[:-noise["count"]])
+    dataset = load_csv(args.input, own, data=data)
+    return digest, append_noise_channels(dataset, noise["count"], noise["seed"])
 
 
 def _build_config(args) -> RunConfig:
@@ -153,22 +160,15 @@ def _manifest(command: str, args, digest: str, config: RunConfig, dataset,
     return _json_bytes(doc)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_cluster(args, noise_count: int = 0) -> int:
+def cmd_cluster(args, noise_count: int = 0) -> dict[str, bytes]:
     config = _build_config(args)
-    out = _out_dir(args)
-    digest, dataset = _load_input(args, config)
     noise = None
     if noise_count:
-        dataset = append_noise_channels(dataset, noise_count, config.seed)
+        # the full config, so that RunConfig refuses a source named like a channel
         config = dataclasses.replace(
-            config, source_columns=config.source_columns + dataset.names[-noise_count:])
+            config, source_columns=config.source_columns + noise_columns(noise_count))
         noise = {"count": noise_count, "seed": config.seed}
+    digest, dataset = _read_input(args, config, noise)
 
     leaves = leaf_sequences(dataset, config)
     target_seq, kind, _, _ = target_symbols(dataset, config)
@@ -177,25 +177,19 @@ def cmd_cluster(args, noise_count: int = 0) -> int:
     extra = {"noise": noise, "target_kind_resolved": kind,
              "candidate_evaluations": [len(m.all_candidate_scores) for m in tree.merges],
              "te_computed": te_computed(tree)}
-    _write(out / "tree.json", export_tree(tree, "json"))
-    _write(out / "tree.dot", export_tree(tree, "dot"))
-    _write(out / "manifest.json",
-           _manifest("cluster", args, digest, config, dataset, extra))
-    return 0
+    return {"tree.json": export_tree(tree, "json"),
+            "tree.dot": export_tree(tree, "dot"),
+            "manifest.json": _manifest("cluster", args, digest, config, dataset, extra)}
 
 
-def cmd_inject_noise(args) -> int:
+def cmd_inject_noise(args) -> dict[str, bytes]:
     if args.noise_count < 1:
         raise ValueError("--noise-count must be >= 1")
     return cmd_cluster(args, noise_count=args.noise_count)
 
 
-def _read_manifest(path: Path) -> tuple[str, RunConfig, dict | None]:
-    """The input digest, configuration and noise spec a cluster run recorded."""
-    return _parse_json(path.read_bytes(), str(path), _manifest_entries)
-
-
 def _manifest_entries(manifest: dict) -> tuple[str, RunConfig, dict | None]:
+    """The input digest, configuration and noise spec a cluster run recorded."""
     digest = manifest["input"]["sha256"]
     if not isinstance(digest, str):
         raise TypeError(f"input digest {digest!r} is not a string")
@@ -218,45 +212,40 @@ def _manifest_entries(manifest: dict) -> tuple[str, RunConfig, dict | None]:
     return digest, config, noise
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> dict[str, bytes]:
     tree_dir = Path(args.tree)
-    expected, config, noise = _read_manifest(tree_dir / "manifest.json")
+    manifest = tree_dir / "manifest.json"
+    expected, config, noise = _parse_json(manifest.read_bytes(), str(manifest),
+                                          _manifest_entries)
     if args.target_kind is not None:
         config = dataclasses.replace(config, target_kind=args.target_kind)
-    out = _out_dir(args)
     try:
-        digest, dataset = _load_input(args, config_without_noise(config, noise), expected)
+        digest, dataset = _read_input(args, config, noise, expected)
     except MissingColumn as exc:
         # the digest matched, so the stored config names a column the run never read
-        raise MalformedArtifact(f"{tree_dir / 'manifest.json'} configures column "
-                                f"{exc.name!r}, which {args.input} lacks") from None
-    if noise:
-        dataset = append_noise_channels(dataset, noise["count"], noise["seed"])
+        raise MalformedArtifact(f"{manifest} configures column {exc.name!r}, "
+                                f"which {args.input} lacks") from None
+    if args.target_kind is not None:
+        # a kind the target cannot take is the flag's fault (exit 2)
+        resolve_target_kind(dataset.column(config.target_column), config)
     tree = tree_from_json((tree_dir / "tree.json").read_bytes())
-    report = evaluate_levels(tree, dataset, config)
+    try:
+        report = evaluate_levels(tree, dataset, config)
+    except ValueError as exc:
+        # the input is the one the run read, so the stored config is at fault
+        raise MalformedArtifact(f"{manifest} configures a run that cannot be "
+                                f"evaluated: {exc}") from None
 
-    _write(out / "report.csv", report_csv(report))
-    _write(out / "report.json", report_json(report))
-    _write(out / "predictions.csv", predictions_csv(report))
-    _write(out / "evaluate_manifest.json",
-           _manifest("evaluate", args, digest, config, dataset,
-                     {"tree": str(tree_dir)}))
-    return 0
-
-
-def config_without_noise(config: RunConfig, noise: dict | None) -> RunConfig:
-    """The loader must see only the CSV's own columns; injected noise
-    channels, the last ``count`` sources, are regenerated afterwards."""
-    if not noise:
-        return config
-    return dataclasses.replace(
-        config, source_columns=config.source_columns[:-noise["count"]])
+    return {"report.csv": report_csv(report),
+            "report.json": report_json(report),
+            "predictions.csv": predictions_csv(report),
+            "evaluate_manifest.json": _manifest("evaluate", args, digest, config, dataset,
+                                                {"tree": str(tree_dir)})}
 
 
-def cmd_symbolize(args) -> int:
+def cmd_symbolize(args) -> dict[str, bytes]:
     config = _build_config(args)
-    out = _out_dir(args)
-    digest, dataset = _load_input(args, config)
+    digest, dataset = _read_input(args, config)
     leaves = fit_leaves(dataset, config)
     target_seq, kind, _, _ = target_symbols(dataset, config)
 
@@ -265,28 +254,23 @@ def cmd_symbolize(args) -> int:
     lines = [",".join([*config.source_columns, config.target_column])]
     lines += [",".join(map(str, row)) for row in np.column_stack(columns).tolist()]
 
-    _write(out / "symbols.csv", ("\n".join(lines) + "\n").encode())
-    _write(out / "partitions.json", _json_bytes(partitions))
-    _write(out / "manifest.json",
-           _manifest("symbolize", args, digest, config, dataset,
-                     {"target_kind_resolved": kind}))
-    return 0
+    return {"symbols.csv": ("\n".join(lines) + "\n").encode(),
+            "partitions.json": _json_bytes(partitions),
+            "manifest.json": _manifest("symbolize", args, digest, config, dataset,
+                                       {"target_kind_resolved": kind})}
 
 
-def cmd_export_tree(args) -> int:
-    out = _out_dir(args)
+def cmd_export_tree(args) -> dict[str, bytes]:
     tree_path = Path(args.tree)
     data = tree_path.read_bytes()
-    tree = tree_from_json(data)
-    _write(out / f"tree.{args.format}", export_tree(tree, args.format))
     manifest = {
         "command": "export-tree",
         "input": {"path": str(tree_path), "sha256": _sha256(data)},
         "format": args.format,
         "versions": _versions(),
     }
-    _write(out / "export_manifest.json", _json_bytes(manifest))
-    return 0
+    return {f"tree.{args.format}": export_tree(tree_from_json(data), args.format),
+            "export_manifest.json": _json_bytes(manifest)}
 
 
 def _add_flag(parser: argparse.ArgumentParser, key: str, default) -> None:
@@ -351,6 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unusable_out(out: Path) -> None:
+    """Refuse, creating nothing, an ``--out`` that exists as a non-directory
+    (a dangling link too) or sits under one."""
+    nearest = next(path for path in (out, *out.parents)
+                   if path.exists() or path.is_symlink())
+    if not nearest.is_dir():
+        raise FileExistsError(f"{nearest} exists and is not a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -358,8 +351,15 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    out = Path(args.out)
     try:
-        return args.func(args)
+        _refuse_unusable_out(out)
+        outputs = args.func(args)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, data in outputs.items():
+            (out / name).write_bytes(data)
+            logger.info("wrote %s (%d bytes)", out / name, len(data))
+        return 0
     except CONFIG_ERRORS as exc:
         print(f"tefuse: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -6,8 +6,7 @@ entropies key their windows with (:func:`~tefuse.infotheory._fold`); they
 exist while b**(k+1) < 2**62, and :func:`embed` raises ``ValueError`` past
 that. The first k positions carry no complete window and produce no state,
 so an n-symbol sequence embeds into exactly n-k states, the first of which
-sits at original index k. :func:`history_ids` numbers the windows that have
-a next symbol densely, in the same order; dense ids never overflow.
+sits at original index k.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SequenceTooShort
-from .infotheory import _ID_LIMIT, _aligned, _fold, _history
+from .infotheory import _ID_LIMIT, _fold
 from .sdf import SymbolSequence
 
 
@@ -55,13 +54,6 @@ def embed(seq: SymbolSequence, k: int) -> StateSequence:
     # one base-b digit per lagged slice; below the limit the fold never re-ranks
     states = _fold([symbols[j: n - k + j] for j in range(k + 1)], (0, b - 1))
     return StateSequence(states=states, depth=k, base=b)
-
-
-def history_ids(seq: SymbolSequence, k: int) -> np.ndarray:
-    """Dense ids of the windows ending at t = k .. n-2; the last window has
-    no next symbol to pair with."""
-    (symbols,) = _aligned(k, seq)
-    return _history(symbols, k)
 
 
 def decode_state(state: int, k: int, b: int) -> tuple[int, ...]:

@@ -34,7 +34,7 @@ merged there; that triple in turn gives back every window of the level.
 over every row, and each finer level as a 3-column rank of the coarser
 level's ids and the merged pair's window keys. Dense ranking keeps the
 order of the keys, so ranking raw window keys gives the ids that ranking
-dense window ids (:func:`tefuse.embedding.history_ids`) would. Predictions
+dense window ids (:func:`tefuse.infotheory._history`) would. Predictions
 depend only on how rows group into states, not on how the ids are
 numbered, so they equal those of :func:`train` and :func:`predict` on each
 level's full window matrix.

@@ -86,11 +86,12 @@ def _fold(columns, bounds=None) -> np.ndarray:
     distinct keys; a column whose own width still overflows is dense-ranked
     too. Otherwise no column costs a sort.
 
-    The columns may also be N-D arrays of one shape (the first may be a
-    broadcast view): a batch of rows is then folded at once, within the
-    bounds of the whole batch, and a re-rank ranks the whole batch. Within
-    each row the keys still follow tuple order, so each row counts the same
-    as it would alone.
+    The columns may also be N-D arrays of one shape, the first of which may
+    be smaller, broadcasting over the rest: a batch of rows is then folded at
+    once, within the bounds of the whole batch, and a re-rank ranks the whole
+    batch. The keys are scaled in place, or out of place while they are
+    smaller than the column. Within each row the keys still follow tuple
+    order, so each row counts the same as it would alone.
     """
     keys, span = None, 1
     for col in columns:
@@ -106,6 +107,8 @@ def _fold(columns, bounds=None) -> np.ndarray:
                 col, lo, width = ids.reshape(col.shape), 0, len(distinct)
         if keys is None:
             keys = col - lo
+        elif keys.shape != col.shape:
+            keys = keys * width - lo + col
         else:
             keys *= width
             keys += col - lo if lo else col
@@ -257,20 +260,12 @@ def _transfer_rows(rows: np.ndarray, k: int, yw: np.ndarray,
     """H(next | own) - H(next | own, source) for each source row of ``rows``.
 
     The (next, own, source window) and (own, source window) keys of every
-    row are the target's ids folded with the rows' window keys, a
-    (2, rows, windows) batch counted with one row-wise sort. The target's
-    ids are dense, so they start at 0, and the keys are :func:`_fold`'s,
-    ``id * width + window - lo``, written in one pass; only when that
-    product would reach 2**62 does ``_fold`` re-rank them.
+    row are :func:`_fold`'s keys of the target's ids, a (2, 1, windows)
+    stack, and the rows' window keys: a (2, rows, windows) batch counted
+    with one row-wise sort.
     """
     xw = _windows(rows, k)
-    ids = np.stack([next_own, yw])[:, None]
-    lo = int(xw.min())
-    width = int(xw.max()) - lo + 1
-    if (int(ids.max()) + 1) * width < _ID_LIMIT:
-        keys = ids * width - lo + xw
-    else:
-        keys = _fold((np.broadcast_to(ids, (2, *xw.shape)), xw))
+    keys = _fold((np.stack([next_own, yw])[:, None], xw))
     del xw  # not needed while the keys are counted
     h = _entropies(keys.reshape(-1, keys.shape[2]))
     return [_clamped(h_own - (h_joint - h_given), "transfer entropy")

@@ -8,9 +8,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tefuse
 from tefuse import RunConfig, cli
@@ -37,6 +40,9 @@ def occ_csv(tmp_path_factory):
 
 # a stored entry deleted, where a test parameter gives the stored value
 REMOVED = object()
+
+# flags giving a continuous (non-integer) target
+CONTINUOUS = ["--target", "Temperature", "--sources", "Humidity,Light,CO2"]
 
 
 def run_cluster(occ_csv, out, extra=()):
@@ -333,7 +339,7 @@ class TestEvaluate:
         assert main(["evaluate", "--input", str(csv), "--tree", str(run_dir),
                      "--target-kind", "discrete", "--out", str(eval_dir)]) == 2
         assert f"target column {AHU_TARGET!r}" in capsys.readouterr().err
-        assert not (eval_dir / "report.csv").exists()
+        assert not eval_dir.exists()
 
     def test_evaluate_idempotent(self, occ_csv, tmp_path):
         run_dir = tmp_path / "run"
@@ -518,8 +524,25 @@ class TestMalformedArtifacts:
         capsys.readouterr()
         assert main(argv) == code
         assert message in capsys.readouterr().err
-        assert not (out / "report.csv").exists()
-        assert code == 3 or not out.exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("train_fraction", 1),
+        ("target_kind", "discrete"),
+    ])
+    def test_stored_config_that_cannot_be_evaluated(self, occ_csv, tmp_path, capsys,
+                                                    field, value):
+        # both exited 2, as if a flag had given the value
+        run_dir, out = tmp_path / "run", tmp_path / "eval"
+        assert run_cluster(occ_csv, run_dir, CONTINUOUS) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["config"][field] = value
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["evaluate", "--input", str(occ_csv), "--tree", str(run_dir),
+                     "--out", str(out)]) == 3
+        assert f"{run_dir / 'manifest.json'} configures a run" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_score_not_a_number(self, run_dir, tmp_path, capsys):
         tree = json.loads((run_dir / "tree.json").read_text())
@@ -528,6 +551,71 @@ class TestMalformedArtifacts:
         assert main(["export-tree", "--tree", str(run_dir / "tree.json"),
                      "--format", "dot", "--out", str(tmp_path / "export")]) == 3
         assert "data error" in capsys.readouterr().err
+
+
+# the values a stored entry is set to; REMOVED deletes it
+STORED_VALUES = [None, True, False, 0, -1, 1, 2, 1.5, 10**30, float("nan"), "x", "",
+                 "discrete", [], {}, [0], REMOVED]
+
+
+def _entry_paths(doc, path=()):
+    """The key path of every entry of a JSON document, containers included."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield (*path, key)
+        yield from _entry_paths(value, (*path, key))
+
+
+@pytest.fixture(scope="module")
+def stored_runs(tmp_path_factory):
+    """A small CSV and, by name, the stored files of three runs of it: a
+    discrete and a continuous target, and injected noise."""
+    root = tmp_path_factory.mktemp("stored")
+    csv = root / "occ.csv"
+    write_dataset_csv(occupancy_like(n=1200, seed=3), csv)
+    flags = ["--alphabet", "3", "--depth", "1"]
+    runs = {"discrete": ["cluster", *COMMON[:4], *flags],
+            "continuous": ["cluster", *CONTINUOUS, *flags],
+            "noise": ["inject-noise", *COMMON[:4], *flags, "--noise-count", "2",
+                      "--seed", "11"]}
+    stored = {}
+    for name, argv in runs.items():
+        assert main([*argv, "--input", str(csv), "--out", str(root / name)]) == 0
+        stored[name] = {f: (root / name / f).read_text()
+                        for f in ("manifest.json", "tree.json")}
+    return csv, stored
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_stored_entry_edit_exits_0_or_3(stored_runs, data):
+    # any one entry of a stored manifest.json or tree.json, set to a value
+    # of any JSON type or deleted: evaluate succeeds or reports a data
+    # error, never a configuration error or a traceback, and a failed run
+    # leaves no --out
+    csv, stored = stored_runs
+    run = data.draw(st.sampled_from(sorted(stored)))
+    name = data.draw(st.sampled_from(["manifest.json", "tree.json"]))
+    doc = json.loads(stored[run][name])
+    *parents, key = data.draw(st.sampled_from(list(_entry_paths(doc))))
+    value = data.draw(st.sampled_from(STORED_VALUES))
+    container = doc
+    for step in parents:
+        container = container[step]
+    if value is REMOVED:
+        del container[key]
+    else:
+        container[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir, out = Path(tmp) / "run", Path(tmp) / "out"
+        run_dir.mkdir()
+        for file, text in stored[run].items():
+            (run_dir / file).write_text(json.dumps(doc) if file == name else text)
+        code = main(["evaluate", "--input", str(csv), "--tree", str(run_dir),
+                     "--out", str(out)])
+        assert code in (0, 3), (run, name, parents, key, value)
+        assert code == 0 or not out.exists()
 
 
 class TestInjectNoise:
@@ -660,8 +748,10 @@ def test_command_opens_input_once(occ_csv, tmp_path, opened, name):
     assert opened.count(str(occ_csv)) == 1
 
 
+@pytest.mark.parametrize("kind", ["file", "under-file", "dangling-link"])
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_out_is_file_fails_before_work(occ_csv, tmp_path, capsys, caplog, opened, name):
+def test_out_is_file_fails_before_work(occ_csv, tmp_path, capsys, caplog, opened, name,
+                                       kind):
     run_dir, taken = tmp_path / "run", tmp_path / "taken"
     assert run_cluster(occ_csv, run_dir) == 0
     with caplog.at_level(logging.INFO, logger="tefuse"):
@@ -669,13 +759,19 @@ def test_out_is_file_fails_before_work(occ_csv, tmp_path, capsys, caplog, opened
         assert main(["--verbose", *_command(name, occ_csv, run_dir, tmp_path / "ok")]) == 0
         assert "wrote" in caplog.text
         assert name not in ("cluster", "inject-noise") or "level 1:" in caplog.text
-        taken.write_text("not a directory\n")
+        if kind == "dangling-link":
+            taken.symlink_to(tmp_path / "nowhere")
+        else:
+            taken.write_text("not a directory\n")
         caplog.clear()
         capsys.readouterr()
         opened.clear()
-        assert main(["--verbose", *_command(name, occ_csv, run_dir, taken)]) == 3
+        out = taken / "sub" if kind == "under-file" else taken
+        assert main(["--verbose", *_command(name, occ_csv, run_dir, out)]) == 3
     assert capsys.readouterr().err.startswith("tefuse: data error: ")
     assert caplog.text == ""
+    assert not (tmp_path / "nowhere").exists()
+    assert kind == "dangling-link" or taken.read_text() == "not a directory\n"
     assert str(occ_csv) not in opened and str(run_dir / "tree.json") not in opened
 
 
@@ -697,6 +793,47 @@ def test_config_error_creates_no_out(occ_csv, tmp_path, capsys, name):
     assert message in capsys.readouterr().err
     assert not out.exists()
 
+
+# Runs that once failed only after creating --out, each with one case per
+# command it applies to: (command, flags of the stored run evaluate reads,
+# flags, exit code, message). The input also has a column named noise_1.
+FAILS_WITHOUT_OUT = [
+    *[pytest.param(name, None, ["--sources", "Temperature,RATX"], 2,
+                   "column 'RATX' not found", id=f"missing-column-{name}")
+      for name in ("cluster", "inject-noise", "symbolize")],
+    pytest.param("inject-noise", None, ["--sources", "Temperature,noise_1"], 2,
+                 "source columns must be unique", id="noise-named-source-inject-noise"),
+    *[pytest.param(name, None, [*CONTINUOUS, "--target-kind", "discrete"], 2,
+                   "cannot be discrete", id=f"forced-discrete-{name}")
+      for name in ("cluster", "inject-noise", "symbolize")],
+    pytest.param("evaluate", CONTINUOUS, ["--target-kind", "discrete"], 2,
+                 "cannot be discrete", id="forced-discrete-evaluate"),
+    pytest.param("cluster", None, ["--sources", "Temperature"], 2,
+                 "at least two source", id="one-source-cluster"),
+    pytest.param("evaluate", ["--train-fraction", "1.0"], [], 3,
+                 "no held-out rows", id="stored-train-fraction-1-evaluate"),
+]
+
+
+@pytest.fixture(scope="module")
+def csv_with_noise_1(tmp_path_factory):
+    data = occupancy_like(n=2400, seed=20)
+    path = tmp_path_factory.mktemp("data") / "occ_noise_1.csv"
+    write_dataset_csv(dataclasses.replace(data, names=data.names + ("noise_1",),
+                                          columns=data.columns + data.columns[:1]), path)
+    return path
+
+
+@pytest.mark.parametrize("name, run_flags, flags, code, message", FAILS_WITHOUT_OUT)
+def test_failed_run_leaves_no_out(csv_with_noise_1, tmp_path, capsys, name, run_flags,
+                                  flags, code, message):
+    run_dir, out = tmp_path / "run", tmp_path / "out"
+    if run_flags is not None:
+        assert run_cluster(csv_with_noise_1, run_dir, run_flags) == 0
+    capsys.readouterr()
+    assert main(_command(name, csv_with_noise_1, run_dir, out) + flags) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # per configuration key, values of the wrong sign or type: argparse refuses

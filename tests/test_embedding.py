@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tefuse import SequenceTooShort, SymbolSequence, decode_state, embed
-from tefuse.embedding import history_ids
 
 from oracles import embed_oracle
 
@@ -89,31 +88,3 @@ def test_radix_states_up_to_the_id_limit():
         assert decode_state(state, 60, 2) == tuple(symbols[i: i + 61])
     with pytest.raises(ValueError, match="2\\^62"):
         embed(SymbolSequence(symbols, 2), 61)
-
-
-def test_history_ids_rank_radix_states():
-    # Dense ids order windows as radix states do; the last window, which has
-    # no successor, is left out.
-    rng = np.random.default_rng(3)
-    for k in (0, 1, 3):
-        seq = SymbolSequence(rng.integers(0, 4, 60), 4)
-        ranks = np.unique(embed(seq, k).states[:-1], return_inverse=True)[1]
-        assert history_ids(seq, k).tolist() == ranks.tolist()
-
-
-def test_history_ids_beyond_radix_range():
-    rng = np.random.default_rng(4)
-    seq = SymbolSequence(rng.integers(0, 10, 100), 10)
-    ids = history_ids(seq, 25)
-    assert len(ids) == 100 - 25 - 1
-    assert ids.max() < len(ids)
-
-
-def test_history_ids_too_short():
-    with pytest.raises(SequenceTooShort):
-        history_ids(SymbolSequence([0, 1, 0], 2), 2)
-
-
-def test_history_ids_negative_depth():
-    with pytest.raises(ValueError, match="k must be >= 0"):
-        history_ids(SymbolSequence([0, 1, 0, 1, 1], 2), -1)

@@ -185,10 +185,12 @@ class TestValueSortCounts:
                 assert np.array_equal(np.unique(keys, return_inverse=True)[1],
                                       _history(symbols, k))
 
+    @pytest.mark.parametrize("broadcast", [True, False], ids=["view", "unbroadcast"])
     @pytest.mark.parametrize("extreme", [False, True], ids=["no-sort", "re-rank"])
-    def test_batch_fold_ranks_each_row_as_alone(self, extreme):
-        # a shared leading column broadcast over a batch of rows with mixed
-        # widths and negative labels; an int64-extreme row re-ranks the batch
+    def test_batch_fold_ranks_each_row_as_alone(self, extreme, broadcast):
+        # a shared leading column over a batch of rows with mixed widths and
+        # negative labels, as a broadcast view or as one row the keys grow
+        # from; an int64-extreme row re-ranks the batch
         rng = np.random.default_rng(20)
         n = 80
         rows = [rng.integers(0, 3, n), rng.integers(-50, -40, n), np.full(n, -7)]
@@ -196,7 +198,9 @@ class TestValueSortCounts:
             rows.append(rng.integers(INT64.min, INT64.max, n, endpoint=True))
         rows = np.stack(rows)
         lead = rng.integers(0, 4, n)
-        batch = _fold((np.broadcast_to(lead, rows.shape), rows, rows[::-1]))
+        batch = _fold((np.broadcast_to(lead, rows.shape) if broadcast else lead,
+                       rows, rows[::-1]))
+        assert batch.shape == rows.shape
         for got, row, flipped in zip(batch, rows, rows[::-1]):
             alone = _fold((lead, row, flipped))
             assert np.array_equal(np.unique(got, return_inverse=True)[1],
@@ -555,8 +559,8 @@ class TestChunks:
 
 
 class TestTransferRows:
-    """_transfer_rows writes the joint keys in one pass, and hands them to
-    _fold's re-rank only when the id-times-width product reaches the limit."""
+    """_transfer_rows folds the target's ids with the rows' window keys, and
+    _fold re-ranks them only when the id-times-width product reaches the limit."""
 
     LABELS = {
         "small": lambda rng, n: rng.integers(0, 4, n),
@@ -574,20 +578,17 @@ class TestTransferRows:
         n = 200
         z = rng.integers(0, 3, n)
         sources = [self.LABELS[labels](rng, n) for _ in range(3)]
-        fallbacks = []
-
-        def recording(columns, *args):
-            if len(columns) == 2 and np.ndim(columns[0]) == 3:
-                fallbacks.append(np.shape(columns[0]))
-            return fold(columns, *args)
-
-        fold = infotheory._fold
-        monkeypatch.setattr(infotheory, "_fold", recording)
         monkeypatch.setattr(infotheory, "_CHUNK_KEYS", 2**40)
-        assert transfer_entropies(sources, z, k) == dense_transfer_entropies_oracle(
+        target = infotheory._target_terms(z, k)
+        sorts = _count_sorts(monkeypatch)
+        _windows(np.stack(sources), k)
+        window_sorts = list(sorts)
+        assert infotheory._scores(sources, target) == dense_transfer_entropies_oracle(
             sources, z, k)
-        assert fallbacks == ([(2, 3, n - 1 - k)]
-                             if labels == "wide-span" and k == 0 else [])
+        # the chunk folds its windows as above, then its joint keys: a
+        # re-rank sorts the 2 target id rows, then the 3 sources' windows
+        assert sorts[len(window_sorts):] == [*window_sorts, *(
+            [2, 3] if labels == "wide-span" and k == 0 else [])]
 
 
 @pytest.mark.parametrize("call", [

@@ -21,16 +21,19 @@ level computes every single and every pair, and each later level only the
 new node's TE and its pairs with the other active nodes. The target is
 prepared once per run (:func:`~tefuse.infotheory._target_terms`), and a
 level passes its missing keys in one batch to
-:func:`~tefuse.infotheory._scores`, the one path to the TE kernel, which
-scores in row-wise chunks of a fixed key budget. Each node's training
-prefix is sliced once, and a pair's merged column is made from the two
-prefixes with :func:`~tefuse.fusion.merge_pair`'s arithmetic, only when its
-chunk is gathered. The values equal :func:`score_pair`'s, whatever the
-chunk size; :func:`_pair_score` writes the distance for both, and kept and
-fresh values are the same floats, so the candidate list and the winner
-depend on neither the batching nor the table. Each score equals minus the
-sum of the pair's :func:`~tefuse.infotheory.causation_entropy_pair` values,
-up to round-off.
+:func:`~tefuse.infotheory._scores`, the one path to the TE kernel, as 2-D
+blocks of one chunk each, cut by the kernel's rule
+(:func:`~tefuse.infotheory._chunks`). Each node's training prefix is sliced
+once, never copied whole. A chunk's block is gathered from the prefixes
+when its turn comes, one row per key: its singles' prefixes, then its
+pairs' merged columns, which one multiply-add over the gathered prefixes
+makes with :func:`~tefuse.fusion.merge_pair`'s arithmetic
+(``prefix[i] * b_j + prefix[j]``). The values equal :func:`score_pair`'s,
+whatever the chunk size; :func:`_pair_score` writes the distance for both,
+and kept and fresh values are the same floats, so the candidate list and
+the winner depend on neither the batching nor the table. Each score equals
+minus the sum of the pair's :func:`~tefuse.infotheory.causation_entropy_pair`
+values, up to round-off.
 
 ``tree.json`` is ``json.dumps(doc, indent=2)`` plus a line break, byte for
 byte, and :func:`_export_json`, the one writer that knows its schema,
@@ -48,9 +51,11 @@ import logging
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import LengthMismatch, MalformedArtifact, SequenceTooShort, TreeDatasetMismatch
 from .fusion import fuse, merge_pair
-from .infotheory import _scores, _target_terms, transfer_entropies
+from .infotheory import _chunks, _scores, _target_terms, transfer_entropies
 from .ingest import Dataset, RunConfig, split_index
 from .jsonout import _parse_json
 from .sdf import (Partition, SymbolSequence, fit_mep_partition, fit_uniform_partition,
@@ -133,18 +138,24 @@ def cluster(
     # stay ascending because a fused node takes the next id and goes last.
     te: dict[tuple[int, ...], float] = {}
 
-    def train_view(key):
-        if len(key) == 1:
-            return views[key[0]]
-        i, j = key  # merge_pair's x * b_y + y, on the prefixes
-        return views[i] * nodes[j].alphabet_size + views[j]
+    def block(chunk):
+        # one row per key: a node's prefix, or for a pair merge_pair's
+        # x * b_y + y on the prefixes; a chunk's pairs follow its singles
+        rows = np.concatenate([views[key[0]] for key in chunk]).reshape(len(chunk), -1)
+        merged = [key for key in chunk if len(key) == 2]
+        if merged:
+            tail = rows[len(chunk) - len(merged):]
+            tail *= np.array([nodes[j].alphabet_size for _, j in merged])[:, None]
+            tail += np.concatenate([views[j] for _, j in merged]).reshape(tail.shape)
+        return rows
 
     level = 0
     while len(active) > config.stop_at:
         level += 1
         pairs = list(itertools.combinations(active, 2))
         missing = [key for key in [*((i,) for i in active), *pairs] if key not in te]
-        te.update(zip(missing, _scores(map(train_view, missing), z_terms)))
+        blocks = map(block, _chunks(missing, train_len - 1 - k))
+        te.update(zip(missing, _scores(blocks, z_terms)))
         scores = [_pair_score(te[i,], te[j,], te[i, j]) for i, j in pairs]
 
         # Pairs are enumerated in ascending (i, j) order, so the first

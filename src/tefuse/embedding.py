@@ -52,7 +52,7 @@ def embed(seq: SymbolSequence, k: int) -> StateSequence:
     if b ** (k + 1) >= _ID_LIMIT:
         raise ValueError(f"state space {b}^{k + 1} is not below the 2^62 id limit")
     # one base-b digit per lagged slice; below the limit the fold never re-ranks
-    states = _fold([symbols[j: n - k + j] for j in range(k + 1)], (0, b - 1))
+    states = _fold([symbols[j: n - k + j] for j in range(k + 1)], [(0, b - 1)] * (k + 1))
     return StateSequence(states=states, depth=k, base=b)
 
 

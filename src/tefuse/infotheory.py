@@ -10,17 +10,21 @@ Joint distributions are formed by tupling aligned columns (raw symbols or
 history windows) and counting distinct tuples, never by combining entropies
 of the parts. :func:`_fold` turns the tuples into int64 keys in mixed radix,
 which keeps lexicographic tuple order, with a sort only when the product of
-the column widths would reach 2**62. Every entropy is a row of one kernel,
-:func:`_entropies`: its counts are the run lengths of one row-wise value
-sort of the keys (:func:`_counts`), so they come in lexicographic tuple
-order, the order a sort of the stacked rows gives, and each row's terms are
-summed over its own contiguous slice. Each count array, and with it every
-floating-point sum over it, is therefore the same element for element
-whatever way the tuples are formed and whichever rows share a batch. Dense
-ids 0..m-1 (:func:`_joint_ids`, one more sort) are made only where a table
-needs them: the target's windows and its (next, own window) states, which
-every source is joined with, :func:`_history`, and the estimator. A
-source's windows stay raw keys. A history window is the tuple of its k+1
+the column widths would reach 2**62. Keys that are only counted come back
+as int32 when that product, which bounds every key, is at most 2**31; the
+fold decides this from the product it tracks, never from a scan of the
+keys, and an integer sort orders int32 and int64 keys alike. Every entropy
+is a row of one kernel, :func:`_entropies`: its counts are the run lengths
+of one row-wise value sort of the keys (:func:`_counts`), so they come in
+lexicographic tuple order, the order a sort of the stacked rows gives, and
+each row's terms are summed over its own contiguous slice. Each count
+array, and with it every floating-point sum over it, is therefore the same
+element for element whatever way the tuples are formed, whatever the key
+width and whichever rows share a batch. Dense ids 0..m-1
+(:func:`_joint_ids`, one more sort) are made only where a table needs them:
+the target's windows and its (next, own window) states, which every source
+is joined with, :func:`_history`, and the estimator. A source's windows
+stay raw keys. A history window is the tuple of its k+1
 lagged symbols, so every quantity here is invariant under any bijective
 relabeling of the input alphabets.
 
@@ -28,22 +32,26 @@ Lag convention: the target symbol at t+1 is paired with states through t,
 giving aligned tuples for t = k .. n-2.
 
 Every transfer entropy takes one path. :func:`_target_terms` checks a
-target and a depth and prepares the target's windows and H(next | own
-history). :func:`_scores`, the one caller of the kernel
-:func:`_transfer_rows`, scores sources against a prepared target, which a
-caller with many batches prepares once. :func:`transfer_entropies` is
-``_scores`` over a target prepared for the call, checked before any source
-is read, and :func:`transfer_entropy` is ``transfer_entropies`` of one
-source. Sources are scored in chunks, a (sources, n) batch each, of at
-most ``_CHUNK_KEYS`` source window keys (and at least one source). A chunk
-costs one :func:`_fold` of its windows, one pass that folds the target's
-ids in to give its (next, own, source) and (own, source) keys, each over
-the whole batch, and one row-wise sort of those keys, whatever the number
-of sources in it.
+target and a depth and prepares, once, the target's (next, own window) and
+own window ids as one (2, 1, windows) stack, that stack's bounds, and
+H(next | own history). :func:`_scores`, the one caller of the kernel
+:func:`_transfer_rows`, scores 2-D blocks of sources, one row per source,
+against a prepared target, with one length check per block; a caller with
+many batches prepares the target once. Sources are cut into chunks by one
+rule, :func:`_chunks`: at most ``_CHUNK_KEYS`` source window keys to a
+chunk, and at least one source. :func:`transfer_entropies` checks the
+target first, then reads its sources lazily, checks each one when its turn
+comes and stacks each chunk into a block; :func:`transfer_entropy` is
+``transfer_entropies`` of one source. A block costs one :func:`_fold` of its
+windows, one pass that folds the target's stack in, within the given
+bounds, to give its (next, own, source) and (own, source) keys over the
+whole batch, and one row-wise sort of those keys, whatever the number of
+sources in it.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 
 import numpy as np
@@ -54,9 +62,12 @@ logger = logging.getLogger(__name__)
 
 CLAMP_EPS = 1e-12
 _ID_LIMIT = 2**62
+# Keys of a fold whose span (the bound on its keys) is at most this fit
+# int32; see _fold's ``narrow``.
+_INT32_SPAN = 2**31
 # Source window keys (sources x windows) per chunk of transfer_entropies; a
-# chunk holds at least one source. Its joint keys and counts are int64
-# arrays of up to twice this size, so the budget sets the memory scoring
+# chunk holds at least one source. Its joint keys and counts are arrays of
+# up to twice this size, so the budget sets the memory scoring
 # adds to a run's peak, not its speed. On the 24-source `wide` benchmark
 # workload, 2**16 raised the peak resident memory from 42.8 to 44.8 MB with
 # no gain in time; 2**14 stays within 0.2 MB of one source per chunk.
@@ -73,18 +84,19 @@ def _column(seq) -> np.ndarray:
     return arr
 
 
-def _fold(columns, bounds=None) -> np.ndarray:
+def _fold(columns, bounds=None, narrow=False) -> np.ndarray:
     """Keys of the tuples formed by aligned, non-empty integer columns.
 
     Equal tuples share a key and keys follow lexicographic tuple order, but
     they are not dense: sorting the keys sorts the tuples. Columns are folded
     left to right in mixed radix: the keys so far are scaled by the next
-    column's width (max - min + 1, or ``bounds`` when the caller knows them
-    for every column) and the column, shifted to start at zero, added. When
-    that would take the product of widths to 2**62, the keys so far are
-    re-ranked with one sort and the product restarts at the number of
-    distinct keys; a column whose own width still overflows is dense-ranked
-    too. Otherwise no column costs a sort.
+    column's width (max - min + 1, measured, or from ``bounds``, which
+    gives each column's (min, max), or None to measure it) and the column,
+    shifted to start at zero, added. When that would take the product of
+    widths to 2**62, the keys so far are re-ranked with one sort and the
+    product restarts at the number of distinct keys; a column whose own
+    width still overflows is dense-ranked too. Otherwise no column costs a
+    sort.
 
     The columns may also be N-D arrays of one shape, the first of which may
     be smaller, broadcasting over the rest: a batch of rows is then folded at
@@ -92,11 +104,19 @@ def _fold(columns, bounds=None) -> np.ndarray:
     batch. The keys are scaled in place, or out of place while they are
     smaller than the column. Within each row the keys still follow tuple
     order, so each row counts the same as it would alone.
+
+    Every key lies below the product of widths the fold tracks. With
+    ``narrow``, for keys that are only sorted or counted, keys whose product
+    is at most 2**31 come back as int32, which sorts faster and in the same
+    order; the choice follows from that product, never from a scan. When
+    the last column broadcasts the keys to the batch's shape, it is added
+    straight into int32 keys, so the batch never exists as int64.
     """
     keys, span = None, 1
-    for col in columns:
+    for index, (col, col_bounds) in enumerate(
+            zip(columns, bounds or itertools.repeat(None))):
         col = np.asarray(col, dtype=np.int64)
-        lo, hi = bounds or (int(col.min()), int(col.max()))
+        lo, hi = col_bounds or (int(col.min()), int(col.max()))
         width = hi - lo + 1
         if span * width >= _ID_LIMIT:
             if keys is not None:
@@ -105,15 +125,23 @@ def _fold(columns, bounds=None) -> np.ndarray:
             if span * width >= _ID_LIMIT:
                 distinct, ids = np.unique(col, return_inverse=True)
                 col, lo, width = ids.reshape(col.shape), 0, len(distinct)
+        span *= width
         if keys is None:
             keys = col - lo
         elif keys.shape != col.shape:
-            keys = keys * width - lo + col
+            last = index == len(columns) - 1
+            out = np.empty(np.broadcast_shapes(keys.shape, col.shape),
+                           _key_type(span, narrow and last))
+            keys = np.add(keys * width - lo, col, out=out, casting="unsafe")
         else:
             keys *= width
             keys += col - lo if lo else col
-        span *= width
-    return keys
+    return keys.astype(_key_type(span, narrow), copy=False)
+
+
+def _key_type(span: int, narrow: bool):
+    """int32 for narrowed keys below a span of at most 2**31, else int64."""
+    return np.int32 if narrow and span <= _INT32_SPAN else np.int64
 
 
 def _joint_ids(*columns) -> np.ndarray:
@@ -170,7 +198,7 @@ def _entropies(keys: np.ndarray) -> list[float]:
 
 
 def _joint_entropy(*columns) -> float:
-    return _entropies(_fold(columns)[None])[0]
+    return _entropies(_fold(columns, narrow=True)[None])[0]
 
 
 def _clamped(value: float, what: str) -> float:
@@ -188,7 +216,7 @@ def _windows(arr: np.ndarray, k: int) -> np.ndarray:
     all within the bounds of the whole array."""
     n = arr.shape[-1]
     bounds = int(arr.min()), int(arr.max())
-    return _fold([arr[..., j: n - 1 - k + j] for j in range(k + 1)], bounds)
+    return _fold([arr[..., j: n - 1 - k + j] for j in range(k + 1)], [bounds] * (k + 1))
 
 
 def _history(arr: np.ndarray, k: int) -> np.ndarray:
@@ -247,25 +275,27 @@ def conditional_entropy(next_symbols, given) -> float:
 
 def _target_terms(target, k: int):
     """Check a target and a depth; return the target's column, ``k``, its
-    window ids, its (next, own window) ids and H(next | own)."""
+    (next, own window) ids and its window ids as one (2, 1, windows) stack,
+    that stack's (min, max) and H(next | own)."""
     (y,) = _aligned(k, target)
     yw = _history(y, k)
     next_own = _joint_ids(y[k + 1:], yw)
-    h_next_own, h_own = _entropies(np.stack([next_own, yw]))
-    return y, k, yw, next_own, h_next_own - h_own
+    ids = np.stack([next_own, yw])
+    h_next_own, h_own = _entropies(ids.copy())  # which sorts its copy
+    return y, k, ids[:, None], (0, int(ids.max())), h_next_own - h_own
 
 
-def _transfer_rows(rows: np.ndarray, k: int, yw: np.ndarray,
-                   next_own: np.ndarray, h_own: float) -> list[float]:
+def _transfer_rows(rows: np.ndarray, k: int, ids: np.ndarray,
+                   id_bounds: tuple[int, int], h_own: float) -> list[float]:
     """H(next | own) - H(next | own, source) for each source row of ``rows``.
 
     The (next, own, source window) and (own, source window) keys of every
-    row are :func:`_fold`'s keys of the target's ids, a (2, 1, windows)
-    stack, and the rows' window keys: a (2, rows, windows) batch counted
-    with one row-wise sort.
+    row are :func:`_fold`'s keys of the target's (2, 1, windows) id stack,
+    within its given bounds, and the rows' window keys: a (2, rows, windows)
+    batch counted with one row-wise sort, of int32 keys where they fit.
     """
     xw = _windows(rows, k)
-    keys = _fold((np.stack([next_own, yw])[:, None], xw))
+    keys = _fold((ids, xw), (id_bounds, None), narrow=True)
     del xw  # not needed while the keys are counted
     h = _entropies(keys.reshape(-1, keys.shape[2]))
     return [_clamped(h_own - (h_joint - h_given), "transfer entropy")
@@ -288,25 +318,37 @@ def transfer_entropies(sources, target, k: int) -> list[float]:
     checked first; ``sources`` may be any iterable and is read lazily, each
     source checked against the target when its turn comes.
     """
-    return _scores(sources, _target_terms(target, k))
+    terms = _target_terms(target, k)
+    y = terms[0]
 
-
-def _scores(sources, target) -> list[float]:
-    """:func:`transfer_entropies` of ``sources`` toward a target prepared by
-    :func:`_target_terms`, so that a caller scoring many batches against
-    one target prepares it once."""
-    y, k, *terms = target
-    values, chunk = [], []
-    rows_per_chunk = max(1, _CHUNK_KEYS // len(terms[0]))
-    for source in sources:
+    def checked(source) -> np.ndarray:
         x = _column(source)
         _check_lengths(k, (x, y))
-        chunk.append(x)
-        if len(chunk) == rows_per_chunk:
-            values += _transfer_rows(np.stack(chunk), k, *terms)
-            chunk = []
-    if chunk:
-        values += _transfer_rows(np.stack(chunk), k, *terms)
+        return x
+
+    blocks = map(np.stack, _chunks(map(checked, sources), len(y) - 1 - k))
+    return _scores(blocks, terms)
+
+
+def _chunks(items, windows: int):
+    """Consecutive lists of ``items``, read lazily, of as many as fit in
+    ``_CHUNK_KEYS`` source window keys at ``windows`` keys each (at least
+    one); the last list may be shorter."""
+    items, size = iter(items), max(1, _CHUNK_KEYS // windows)
+    while chunk := list(itertools.islice(items, size)):
+        yield chunk
+
+
+def _scores(blocks, target) -> list[float]:
+    """Transfer entropy of each row of each 2-D block of sources toward a
+    target prepared by :func:`_target_terms`, so that a caller scoring many
+    batches against one target prepares it once; each block's width is
+    checked against the target."""
+    y, k, *terms = target
+    values = []
+    for block in blocks:
+        _check_lengths(k, (block[0], y))
+        values += _transfer_rows(block, k, *terms)
     return values
 
 
@@ -318,7 +360,7 @@ def causation_entropy_pair(x, y, z, k: int) -> tuple[float, float]:
     symmetric quantity with x and y swapped.
     """
     xa, ya, za = _aligned(k, x, y, z)
-    _, _, zw, next_own, _ = _target_terms(za, k)
+    next_own, zw = _target_terms(za, k)[2][:, 0]
     xw, yw = _windows(xa, k), _windows(ya, k)
     h_zx = _joint_entropy(next_own, xw) - _joint_entropy(zw, xw)
     h_zy = _joint_entropy(next_own, yw) - _joint_entropy(zw, yw)

@@ -347,10 +347,11 @@ def read_config_file(path) -> dict[str, str]:
     """Parse a plain-text key=value configuration file.
 
     Blank lines and '#' comments are ignored; values are returned as strings
-    for the CLI layer to coerce. Flags override file entries.
+    for the CLI layer to coerce. Flags override file entries. A leading UTF-8
+    byte-order mark is skipped, as in input CSVs.
     """
     entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

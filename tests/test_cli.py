@@ -180,6 +180,23 @@ class TestCluster:
         assert manifest["config"]["alphabet"] == 3  # flag wins
         assert manifest["config"]["depth"] == 1     # file applies
 
+    def test_config_file_with_byte_order_mark(self, occ_csv, tmp_path):
+        # a leading BOM once made the first key '\ufefftarget', exit 2
+        text = ("target = Occupancy\n"
+                "sources = Temperature,Humidity,Light,CO2,HumidityRatio\n"
+                "alphabet = 3\n"
+                "depth = 1\n")
+        outputs = []
+        for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+            conf = tmp_path / f"{name}.conf"
+            conf.write_bytes(data)
+            out = tmp_path / name
+            assert main(["cluster", "--input", str(occ_csv), "--config", str(conf),
+                         "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            outputs.append(((out / "tree.json").read_bytes(), manifest["config"]))
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("key", list(_CONFIG_FLAGS))
     def test_config_file_key_matches_flag(self, occ_csv, tmp_path, key):
         # every value differs from its default, so a key the file reader
@@ -940,3 +957,42 @@ def test_cluster_and_evaluate_do_not_import_numpy_ma(tmp_path, make, target, sou
         pytest.skip("this numpy imports numpy.ma with numpy itself")
     assert not result["masked"]
     assert (tmp_path / "run" / "ev" / "report.csv").read_text().count(metric) == len(sources)
+
+
+# import tefuse.cli, cluster, then inject-noise: when is numpy.random loaded?
+RANDOM_IMPORT_SCRIPT = """
+import json, sys
+import numpy
+with_numpy = "numpy.random" in sys.modules
+from tefuse.cli import main
+loaded = ["numpy.random" in sys.modules]
+csv, out, target, sources = sys.argv[1:]
+common = ["--input", csv, "--target", target, "--sources", sources,
+          "--alphabet", "4", "--depth", "1"]
+codes = [main(["cluster", *common, "--out", out + "/plain"])]
+loaded.append("numpy.random" in sys.modules)
+codes.append(main(["inject-noise", *common, "--noise-count", "1", "--out", out + "/noisy"]))
+loaded.append("numpy.random" in sys.modules)
+print(json.dumps({"with_numpy": with_numpy, "codes": codes, "loaded": loaded}))
+"""
+
+
+def test_import_and_plain_cluster_do_not_import_numpy_random(tmp_path):
+    # importing numpy.random costs 7-10 ms per process; only injected noise
+    # needs it, so a module-level np.random would add that to every command
+    csv = tmp_path / "data.csv"
+    write_dataset_csv(ahu_like(n=600, seed=40), csv)
+    src = str(Path(tefuse.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", RANDOM_IMPORT_SCRIPT, str(csv), str(tmp_path / "run"),
+         AHU_TARGET, ",".join(AHU_SOURCES)],
+        env=env, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    if result["with_numpy"]:
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    # not after the import nor the plain cluster; the noise run shows the
+    # check would see it
+    assert result["loaded"] == [False, False, True]

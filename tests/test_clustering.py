@@ -338,10 +338,10 @@ class TestPairCache:
         leaves, target, config = noisy_run
         batches, terms_built = [], []
 
-        def counting(sources, *args):
-            sources = list(sources)
-            batches.append(len(sources))
-            return scores(sources, *args)
+        def counting(blocks, *args):
+            blocks = list(blocks)
+            batches.append(sum(len(block) for block in blocks))
+            return scores(blocks, *args)
 
         def building(*args):
             terms_built.append(args)
@@ -366,10 +366,10 @@ class TestPairCache:
         leaves, target, config = noisy_run
         scored = []
 
-        def recording(sources, *args):
-            sources = list(sources)
-            values = scores(sources, *args)
-            scored.extend(zip(sources, values))
+        def recording(blocks, *args):
+            blocks = list(blocks)
+            values = scores(blocks, *args)
+            scored.extend(zip((row for block in blocks for row in block), values))
             return values
 
         scores = clustering._scores
@@ -380,6 +380,34 @@ class TestPairCache:
         assert len(scored) == n + n * (n - 1) // 2 + sum(range(2, n))
         for source, value in scored:
             assert value == transfer_entropy(source, z_train, config.depth)
+
+    def test_kernel_runs_once_per_chunk_and_no_source_is_checked_alone(
+            self, noisy_run, monkeypatch):
+        leaves, target, config = noisy_run
+        windows = split_index(len(target), config.train_fraction) - 1 - config.depth
+        columns, chunks = [], []
+        column, kernel = infotheory._column, infotheory._transfer_rows
+
+        def checking(seq):
+            columns.append(seq)
+            return column(seq)
+
+        def recording(rows, *args):
+            chunks.append(rows.shape)
+            return kernel(rows, *args)
+
+        monkeypatch.setattr(infotheory, "_column", checking)
+        monkeypatch.setattr(infotheory, "_transfer_rows", recording)
+        monkeypatch.setattr(infotheory, "_CHUNK_KEYS", 3 * windows)
+        tree = cluster(leaves, target, config)
+        # the target's prefix is checked once; the sources reach the kernel
+        # as 2-D blocks, never one column at a time
+        assert len(columns) == 1 and len(columns[0]) == windows + 1 + config.depth
+        # each level's missing keys, 3 rows to a chunk, the last chunk shorter
+        want = [(min(3, batch - start), windows + 1 + config.depth)
+                for batch in clustering.te_computed(tree)
+                for start in range(0, batch, 3)]
+        assert chunks == want
 
     def test_tree_bytes_do_not_depend_on_the_chunk_budget(self, noisy_run, monkeypatch):
         leaves, target, config = noisy_run

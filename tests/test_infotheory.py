@@ -583,12 +583,88 @@ class TestTransferRows:
         sorts = _count_sorts(monkeypatch)
         _windows(np.stack(sources), k)
         window_sorts = list(sorts)
-        assert infotheory._scores(sources, target) == dense_transfer_entropies_oracle(
-            sources, z, k)
+        assert infotheory._scores([np.stack(sources)], target) == \
+            dense_transfer_entropies_oracle(sources, z, k)
         # the chunk folds its windows as above, then its joint keys: a
         # re-rank sorts the 2 target id rows, then the 3 sources' windows
         assert sorts[len(window_sorts):] == [*window_sorts, *(
             [2, 3] if labels == "wide-span" and k == 0 else [])]
+
+
+class TestNarrowKeys:
+    """Keys whose fold span is at most 2**31 are counted as int32; every
+    key, count and float equals the int64 keys'."""
+
+    # span = m * width: ids 0..m-1 folded ahead of a column of that width
+    SPANS = {"2**31-1": (1, 2**31 - 1), "2**31": (4, 2**29), "2**31+1": (3, 715_827_883)}
+
+    @staticmethod
+    def _int32(m, width):
+        return m * width <= 2**31
+
+    @pytest.mark.parametrize("span", list(SPANS))
+    def test_fold_narrows_only_within_int32(self, span):
+        m, width = self.SPANS[span]
+        rng = np.random.default_rng(95)
+        n = 300
+        # the top tuple (m - 1, width - 1) three times and the bottom one
+        # (0, 0) once, so a wrapped top key would reorder the counts
+        lead = np.concatenate([[m - 1] * 3, [0], rng.integers(0, m, n)])
+        second = np.concatenate([[width - 1] * 3, [0], rng.integers(1, width - 1, n)])
+        narrow, wide = _fold((lead, second), narrow=True), _fold((lead, second))
+        assert narrow.dtype == (np.int32 if self._int32(m, width) else np.int64)
+        assert narrow.tolist() == wide.tolist()
+        assert wide.max() == m * width - 1
+        got, want = _counts(narrow[None]), _counts(wide[None])
+        assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+        assert want[0][0] == 1 and want[0][-1] == 3
+
+    @pytest.mark.parametrize("third", [2**9, 2**10], ids=["fits", "passes-2**31"])
+    def test_batch_fold_narrows_only_its_last_column(self, third):
+        # a span of 2**22 after the broadcast column fits int32; a third
+        # column of width 2**9 keeps the span at 2**31, one of 2**10 passes it
+        rng = np.random.default_rng(97)
+        lead = np.arange(2**9)[None]
+        rows = rng.integers(0, 2**13, (3, 2**9))
+        rows[0, :2] = 0, 2**13 - 1
+        last = rng.integers(0, third, (3, 2**9))
+        last[0, :2] = 0, third - 1
+        narrow = _fold((lead, rows, last), narrow=True)
+        assert narrow.dtype == (np.int32 if third == 2**9 else np.int64)
+        assert narrow.tolist() == _fold((lead, rows, last)).tolist()
+
+    @pytest.mark.parametrize("span", list(SPANS))
+    def test_transfer_entropies_at_the_int32_edge(self, monkeypatch, span):
+        m, width = self.SPANS[span]
+        rng = np.random.default_rng(96)
+        n = 300
+        # at k = 0 a target's ids span m = max(#(next, own), #own) states:
+        # constant, binary with no two 1s in a row, or free binary
+        z = {1: np.zeros(n, dtype=np.int64),
+             3: np.where(np.arange(n) % 2, rng.integers(0, 2, n), 0),
+             4: rng.integers(0, 2, n)}[m]
+        ids_bounds = infotheory._target_terms(z, 0)[3]
+        assert ids_bounds == (0, m - 1)
+        sources = []
+        for _ in range(3):
+            x = rng.choice([0, 1, width - 2, width - 1], n)
+            x[:2] = 0, width - 1
+            sources.append(x)
+        dtypes = []
+        counts = infotheory._counts
+
+        def recording(keys):
+            dtypes.append(keys.dtype)
+            return counts(keys)
+
+        monkeypatch.setattr(infotheory, "_counts", recording)
+        got = transfer_entropies(sources, z, 0)
+        assert dtypes[-1] == (np.int32 if self._int32(m, width) else np.int64)
+        assert got == dense_transfer_entropies_oracle(sources, z, 0)
+        monkeypatch.setattr(infotheory, "_INT32_SPAN", 0)  # the int64 path
+        dtypes.clear()
+        assert transfer_entropies(sources, z, 0) == got
+        assert dtypes[-1] == np.int64
 
 
 @pytest.mark.parametrize("call", [

@@ -58,7 +58,7 @@ from .fusion import fuse, merge_pair
 from .infotheory import _chunks, _scores, _target_terms, transfer_entropies
 from .ingest import Dataset, RunConfig, split_index
 from .jsonout import _parse_json
-from .sdf import (Partition, SymbolSequence, fit_mep_partition, fit_uniform_partition,
+from .sdf import (MAX_ENTROPY, UNIFORM, Partition, SymbolSequence, _fit_partitions,
                   symbolize)
 
 logger = logging.getLogger(__name__)
@@ -227,15 +227,23 @@ def replay_merges(
 
 def fit_leaves(dataset: Dataset,
                config: RunConfig) -> list[tuple[Partition, SymbolSequence]]:
-    """Each source's partition, fitted on the training prefix, and symbols."""
-    fit = fit_mep_partition if config.partitioner == "mep" else fit_uniform_partition
+    """Each source's partition, fitted on the training prefix, and symbols.
+
+    The sources' training prefixes are stacked, the one copy the fit needs,
+    and fitted together, one row each (:func:`~tefuse.sdf._fit_partitions`:
+    a maximum entropy fit sorts them with one row-wise sort); each column is
+    then symbolized from its own full-length values. A source that cannot
+    be partitioned raises :class:`~tefuse.errors.DegenerateInput` naming the
+    first such source in config order.
+    """
+    kind = MAX_ENTROPY if config.partitioner == "mep" else UNIFORM
     train_len = split_index(dataset.n, config.train_fraction)
-    out = []
-    for name in config.source_columns:
-        values = dataset.column(name)
-        partition = fit(values[:train_len], config.alphabet)
-        out.append((partition, symbolize(values, partition, name)))
-    return out
+    names = config.source_columns
+    columns = [dataset.column(name) for name in names]
+    partitions = _fit_partitions(np.stack([values[:train_len] for values in columns]),
+                                 config.alphabet, kind, names)
+    return [(partition, symbolize(values, partition, name))
+            for partition, values, name in zip(partitions, columns, names)]
 
 
 def leaf_sequences(dataset: Dataset, config: RunConfig) -> list[SymbolSequence]:

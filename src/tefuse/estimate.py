@@ -37,7 +37,12 @@ order of the keys, so ranking raw window keys gives the ids that ranking
 dense window ids (:func:`tefuse.infotheory._history`) would. Predictions
 depend only on how rows group into states, not on how the ids are
 numbered, so they equal those of :func:`train` and :func:`predict` on each
-level's full window matrix.
+level's full window matrix. The nodes' window keys are folded a chunk of
+nodes at a time, cut by the transfer-entropy kernel's chunk rule
+(:func:`tefuse.infotheory._chunks`), so a level pays for no per-node fold
+and a long series is never stacked whole; each chunk's keys share its
+bounds, which changes them as numbers but keeps their order within a row.
+A level's seen-in-training mask is one flag set at each training id.
 """
 
 from __future__ import annotations
@@ -49,10 +54,11 @@ import numpy as np
 
 from .clustering import MergeTree, leaf_sequences, replay_merges
 from .errors import EmptySequence, LengthMismatch, SequenceTooShort
-from .infotheory import _joint_ids, _windows
+from .infotheory import _chunks, _joint_ids, _windows
 from .ingest import Dataset, RunConfig, split_index
 from .jsonout import _json_bytes
-from .sdf import SymbolSequence, _distinct, fit_mep_partition, symbolize
+from .sdf import (MAX_ENTROPY, SymbolSequence, _distinct, _fit_partitions, _one_dimensional,
+                  symbolize)
 
 logger = logging.getLogger(__name__)
 
@@ -102,22 +108,26 @@ def _median(ordered: np.ndarray) -> float | None:
     return None if median == 0 else float(median)
 
 
-def discretize_target(values, b: int):
+def discretize_target(values, b: int, name: str | None = None):
     """Symbolize a continuous target and pick per-bin representative values.
 
     Returns (symbols, partition, representatives) where representative s is
     the median of the values falling in bin s, equal to ``np.median`` of
-    them bit for bit. A bin is a contiguous run of the sorted values, so one
-    sort gives every median (a zero median is taken by np.median). A bin
-    left empty by ties inherits the nearest populated bin's representative
-    so lookups stay total.
+    them bit for bit. A bin is a contiguous run of the sorted values, so the
+    fit's one sort gives every median (a zero median is taken by np.median).
+    A bin left empty by ties inherits the nearest populated bin's
+    representative so lookups stay total. A target that cannot be
+    partitioned raises :class:`~tefuse.errors.DegenerateInput`, naming
+    ``name`` when given.
     """
-    values = np.asarray(values, dtype=np.float64)
-    partition = fit_mep_partition(values, b)
+    values = _one_dimensional(values)
+    ordered = np.array(values[None])  # the fit sorts it in place
+    names = None if name is None else [name]
+    partition = _fit_partitions(ordered, b, MAX_ENTROPY, names)[0]
+    ordered = ordered[0]
     seq = symbolize(values, partition, "target")
     representatives = np.full(b, np.nan)
     # bin s holds the values v with edge[s-1] < v <= edge[s]
-    ordered = np.sort(values)
     ends = np.searchsorted(ordered, partition.edges, side="right").tolist()
     for s, (lo, hi) in enumerate(zip([0, *ends], [*ends, len(ordered)])):
         if hi > lo:
@@ -268,7 +278,7 @@ def target_symbols(dataset: Dataset, config: RunConfig):
         return seq, kind, labels, labels.astype(np.float64)
     train_len = split_index(dataset.n, config.train_fraction)
     _, partition, representatives = discretize_target(
-        values[:train_len], config.target_alphabet
+        values[:train_len], config.target_alphabet, config.target_column
     )
     seq = symbolize(values, partition, config.target_column)
     return seq, kind, None, representatives
@@ -316,12 +326,20 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     n_train = s - k - 1
     targets = tsyms[k + 1: s]
     prior = np.bincount(targets, minlength=alphabet)
-    windows = {a: _windows(seq.symbols, k) for a, seq in nodes.items()}
+    # the nodes' window keys, one fold per chunk of nodes, cut by the
+    # kernel's chunk rule so that a long series is not stacked whole
+    windows = {}
+    for chunk in _chunks(nodes.items(), n - 1 - k):
+        windows.update(zip([a for a, _ in chunk],
+                           _windows(np.stack([seq.symbols for _, seq in chunk]), k)))
 
     def held_out_symbols(ids: np.ndarray) -> np.ndarray:
-        counts = _state_counts(ids[:n_train], targets, alphabet, int(ids.max()) + 1)
-        test = ids[n_train:]
-        return _best_symbols(counts, prior, np.where(counts.any(axis=1)[test], test, -1))
+        train, test = ids[:n_train], ids[n_train:]
+        distinct = int(ids.max()) + 1
+        seen = np.zeros(distinct, dtype=bool)
+        seen[train] = True
+        counts = _state_counts(train, targets, alphabet, distinct)
+        return _best_symbols(counts, prior, np.where(seen[test], test, -1))
 
     ids = _joint_ids(*(windows[a] for a in tree.levels[-1]))
     symbols = [held_out_symbols(ids)]

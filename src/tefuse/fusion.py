@@ -6,6 +6,12 @@ system that decodes uniquely back to the pair. The merged sequence is then
 squeezed to a working alphabet by ordinal repartitioning. Which sequence
 takes the major digit matters to the repartition bin layout, so callers fix
 it (the clustering module puts the lower-numbered node first).
+
+:func:`fuse` hands :func:`merge_pair`'s integer values straight to the one
+repartition rule (:func:`tefuse.sdf._repartition`) with the pair's name, so
+a fusion builds no float copy and no intermediate sequence or partition;
+:func:`tefuse.sdf.repartition` of :func:`as_symbol_sequence` of the same
+merge gives the same symbols, alphabet and name.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch
-from .sdf import SymbolSequence, repartition
+from .sdf import SymbolSequence, _repartition
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,9 +64,12 @@ def merge_pair(x: SymbolSequence, y: SymbolSequence) -> MergedSequence:
 
 def as_symbol_sequence(merged: MergedSequence) -> SymbolSequence:
     """View a merged sequence as a plain symbol sequence over its full alphabet."""
-    return SymbolSequence(
-        merged.values, merged.alphabet_size, f"({merged.parents[0]}+{merged.parents[1]})"
-    )
+    return SymbolSequence(merged.values, merged.alphabet_size, _name(merged))
+
+
+def _name(merged: MergedSequence) -> str:
+    """The synthesized name "(x+y)" of a merged pair."""
+    return f"({merged.parents[0]}+{merged.parents[1]})"
 
 
 def fuse(
@@ -78,4 +87,4 @@ def fuse(
     (see :func:`tefuse.sdf.repartition`).
     """
     merged = merge_pair(x, y)
-    return repartition(as_symbol_sequence(merged), fused_alphabet, fit_length=fit_length)
+    return _repartition(merged.values, fused_alphabet, fit_length, _name(merged))

@@ -155,15 +155,25 @@ def _joint_ids(*columns) -> np.ndarray:
     return np.unique(_fold(columns), return_inverse=True)[1]
 
 
+def _run_edges(ordered: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Whether each element of a row-wise ascending array (or of an
+    ascending 1-D array) starts a run of equal values, written to ``out``
+    when given: each row's first element does, and every other element that
+    differs from the one before it."""
+    if out is None:
+        out = np.empty(ordered.shape, dtype=bool)
+    out[..., :1] = True
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=out[..., 1:])
+    return out
+
+
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
     """Where each run of equal values in each row of a row-wise ascending
     array (or in an ascending 1-D array) starts, as flat indices, then
     ``ordered.size``: run r is ``ordered.flat[starts[r]:starts[r + 1]]``, and
     every row starts a run."""
     edge = np.empty(ordered.size + 1, dtype=bool)
-    rows = edge[:-1].reshape(ordered.shape)
-    rows[..., :1] = True
-    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=rows[..., 1:])
+    _run_edges(ordered, edge[:-1].reshape(ordered.shape))
     edge[-1] = True
     return np.flatnonzero(edge)
 

@@ -6,9 +6,23 @@ and uniform partitioning (equal-width bins over the fitted range). A
 partition is fit once, normally on training rows only, and reused on later
 data; values outside the fitted range are absorbed by the extreme bins.
 
+Both schemes fit through one rule, :func:`_fit_partitions`, which fits every
+row of a 2-D array at once: a maximum entropy fit sorts the rows with one
+row-wise sort, counts each row's distinct values from its runs and reads
+every row's quantile edges with one gather; a uniform fit spans each row's
+minimum and maximum. :func:`fit_mep_partition` and
+:func:`fit_uniform_partition` are its one-row case, and
+:func:`tefuse.clustering.fit_leaves` fits all the sources' training
+prefixes in one call, so each row gets the floats its one-row fit gives. A
+row that cannot be partitioned raises :class:`DegenerateInput` for the first
+such row, named when the caller names its rows.
+
 Integer-valued merged sequences coming out of pairwise fusion are squeezed
 back to a working alphabet with :func:`repartition`, which treats the merged
-values as an ordinal real series and re-bins them the same way.
+values as an ordinal series and re-bins them the same way. Its one rule,
+:func:`_repartition`, takes the merged integers themselves, as
+:func:`tefuse.fusion.fuse` passes them: its edges are merged values, so it
+bins integers against integers and builds the output sequence once.
 """
 
 from __future__ import annotations
@@ -19,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .infotheory import _run_starts
+from .infotheory import _run_edges, _run_starts
 
 logger = logging.getLogger(__name__)
 
@@ -82,25 +96,74 @@ class SymbolSequence:
         return len(self.symbols)
 
 
-def _checked_values(values) -> np.ndarray:
+def _one_dimensional(values) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    if np.isnan(values).any():
-        raise ValueError("values contain NaN; drop missing rows before partitioning")
     return values
 
 
+def _check_finite(values: np.ndarray) -> None:
+    if np.isnan(values).any():
+        raise ValueError("values contain NaN; drop missing rows before partitioning")
+
+
 def _quantile_edges(ordered: np.ndarray, b: int) -> np.ndarray:
-    """The b-1 quantile edges of ascending values: edge i is the
-    floor(i*n/b)-th order statistic."""
-    return ordered[(np.arange(1, b) * len(ordered)) // b - 1]
+    """The b-1 quantile edges of ascending values, or of each row of
+    row-wise ascending values: edge i is the floor(i*n/b)-th order
+    statistic."""
+    return ordered[..., (np.arange(1, b) * ordered.shape[-1]) // b - 1]
 
 
 def _distinct(ordered: np.ndarray) -> np.ndarray:
     """The distinct values of an ascending array, each the first of its run
     (``np.unique`` without its lazy import of ``numpy.ma``)."""
     return ordered[_run_starts(ordered)[:-1]]
+
+
+def _fit_partitions(rows: np.ndarray, b: int, kind: str, names=None) -> list[Partition]:
+    """The ``kind`` partition into ``b`` bins of each row of a 2-D float
+    array, which a maximum entropy fit sorts in place; the one fitting rule,
+    of which :func:`fit_mep_partition` and :func:`fit_uniform_partition` are
+    the one-row case.
+
+    A maximum entropy fit sorts every row at once, counts each row's
+    distinct values from its runs and reads every row's quantile edges with
+    one gather. A uniform fit spans each row's minimum and maximum. Either
+    way the edges of a row are the floats its one-row fit gives. The rows
+    are then checked in order, as one-row fits would be: the first that
+    cannot be partitioned raises :class:`DegenerateInput`, named by
+    ``names`` when given.
+    """
+    _check_finite(rows)
+    if b < 2:
+        raise ValueError("b must be >= 2")
+    if rows.shape[1] == 0:
+        raise DegenerateInput("cannot fit a partition on an empty sequence")
+    if kind == MAX_ENTROPY:
+        rows.sort(axis=1)
+        distinct = np.count_nonzero(_run_edges(rows), axis=1)
+        edges = _quantile_edges(rows, b)
+        degenerate = (distinct < b) | (np.diff(edges, axis=1) <= 0).any(axis=1)
+    else:
+        lo, hi = rows.min(axis=1), rows.max(axis=1)
+        edges = lo[:, None] + np.arange(1, b) * (hi - lo)[:, None] / b
+        degenerate = hi <= lo
+    partitions = []
+    for row, (row_edges, bad) in enumerate(zip(edges, degenerate.tolist())):
+        if bad:
+            if kind == UNIFORM:
+                problem = "constant series cannot be uniformly partitioned"
+            elif distinct[row] < b:
+                problem = f"need at least {b} distinct values for {b} bins, got {distinct[row]}"
+            else:
+                problem = (f"ties collapse the {b}-bin quantile edges; "
+                           "use fewer bins or uniform partitioning")
+            if names is not None:
+                problem = f"column {names[row]!r}: {problem}"
+            raise DegenerateInput(problem)
+        partitions.append(Partition(edges=row_edges, alphabet_size=b, kind=kind))
+    return partitions
 
 
 def fit_mep_partition(values, b: int) -> Partition:
@@ -113,36 +176,12 @@ def fit_mep_partition(values, b: int) -> Partition:
     explicitly (smaller alphabet, uniform partitioning) rather than proceed
     with a broken partition.
     """
-    values = _checked_values(values)
-    if b < 2:
-        raise ValueError("b must be >= 2")
-    if len(values) == 0:
-        raise DegenerateInput("cannot fit a partition on an empty sequence")
-    ordered = np.sort(values)
-    distinct = len(_distinct(ordered))
-    if distinct < b:
-        raise DegenerateInput(f"need at least {b} distinct values for {b} bins, got {distinct}")
-    edges = _quantile_edges(ordered, b)
-    if np.any(np.diff(edges) <= 0):
-        raise DegenerateInput(
-            f"ties collapse the {b}-bin quantile edges; "
-            "use fewer bins or uniform partitioning"
-        )
-    return Partition(edges=edges, alphabet_size=b, kind=MAX_ENTROPY)
+    return _fit_partitions(np.array(_one_dimensional(values)[None]), b, MAX_ENTROPY)[0]
 
 
 def fit_uniform_partition(values, b: int) -> Partition:
     """Fit an equal-width partition with ``b`` bins spanning [min, max]."""
-    values = _checked_values(values)
-    if b < 2:
-        raise ValueError("b must be >= 2")
-    if len(values) == 0:
-        raise DegenerateInput("cannot fit a partition on an empty sequence")
-    lo, hi = float(values.min()), float(values.max())
-    if hi <= lo:
-        raise DegenerateInput("constant series cannot be uniformly partitioned")
-    edges = lo + np.arange(1, b) * (hi - lo) / b
-    return Partition(edges=edges, alphabet_size=b, kind=UNIFORM)
+    return _fit_partitions(_one_dimensional(values)[None], b, UNIFORM)[0]
 
 
 def symbolize(values, partition: Partition, name: str = "") -> SymbolSequence:
@@ -152,7 +191,8 @@ def symbolize(values, partition: Partition, name: str = "") -> SymbolSequence:
     values above the last edge to symbol b-1, and a value equal to an edge
     joins the bin below it.
     """
-    values = _checked_values(values)
+    values = _one_dimensional(values)
+    _check_finite(values)
     symbols = np.searchsorted(partition.edges, values, side="left")
     return SymbolSequence(symbols, partition.alphabet_size, name)
 
@@ -162,7 +202,7 @@ def repartition(
 ) -> SymbolSequence:
     """Re-symbolize an integer-valued sequence down to at most ``target_b`` symbols.
 
-    The merged values are treated as an ordinal real series and re-binned by
+    The merged values are treated as an ordinal series and re-binned by
     maximum entropy partitioning, fitted on the first ``fit_length`` entries
     (all of them by default) and applied to the whole sequence. Two fallbacks
     keep the operation total during clustering, both logged:
@@ -173,9 +213,22 @@ def repartition(
 
     Either way the mapping is monotone in the merged value.
     """
+    return _repartition(merged.symbols, target_b, fit_length, merged.source_name)
+
+
+def _repartition(values: np.ndarray, target_b: int, fit_length: int | None,
+                 name: str) -> SymbolSequence:
+    """:func:`repartition` of the int64 ``values``, named ``name``: the one
+    repartition rule, which :func:`tefuse.fusion.fuse` applies to the raw
+    merged values.
+
+    The edges are merged values themselves, so the values are binned as
+    integers, one ``searchsorted`` against the edges, and the output is
+    built once; binning them as floats gives the same symbols for every
+    value below 2**53.
+    """
     if target_b < 2:
         raise ValueError("target_b must be >= 2")
-    values = merged.symbols
     fit = values if fit_length is None else values[:fit_length]
     if len(fit) == 0:
         raise DegenerateInput("empty fit window for repartitioning")
@@ -185,16 +238,15 @@ def repartition(
         if len(distinct) < target_b:
             logger.info(
                 "repartition(%s): %d distinct values <= target %d, lossless relabel",
-                merged.source_name, len(distinct), target_b,
+                name, len(distinct), target_b,
             )
         symbols = np.minimum(np.searchsorted(distinct, values), len(distinct) - 1)
-        return SymbolSequence(symbols, len(distinct), merged.source_name)
-    raw = _quantile_edges(ordered.astype(np.float64), target_b)
+        return SymbolSequence(symbols, len(distinct), name)
+    raw = _quantile_edges(ordered, target_b)
     edges = _distinct(raw)
     if len(edges) < len(raw):
         logger.warning(
             "repartition(%s): ties collapsed %d quantile edges, alphabet %d -> %d",
-            merged.source_name, len(raw) - len(edges), target_b, len(edges) + 1,
+            name, len(raw) - len(edges), target_b, len(edges) + 1,
         )
-    part = Partition(edges=edges, alphabet_size=len(edges) + 1, kind=MAX_ENTROPY)
-    return symbolize(values, part, merged.source_name)
+    return SymbolSequence(np.searchsorted(edges, values, side="left"), len(edges) + 1, name)

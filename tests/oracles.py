@@ -210,6 +210,22 @@ def bin_counts(values, edges):
     return counts
 
 
+def repartition_oracle(values, target_b, fit_length=None):
+    """(symbols, alphabet) of repartitioning integer ``values``, fitted on
+    the first ``fit_length``, the way it was done through floats: few
+    distinct values relabel losslessly (unseen ones clamp to the top);
+    otherwise the float quantile edges, duplicates dropped, bin each value
+    as a float, a value on an edge going below it."""
+    fit = sorted(values if fit_length is None else values[:fit_length])
+    distinct = sorted(set(fit))
+    if len(distinct) <= target_b:
+        rank = {v: i for i, v in enumerate(distinct)}
+        return ([rank.get(v, min(sum(1 for d in distinct if d < v), len(distinct) - 1))
+                 for v in values], len(distinct))
+    edges = sorted({float(e) for e in sort_and_split_edges(fit, target_b)})
+    return [sum(1 for e in edges if e < float(v)) for v in values], len(edges) + 1
+
+
 def predictions_csv_oracle(report):
     """``predictions.csv`` text written row by row, one repr per number."""
     lines = ["level,row,truth,predicted"]

@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -853,6 +854,71 @@ def test_failed_run_leaves_no_out(csv_with_noise_1, tmp_path, capsys, name, run_
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def degenerate_csv(tmp_path_factory):
+    """300 rows: ``a`` and ``y`` vary; ``b`` is constant, ``c`` takes two
+    values and ``d`` three; ``y2`` takes two non-integer values and ``y3``
+    the integers 0 and 1."""
+    i = np.arange(300)
+    columns = {"a": np.sin(i / 7) + i / 1000, "b": np.ones(300), "c": i % 2 + 0.25,
+               "d": (i % 3).astype(float), "y": np.cos(i / 5) + i / 900,
+               "y2": i % 2 + 0.5, "y3": (i // 4 % 2).astype(float)}
+    path = tmp_path_factory.mktemp("data") / "degenerate.csv"
+    write_dataset_csv(tefuse.Dataset(names=list(columns), columns=list(columns.values())),
+                      path)
+    return path
+
+
+# A column too poor for its partition: (command, flags, message). The data
+# error names the first such source in config order, or the target.
+DEGENERATE_COLUMNS = [
+    *[pytest.param(command, ["--target", "y", "--sources", sources], message,
+                   id=f"{command}-source-{sources[2]}")
+      for command in ("cluster", "symbolize")
+      for sources, message in (
+          ("a,b,c", "column 'b': need at least 5 distinct values for 5 bins, got 1"),
+          ("a,c,b", "column 'c': need at least 5 distinct values for 5 bins, got 2"))],
+    pytest.param("cluster", ["--target", "y", "--sources", "a,b,c", "--partitioner", "uniform"],
+                 "column 'b': constant series cannot be uniformly partitioned",
+                 id="cluster-uniform-source"),
+    pytest.param("cluster", ["--target", "y2", "--sources", "a,d", "--alphabet", "3"],
+                 "column 'y2': need at least 10 distinct values for 10 bins, got 2",
+                 id="cluster-target"),
+]
+
+
+@pytest.mark.parametrize("command, flags, message", DEGENERATE_COLUMNS)
+def test_degenerate_column_is_named(degenerate_csv, tmp_path, capsys, command, flags,
+                                    message):
+    out = tmp_path / "out"
+    assert main([command, "--input", str(degenerate_csv), *flags, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"tefuse: data error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, flags, message", [
+    # a stored alphabet above d's three values
+    (lambda config: config.update(alphabet=4), [],
+     "column 'd': need at least 4 distinct values for 4 bins, got 3"),
+    # a two-valued class target read as a continuous one
+    (lambda config: None, ["--target-kind", "continuous"],
+     "column 'y3': need at least 10 distinct values for 10 bins, got 2"),
+], ids=["source", "target"])
+def test_evaluate_names_degenerate_column(degenerate_csv, tmp_path, capsys, edit, flags,
+                                          message):
+    run_dir, out = tmp_path / "run", tmp_path / "out"
+    assert main(["cluster", "--input", str(degenerate_csv), "--target", "y3",
+                 "--sources", "a,d", "--alphabet", "3", "--out", str(run_dir)]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    edit(manifest["config"])
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["evaluate", "--input", str(degenerate_csv), "--tree", str(run_dir),
+                 *flags, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"tefuse: data error: {message}\n"
+    assert not out.exists()
+
+
 # per configuration key, values of the wrong sign or type: argparse refuses
 # a number that does not parse, RunConfig every other value
 BAD_FLAG_VALUES = {
@@ -959,7 +1025,8 @@ def test_cluster_and_evaluate_do_not_import_numpy_ma(tmp_path, make, target, sou
     assert (tmp_path / "run" / "ev" / "report.csv").read_text().count(metric) == len(sources)
 
 
-# import tefuse.cli, cluster, then inject-noise: when is numpy.random loaded?
+# import tefuse.cli, cluster, evaluate, then inject-noise: when is
+# numpy.random loaded?
 RANDOM_IMPORT_SCRIPT = """
 import json, sys
 import numpy
@@ -971,6 +1038,9 @@ common = ["--input", csv, "--target", target, "--sources", sources,
           "--alphabet", "4", "--depth", "1"]
 codes = [main(["cluster", *common, "--out", out + "/plain"])]
 loaded.append("numpy.random" in sys.modules)
+codes.append(main(["evaluate", "--input", csv, "--tree", out + "/plain",
+                   "--out", out + "/evaluated"]))
+loaded.append("numpy.random" in sys.modules)
 codes.append(main(["inject-noise", *common, "--noise-count", "1", "--out", out + "/noisy"]))
 loaded.append("numpy.random" in sys.modules)
 print(json.dumps({"with_numpy": with_numpy, "codes": codes, "loaded": loaded}))
@@ -979,7 +1049,8 @@ print(json.dumps({"with_numpy": with_numpy, "codes": codes, "loaded": loaded}))
 
 def test_import_and_plain_cluster_do_not_import_numpy_random(tmp_path):
     # importing numpy.random costs 7-10 ms per process; only injected noise
-    # needs it, so a module-level np.random would add that to every command
+    # needs it, so a module-level np.random would add that to every command,
+    # and evaluating a plain tree regenerates no noise
     csv = tmp_path / "data.csv"
     write_dataset_csv(ahu_like(n=600, seed=40), csv)
     src = str(Path(tefuse.__file__).resolve().parents[1])
@@ -990,9 +1061,9 @@ def test_import_and_plain_cluster_do_not_import_numpy_random(tmp_path):
          AHU_TARGET, ",".join(AHU_SOURCES)],
         env=env, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
     if result["with_numpy"]:
         pytest.skip("this numpy imports numpy.random with numpy itself")
-    # not after the import nor the plain cluster; the noise run shows the
-    # check would see it
-    assert result["loaded"] == [False, False, True]
+    # not after the import, the plain cluster nor its evaluation; the noise
+    # run shows the check would see it
+    assert result["loaded"] == [False, False, False, True]

@@ -1,14 +1,21 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tefuse import (
     LengthMismatch,
     SymbolSequence,
     fuse,
     merge_pair,
+    repartition,
     shannon_entropy,
 )
 from tefuse.fusion import as_symbol_sequence
+
+from oracles import repartition_oracle
 
 
 def test_merge_encoding():
@@ -93,3 +100,56 @@ def test_fuse_never_increases_entropy():
         fused = fuse(x, y, target)
         assert fused.alphabet_size <= target
         assert shannon_entropy(fused) <= shannon_entropy(merged) + 1e-12
+
+
+def _fuse_and_reference(x, y, fused, fit_length):
+    """fuse, and repartition of the full-alphabet view of the same merge,
+    which goes through a SymbolSequence of the merged values."""
+    got = fuse(x, y, fused, fit_length=fit_length)
+    want = repartition(as_symbol_sequence(merge_pair(x, y)), fused, fit_length=fit_length)
+    return got, want
+
+
+def _assert_same(got, want, oracle):
+    assert got.symbols.tolist() == want.symbols.tolist() == oracle[0]
+    assert got.alphabet_size == want.alphabet_size == oracle[1]
+    assert got.source_name == want.source_name
+
+
+@pytest.mark.parametrize("x, y, fused, fit_length, log", [
+    # 4 distinct merged values in the fit window, target 6: a lossless
+    # relabel; merged value 8 never occurs there and clamps to the top
+    ([0, 1, 0, 1, 0, 2], [0, 0, 1, 1, 0, 0], 6, 5, "lossless relabel"),
+    # merged value 0 holds most rows: four of five edges collapse
+    ([0] * 60 + [1, 1, 2, 2, 0, 1, 2, 1], [0] * 60 + [0, 1, 0, 1, 2, 2, 1, 2], 6, None,
+     "ties collapsed 4 quantile edges, alphabet 6 -> 2"),
+    # 12 evenly used values, target 4: four plain quantile bins
+    ([0, 1, 2] * 8, [v // 6 for v in range(24)], 4, None, None),
+], ids=["lossless-relabel", "collapsed-edges", "quantile"])
+def test_fuse_equals_repartition_of_the_merge(caplog, x, y, fused, fit_length, log):
+    x, y = SymbolSequence(x, 3, "x"), SymbolSequence(y, 4, "(y+z)")
+    with caplog.at_level(logging.INFO, logger="tefuse.sdf"):
+        got, want = _fuse_and_reference(x, y, fused, fit_length)
+    values = merge_pair(x, y).values.tolist()
+    _assert_same(got, want, repartition_oracle(values, fused, fit_length))
+    assert got.source_name == "(x+(y+z))"
+    # the path the case names fired, once for each of the two calls
+    if log is None:
+        assert caplog.text == ""
+    else:
+        assert caplog.text.count(log) == 2
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), bx=st.integers(1, 6), by=st.integers(1, 6), n=st.integers(1, 60),
+       fused=st.integers(2, 12))
+def test_fuse_equals_repartition_on_random_pairs(data, bx, by, n, fused):
+    # skewed draws make heavy ties; small alphabets make relabels
+    skew = st.integers(0, 2 * max(bx, by)).map(lambda v: v if v < max(bx, by) else 0)
+    xs = data.draw(st.lists(skew.map(lambda v: min(v, bx - 1)), min_size=n, max_size=n))
+    ys = data.draw(st.lists(skew.map(lambda v: min(v, by - 1)), min_size=n, max_size=n))
+    fit_length = data.draw(st.one_of(st.none(), st.integers(1, n)))
+    x, y = SymbolSequence(xs, bx, "x"), SymbolSequence(ys, by, "y")
+    got, want = _fuse_and_reference(x, y, fused, fit_length)
+    values = merge_pair(x, y).values.tolist()
+    _assert_same(got, want, repartition_oracle(values, fused, fit_length))

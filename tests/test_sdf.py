@@ -3,16 +3,23 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tefuse import (
+    Dataset,
     DegenerateInput,
     Partition,
+    RunConfig,
     SymbolSequence,
     fit_mep_partition,
     fit_uniform_partition,
     repartition,
+    split_index,
     symbolize,
 )
+from tefuse.clustering import fit_leaves
 
 from oracles import bin_counts, sort_and_split_edges
 
@@ -167,6 +174,85 @@ class TestRepartition:
         assert out.alphabet_size == 2
         assert out.symbols.tolist() == [0, 1, 0, 1, 1]
 
+
+# Few values, so ties are heavy and quantile edges often collapse; both
+# zeros, so an edge's sign shows which of them a sort put there; and the
+# smallest subnormal, whose equal-width bins collapse
+TIED = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, 7.25, 1e300, -1e-300, 5e-324])
+ELEMENTS = [TIED, st.integers(-3, 3).map(float), st.floats(-1e3, 1e3, allow_nan=False)]
+
+
+@st.composite
+def source_matrices(draw):
+    """1-6 columns of one length, each column's values from one of ELEMENTS."""
+    n = draw(st.integers(1, 40))
+    return np.array([draw(arrays(np.float64, n, elements=draw(st.sampled_from(ELEMENTS)),
+                                 fill=st.nothing()))
+                     for _ in range(draw(st.integers(1, 6)))])
+
+
+def _leaves_config(names, **kw):
+    return RunConfig(target_column="y", source_columns=tuple(names), **kw)
+
+
+class TestBulkFit:
+    """fit_leaves fits every source's training prefix in one pass; each
+    column must get what its own one-column fit and symbolize give, and a
+    column that cannot be fitted must fail as its one-column fit does."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(matrix=source_matrices(), b=st.integers(2, 6), partitioner=st.sampled_from(["mep", "uniform"]),
+           fraction=st.floats(0.05, 1.0))
+    def test_fit_leaves_equals_per_column_fits(self, matrix, b, partitioner, fraction):
+        names = [f"c{i}" for i in range(len(matrix))]
+        dataset = Dataset(names=[*names, "y"], columns=[*matrix, np.zeros(matrix.shape[1])])
+        config = _leaves_config(names, alphabet=b, partitioner=partitioner,
+                                train_fraction=fraction)
+        fit = fit_mep_partition if partitioner == "mep" else fit_uniform_partition
+        train_len = split_index(matrix.shape[1], fraction)
+        expected = []
+        for name, values in zip(names, matrix):
+            try:
+                partition = fit(values[:train_len], b)
+            except (DegenerateInput, ValueError) as exc:
+                # the first column in config order that cannot be fitted
+                named = isinstance(exc, DegenerateInput)
+                with pytest.raises(type(exc)) as raised:
+                    fit_leaves(dataset, config)
+                assert str(raised.value) == (f"column {name!r}: {exc}" if named else str(exc))
+                return
+            expected.append((partition, symbolize(values, partition, name)))
+        got = fit_leaves(dataset, config)
+        assert len(got) == len(expected)
+        for (partition, seq), (want, want_seq) in zip(got, expected):
+            # bit for bit: a zero edge keeps its sign
+            assert partition.edges.view(np.int64).tolist() == want.edges.view(np.int64).tolist()
+            assert (partition.alphabet_size, partition.kind) == (want.alphabet_size, want.kind)
+            assert seq.symbols.tolist() == want_seq.symbols.tolist()
+            assert (seq.alphabet_size, seq.source_name) == (b, want_seq.source_name)
+
+    @pytest.mark.parametrize("partitioner, columns, message", [
+        ("mep", {"a": np.arange(12.0), "b": np.ones(12), "c": np.zeros(12)},
+         "column 'b': need at least 3 distinct values for 3 bins, got 1"),
+        ("mep", {"a": np.arange(12.0), "c": [0.0] * 10 + [1.0, 2.0], "b": np.ones(12)},
+         "column 'c': ties collapse the 3-bin quantile edges; "
+         "use fewer bins or uniform partitioning"),
+        ("uniform", {"a": np.arange(12.0), "c": np.zeros(12), "b": np.ones(12)},
+         "column 'c': constant series cannot be uniformly partitioned"),
+    ], ids=["too-few-distinct", "collapsed-edges", "uniform-constant"])
+    def test_first_degenerate_column_is_named(self, partitioner, columns, message):
+        names = list(columns)
+        dataset = Dataset(names=[*names, "y"], columns=[*columns.values(), np.zeros(12)])
+        config = _leaves_config(names, alphabet=3, partitioner=partitioner,
+                                train_fraction=1.0)
+        with pytest.raises(DegenerateInput) as raised:
+            fit_leaves(dataset, config)
+        assert str(raised.value) == message
+
+    def test_one_column_fit_names_nothing(self):
+        with pytest.raises(DegenerateInput) as raised:
+            fit_mep_partition(np.ones(12), 3)
+        assert str(raised.value) == "need at least 3 distinct values for 3 bins, got 1"
 
 
 class TestPartitionSerialization:

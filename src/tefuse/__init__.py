@@ -46,15 +46,7 @@ from .errors import (
     UnparseableHeader,
     UnreadableCsv,
 )
-from .estimate import (
-    EvaluationReport,
-    FrequencyEstimator,
-    LevelScore,
-    discretize_target,
-    evaluate_levels,
-    predict,
-    train,
-)
+from .estimate import EvaluationReport, LevelScore, discretize_target, evaluate_levels
 from .fusion import MergedSequence, fuse, merge_pair
 from .infotheory import (
     causation_entropy_pair,
@@ -99,8 +91,7 @@ __all__ = [
     "MergeRecord", "MergeTree", "score_pair", "cluster", "export_tree",
     "tree_from_json", "leaf_sequences", "replay_merges",
     # estimate
-    "FrequencyEstimator", "EvaluationReport", "LevelScore",
-    "discretize_target", "train", "predict", "evaluate_levels",
+    "EvaluationReport", "LevelScore", "discretize_target", "evaluate_levels",
     # errors
     "PipelineError", "MissingColumn", "UnparseableHeader", "UnreadableCsv",
     "EmptyAfterFiltering", "DegenerateInput", "EmptySequence",

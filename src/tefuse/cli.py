@@ -28,7 +28,6 @@ Exit codes: 0 ok, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import logging
 import platform
@@ -80,8 +79,7 @@ _CONFIG_FLAGS = {
 }
 
 # RunConfig's field defaults; an option whose field has none is required.
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)
-             if f.default is not dataclasses.MISSING}
+_DEFAULTS = RunConfig.defaults()
 
 
 def _flag(key: str) -> str:
@@ -112,7 +110,7 @@ def _read_input(args, config: RunConfig, noise: dict | None = None,
         )
     if noise is None:
         return digest, load_csv(args.input, config, data=data)
-    own = dataclasses.replace(config, source_columns=config.source_columns[:-noise["count"]])
+    own = config.replace(source_columns=config.source_columns[:-noise["count"]])
     dataset = load_csv(args.input, own, data=data)
     return digest, append_noise_channels(dataset, noise["count"], noise["seed"])
 
@@ -165,8 +163,8 @@ def cmd_cluster(args, noise_count: int = 0) -> dict[str, bytes]:
     noise = None
     if noise_count:
         # the full config, so that RunConfig refuses a source named like a channel
-        config = dataclasses.replace(
-            config, source_columns=config.source_columns + noise_columns(noise_count))
+        config = config.replace(
+            source_columns=config.source_columns + noise_columns(noise_count))
         noise = {"count": noise_count, "seed": config.seed}
     digest, dataset = _read_input(args, config, noise)
 
@@ -218,7 +216,7 @@ def cmd_evaluate(args) -> dict[str, bytes]:
     expected, config, noise = _parse_json(manifest.read_bytes(), str(manifest),
                                           _manifest_entries)
     if args.target_kind is not None:
-        config = dataclasses.replace(config, target_kind=args.target_kind)
+        config = config.replace(target_kind=args.target_kind)
     try:
         digest, dataset = _read_input(args, config, noise, expected)
     except MissingColumn as exc:

@@ -49,11 +49,11 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LengthMismatch, MalformedArtifact, SequenceTooShort, TreeDatasetMismatch
+from .frozen import FrozenValue
 from .fusion import fuse, merge_pair
 from .infotheory import _chunks, _scores, _target_terms, transfer_entropies
 from .ingest import Dataset, RunConfig, split_index
@@ -64,29 +64,29 @@ from .sdf import (MAX_ENTROPY, UNIFORM, Partition, SymbolSequence, _fit_partitio
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class MergeRecord:
+class MergeRecord(FrozenValue):
     """One fusion step: the level it produces, the chosen pair, and the
     full scoring context (every candidate's score, every active node's
     transfer entropy toward the target) at selection time."""
 
-    level: int
-    pair: tuple[int, int]
-    score: float
-    all_candidate_scores: tuple[tuple[tuple[int, int], float], ...]
-    te_to_target: tuple[tuple[int, float], ...]
+    __slots__ = ("level", "pair", "score", "all_candidate_scores", "te_to_target")
+
+    def __init__(self, level: int, pair: tuple[int, int], score: float,
+                 all_candidate_scores: tuple[tuple[tuple[int, int], float], ...],
+                 te_to_target: tuple[tuple[int, float], ...]):
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
-class MergeTree:
+class MergeTree(FrozenValue):
     """Full clustering record: leaf names, node names by id (leaves first,
     fused nodes in creation order), merges, and the active node ids at
     every level, level 0 being the unfused leaves."""
 
-    leaves: tuple[str, ...]
-    node_names: tuple[str, ...]
-    merges: tuple[MergeRecord, ...]
-    levels: tuple[tuple[int, ...], ...]
+    __slots__ = ("leaves", "node_names", "merges", "levels")
+
+    def __init__(self, leaves: tuple[str, ...], node_names: tuple[str, ...],
+                 merges: tuple[MergeRecord, ...], levels: tuple[tuple[int, ...], ...]):
+        self._fill(locals())
 
 
 def score_pair(x: SymbolSequence, y: SymbolSequence, z: SymbolSequence, k: int) -> float:

@@ -11,24 +11,21 @@ sits at original index k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SequenceTooShort
+from .frozen import Frozen
 from .infotheory import _ID_LIMIT, _fold
 from .sdf import SymbolSequence
 
 
-@dataclass(frozen=True, eq=False)
-class StateSequence:
+class StateSequence(Frozen):
     """Radix-encoded (depth+1)-symbol windows of a symbol sequence."""
 
-    states: np.ndarray
-    depth: int
-    base: int
+    __slots__ = ("states", "depth", "base")
 
-    def __post_init__(self):
+    def __init__(self, states: np.ndarray, depth: int, base: int):
+        self._fill(locals())
         states = np.asarray(self.states, dtype=np.int64)
         object.__setattr__(self, "states", states)
         if self.depth < 0:

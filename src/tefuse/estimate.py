@@ -1,20 +1,18 @@
 """Target estimation at every level of a fusion hierarchy.
 
 The estimator is a conditional frequency table over joint history states:
-for each distinct state tuple observed in training it stores the empirical
-distribution of the next target symbol, and unseen states fall back to the
-global target distribution, so prediction is total. A node's state at t is
-its (k+1)-symbol history window ending at t, the window the entropies count
-(:func:`tefuse.infotheory._windows`), and joint states are counted with
-the dense-id primitive (:func:`tefuse.infotheory._joint_ids`): training
-counts ``id * alphabet + label`` with one bincount, and prediction numbers
-the training states and the queried states together, so a query row is
-seen exactly when it shares an id with a training row. The same lag-1
-convention as transfer entropy applies: the target at t+1 is paired with
-states through t. A prediction is the state's most frequent next symbol,
-or the prior's when the state was never seen in training; :func:`train`,
-:func:`predict` and :func:`evaluate_levels` share that count step and that
-argmax.
+for each distinct state tuple observed in training it counts the next
+target symbol, and unseen states fall back to the global target
+distribution, so prediction is total. A node's state at t is its
+(k+1)-symbol history window ending at t, the window the entropies count
+(:func:`tefuse.infotheory._windows`), and joint states are numbered with
+the dense-id primitive (:func:`tefuse.infotheory._joint_ids`) over the
+training and held-out rows together, so a held-out row is seen exactly
+when it shares an id with a training row; training counts
+``id * alphabet + label`` with one bincount. The same lag-1 convention as
+transfer entropy applies: the target at t+1 is paired with states through
+t. A prediction is the state's most frequent next symbol, or the prior's
+when the state was never seen in training, ties going to the lower symbol.
 
 Continuous targets are discretized by maximum entropy partitioning and
 predictions are mapped back to values through per-bin training medians.
@@ -36,8 +34,8 @@ level's ids and the merged pair's window keys. Dense ranking keeps the
 order of the keys, so ranking raw window keys gives the ids that ranking
 dense window ids (:func:`tefuse.infotheory._history`) would. Predictions
 depend only on how rows group into states, not on how the ids are
-numbered, so they equal those of :func:`train` and :func:`predict` on each
-level's full window matrix. The nodes' window keys are folded a chunk of
+numbered, so they equal those of a frequency table fitted on each level's
+full window matrix. The nodes' window keys are folded a chunk of
 nodes at a time, cut by the transfer-entropy kernel's chunk rule
 (:func:`tefuse.infotheory._chunks`), so a level pays for no per-node fold
 and a long series is never stacked whole; each chunk's keys share its
@@ -48,12 +46,12 @@ A level's seen-in-training mask is one flag set at each training id.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .clustering import MergeTree, leaf_sequences, replay_merges
-from .errors import EmptySequence, LengthMismatch, SequenceTooShort
+from .errors import SequenceTooShort
+from .frozen import Frozen, FrozenValue
 from .infotheory import _chunks, _joint_ids, _windows
 from .ingest import Dataset, RunConfig, split_index
 from .jsonout import _json_bytes
@@ -64,30 +62,6 @@ logger = logging.getLogger(__name__)
 
 ACCURACY = "accuracy"
 RMSE = "rmse"
-
-
-@dataclass
-class FrequencyEstimator:
-    """Empirical distribution of the next target symbol per joint state.
-
-    Row i of ``distributions`` belongs to the state tuple ``states[i]``; the
-    distinct training states are stored in lexicographic order.
-    """
-
-    states: np.ndarray
-    distributions: np.ndarray
-    prior: np.ndarray
-    target_alphabet: int
-    bin_representatives: np.ndarray | None = None
-
-
-def _state_rows(states) -> np.ndarray:
-    arr = np.asarray(states, dtype=np.int64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError("states must be a 1-D or 2-D integer array")
-    return arr
 
 
 def _median(ordered: np.ndarray) -> float | None:
@@ -153,82 +127,31 @@ def _state_counts(ids: np.ndarray, targets: np.ndarray, alphabet: int,
 def _best_symbols(table: np.ndarray, prior: np.ndarray, found: np.ndarray) -> np.ndarray:
     """The argmax symbol of ``table`` row ``found[r]`` for each query r, or the
     prior's argmax where ``found`` is -1 (a state unseen in training); ties
-    go to the lower symbol. Counts and their normalized distributions pick
-    the same symbols."""
+    go to the lower symbol."""
     # -1 picks the prior's argmax, appended last
     return np.append(np.argmax(table, axis=1), np.argmax(prior))[found]
 
 
-def train(states, target_symbols, target_alphabet: int | None = None) -> FrequencyEstimator:
-    """Fit the frequency table from aligned (state, next target symbol) pairs."""
-    rows = _state_rows(states)
-    targets = np.asarray(
-        target_symbols.symbols if isinstance(target_symbols, SymbolSequence)
-        else target_symbols,
-        dtype=np.int64,
-    )
-    if len(rows) != len(targets):
-        raise LengthMismatch(
-            f"{len(rows)} states but {len(targets)} target symbols"
-        )
-    if len(rows) == 0:
-        raise EmptySequence("cannot train on zero samples")
-    alphabet = int(target_alphabet if target_alphabet is not None
-                   else targets.max() + 1)
-    if targets.min() < 0 or targets.max() >= alphabet:
-        raise ValueError(f"target symbols must lie in 0..{alphabet - 1}")
-    ids = _joint_ids(*rows.T)
-    distinct = int(ids.max()) + 1
-    states = np.empty((distinct, rows.shape[1]), dtype=np.int64)
-    states[ids] = rows
-    counts = _state_counts(ids, targets, alphabet, distinct).astype(np.float64)
-    prior = np.bincount(targets, minlength=alphabet) / len(targets)
-    return FrequencyEstimator(
-        states=states,
-        distributions=counts / counts.sum(axis=1, keepdims=True),
-        prior=prior,
-        target_alphabet=alphabet,
-    )
+class LevelScore(FrozenValue):
+    """One level's held-out score: ``metric`` is accuracy or RMSE over
+    ``n_test`` rows."""
+
+    __slots__ = ("level", "metric", "value", "n_test")
+
+    def __init__(self, level: int, metric: str, value: float, n_test: int):
+        self._fill(locals())
 
 
-def predict(est: FrequencyEstimator, states):
-    """Predict target symbols (and values, when representatives exist).
-
-    Each state looks up its training distribution, falling back to the
-    global prior when unseen; the argmax breaks ties toward the lower
-    symbol id. Returns (symbols, values) with values None when the
-    estimator has no ``bin_representatives``.
-    """
-    rows = _state_rows(states)
-    seen = len(est.states)
-    ids = _joint_ids(*np.concatenate([est.states, rows]).T)
-    row_of_id = np.full(int(ids.max()) + 1, -1)
-    row_of_id[ids[:seen]] = np.arange(seen)
-    symbols = _best_symbols(est.distributions, est.prior, row_of_id[ids[seen:]])
-    if est.bin_representatives is None:
-        return symbols, None
-    return symbols, est.bin_representatives[symbols]
-
-
-@dataclass(frozen=True)
-class LevelScore:
-    level: int
-    metric: str
-    value: float
-    n_test: int
-
-
-@dataclass(frozen=True, eq=False)
-class EvaluationReport:
+class EvaluationReport(Frozen):
     """Per-level scores and held-out series. Every level predicts the same
     rows, so their numbers (``positions``) and ``truth`` are stored once;
     ``predicted[level]`` holds that level's values, in target units."""
 
-    rows: tuple[LevelScore, ...]
-    config: dict
-    positions: np.ndarray
-    truth: np.ndarray
-    predicted: tuple[np.ndarray, ...]
+    __slots__ = ("rows", "config", "positions", "truth", "predicted")
+
+    def __init__(self, rows: tuple[LevelScore, ...], config: dict, positions: np.ndarray,
+                 truth: np.ndarray, predicted: tuple[np.ndarray, ...]):
+        self._fill(locals())
 
 
 def _labels(values: np.ndarray) -> np.ndarray:
@@ -300,8 +223,8 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     at level h+1, a 3-column rank however many nodes are active. Each level
     then counts its training rows' next symbols per state and predicts every
     held-out row from its state's counts, or from the prior when no training
-    row shares its state: the predictions of :func:`train` and
-    :func:`predict` on the level's window matrix.
+    row shares its state, as a frequency table fitted on the level's window
+    matrix would predict.
     """
     n = dataset.n
     s = split_index(n, config.train_fraction)

@@ -16,24 +16,20 @@ merge gives the same symbols, alphabet and name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import LengthMismatch
+from .frozen import Frozen
 from .sdf import SymbolSequence, _repartition
 
 
-@dataclass(frozen=True, eq=False)
-class MergedSequence:
+class MergedSequence(Frozen):
     """Elementwise pairing of two symbol sequences, x major, y minor."""
 
-    values: np.ndarray
-    b_x: int
-    b_y: int
-    parents: tuple[str, str]
+    __slots__ = ("values", "b_x", "b_y", "parents")
 
-    def __post_init__(self):
+    def __init__(self, values: np.ndarray, b_x: int, b_y: int, parents: tuple[str, str]):
+        self._fill(locals())
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.int64))
         object.__setattr__(self, "parents", tuple(self.parents))
 

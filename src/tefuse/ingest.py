@@ -18,11 +18,11 @@ import io
 import logging
 import math
 import operator
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import EmptyAfterFiltering, MissingColumn, UnparseableHeader, UnreadableCsv
+from .frozen import Frozen, FrozenValue
 
 logger = logging.getLogger(__name__)
 
@@ -30,8 +30,7 @@ PARTITIONERS = ("mep", "uniform")
 TARGET_KINDS = ("auto", "discrete", "continuous")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(FrozenValue):
     """Parameters of one clustering/evaluation run.
 
     ``alphabet`` is the per-source symbol count, ``depth`` the embedded
@@ -39,21 +38,21 @@ class RunConfig:
     repartitioned to (defaults to ``alphabet``), and ``stop_at`` the number
     of supernodes at which merging stops. ``seed`` only drives synthetic
     noise-channel injection; nothing else in the pipeline is random.
+
+    The fields are ``__init__``'s parameters, in order (``__slots__``), and
+    :meth:`defaults` reads their defaults from its signature.
     """
 
-    target_column: str
-    source_columns: tuple[str, ...]
-    alphabet: int = 5
-    target_alphabet: int = 10
-    depth: int = 3
-    fused_alphabet: int | None = None
-    stop_at: int = 1
-    train_fraction: float = 0.7
-    seed: int = 0
-    partitioner: str = "mep"
-    target_kind: str = "auto"
+    __slots__ = ("target_column", "source_columns", "alphabet", "target_alphabet", "depth",
+                 "fused_alphabet", "stop_at", "train_fraction", "seed", "partitioner",
+                 "target_kind")
 
-    def __post_init__(self):
+    def __init__(self, target_column: str, source_columns: tuple[str, ...],
+                 alphabet: int = 5, target_alphabet: int = 10, depth: int = 3,
+                 fused_alphabet: int | None = None, stop_at: int = 1,
+                 train_fraction: float = 0.7, seed: int = 0, partitioner: str = "mep",
+                 target_kind: str = "auto"):
+        self._fill(locals())
         if isinstance(self.source_columns, str) or not all(
                 isinstance(c, str) for c in (self.target_column, *self.source_columns)):
             raise TypeError("column names must be strings, and the sources a sequence")
@@ -99,14 +98,24 @@ class RunConfig:
         if self.target_kind not in TARGET_KINDS:
             raise ValueError(f"target kind must be one of {TARGET_KINDS}")
 
+    @classmethod
+    def defaults(cls) -> dict:
+        """The fields that have a default, each with its default, in order."""
+        values = cls.__init__.__defaults__
+        return dict(zip(cls.__slots__[-len(values):], values))
+
+    def replace(self, **changes) -> "RunConfig":
+        """A copy with ``changes`` applied, built and checked by ``__init__``."""
+        return RunConfig(**{**self.to_dict(), **changes})
+
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(self.__slots__, self._fields()))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """The inverse of :meth:`to_dict`: ``data`` must hold every field,
         no other key and no ``None``, or this raises ``ValueError``."""
-        names = {f.name for f in fields(cls)}
+        names = set(cls.__slots__)
         if data.keys() != names:
             raise ValueError(f"config keys {sorted(data)} are not the fields "
                              f"{sorted(names)}")
@@ -116,15 +125,14 @@ class RunConfig:
         return cls(**data)
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(Frozen):
     """Aligned numeric columns, immutable once constructed."""
 
-    names: tuple[str, ...]
-    columns: tuple[np.ndarray, ...]
-    dropped_rows: int = 0
+    __slots__ = ("names", "columns", "dropped_rows")
 
-    def __post_init__(self):
+    def __init__(self, names: tuple[str, ...], columns: tuple[np.ndarray, ...],
+                 dropped_rows: int = 0):
+        self._fill(locals())
         object.__setattr__(self, "names", tuple(self.names))
         cols = tuple(np.asarray(c, dtype=np.float64) for c in self.columns)
         object.__setattr__(self, "columns", cols)

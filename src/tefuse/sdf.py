@@ -28,11 +28,11 @@ bins integers against integers and builds the output sequence once.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInput
+from .frozen import Frozen
 from .infotheory import _run_edges, _run_starts
 
 logger = logging.getLogger(__name__)
@@ -41,8 +41,7 @@ MAX_ENTROPY = "max-entropy"
 UNIFORM = "uniform"
 
 
-@dataclass(frozen=True, eq=False)
-class Partition:
+class Partition(Frozen):
     """Ordered bin edges mapping reals to symbols 0..alphabet_size-1.
 
     A value maps to the count of edges strictly below it, so each edge closes
@@ -50,11 +49,10 @@ class Partition:
     unbounded. A value equal to an edge therefore joins the lower bin.
     """
 
-    edges: np.ndarray
-    alphabet_size: int
-    kind: str
+    __slots__ = ("edges", "alphabet_size", "kind")
 
-    def __post_init__(self):
+    def __init__(self, edges: np.ndarray, alphabet_size: int, kind: str):
+        self._fill(locals())
         edges = np.asarray(self.edges, dtype=np.float64)
         object.__setattr__(self, "edges", edges)
         if self.alphabet_size < 2:
@@ -74,15 +72,13 @@ class Partition:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class SymbolSequence:
+class SymbolSequence(Frozen):
     """Discrete series over the alphabet {0..alphabet_size-1}."""
 
-    symbols: np.ndarray
-    alphabet_size: int
-    source_name: str = ""
+    __slots__ = ("symbols", "alphabet_size", "source_name")
 
-    def __post_init__(self):
+    def __init__(self, symbols: np.ndarray, alphabet_size: int, source_name: str = ""):
+        self._fill(locals())
         symbols = np.asarray(self.symbols, dtype=np.int64)
         object.__setattr__(self, "symbols", symbols)
         if symbols.ndim != 1:

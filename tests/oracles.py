@@ -9,7 +9,10 @@ entropies built on it (:func:`dense_transfer_entropies_oracle`,
 :func:`dense_causation_entropy_pair_oracle`), the radix states
 :func:`embed_oracle`, all numpy, and the writer
 :func:`predictions_csv_oracle`, which reads the package's report objects by
-attribute.
+attribute. The frequency estimator (:func:`train_oracle`,
+:func:`predict_oracle`), the reference per-level evaluation is held to,
+counts with dictionaries but hands back numpy arrays and raises the
+package's own errors.
 """
 
 import math
@@ -234,3 +237,74 @@ def predictions_csv_oracle(report):
                                     predicted.tolist()):
             lines.append(f"{level},{pos},{truth!r},{pred!r}")
     return "\n".join(lines) + "\n"
+
+
+class FrequencyEstimatorOracle:
+    """Row i of ``distributions`` is the empirical distribution of the next
+    target symbol after the state tuple ``states[i]``; the distinct training
+    states are in lexicographic order. ``bin_representatives``, when set,
+    maps a predicted symbol to a value."""
+
+    def __init__(self, states, distributions, prior):
+        self.states = states
+        self.distributions = distributions
+        self.prior = prior
+        self.bin_representatives = None
+
+
+def _state_tuples(states):
+    import numpy as np
+
+    arr = np.asarray(states, dtype=np.int64)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise ValueError("states must be a 1-D or 2-D integer array")
+    return [tuple(row) for row in arr.tolist()], arr.shape[1]
+
+
+def train_oracle(states, target_symbols, target_alphabet=None):
+    """Count the next target symbol of each distinct state tuple (one state
+    per row of a 2-D ``states``, or per entry of a 1-D one)."""
+    import numpy as np
+
+    from tefuse.errors import EmptySequence, LengthMismatch
+
+    rows, width = _state_tuples(states)
+    targets = np.asarray(target_symbols, dtype=np.int64).tolist()
+    if len(rows) != len(targets):
+        raise LengthMismatch(f"{len(rows)} states but {len(targets)} target symbols")
+    if not rows:
+        raise EmptySequence("cannot train on zero samples")
+    alphabet = target_alphabet if target_alphabet is not None else max(targets) + 1
+    if min(targets) < 0 or max(targets) >= alphabet:
+        raise ValueError(f"target symbols must lie in 0..{alphabet - 1}")
+    counts = {}
+    for row, label in zip(rows, targets):
+        counts.setdefault(row, [0] * alphabet)[label] += 1
+    keys = sorted(counts)
+    table = np.array([counts[key] for key in keys], dtype=np.float64)
+    prior = np.array([targets.count(s) for s in range(alphabet)]) / len(targets)
+    return FrequencyEstimatorOracle(
+        states=np.array(keys, dtype=np.int64).reshape(len(keys), width),
+        distributions=table / table.sum(axis=1, keepdims=True),
+        prior=prior)
+
+
+def predict_oracle(est, states):
+    """(symbols, values): each state's most probable next symbol, or the
+    prior's for a state unseen in training, ties to the lower symbol; values
+    are the symbols' representatives, or None when the estimator has none."""
+    import numpy as np
+
+    def best(dist):
+        dist = dist.tolist()
+        return dist.index(max(dist))
+
+    rows, _ = _state_tuples(states)
+    index = {key: i for i, key in enumerate(map(tuple, est.states.tolist()))}
+    symbols = np.array([best(est.distributions[index[row]]) if row in index
+                        else best(est.prior) for row in rows], dtype=np.int64)
+    if est.bin_representatives is None:
+        return symbols, None
+    return symbols, est.bin_representatives[symbols]

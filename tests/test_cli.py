@@ -1,5 +1,4 @@
 import builtins
-import dataclasses
 import hashlib
 import io
 import json
@@ -232,13 +231,13 @@ class TestCluster:
             main([command, "--help"])
         assert info.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
-        defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        defaults = RunConfig.defaults()
         for key, (field, _, _) in _CONFIG_FLAGS.items():
             # argparse's line for a flag: "--key KEY help", up to the next flag
             _, _, entry = text.partition(f"{_flag(key)} {key.upper()} ")
             entry = entry.split(" --")[0]
             assert entry
-            if defaults[field] not in (dataclasses.MISSING, None):
+            if defaults.get(field) is not None:
                 assert entry.endswith(f"(default {defaults[field]})")
             else:
                 assert "(default" not in entry
@@ -837,8 +836,9 @@ FAILS_WITHOUT_OUT = [
 def csv_with_noise_1(tmp_path_factory):
     data = occupancy_like(n=2400, seed=20)
     path = tmp_path_factory.mktemp("data") / "occ_noise_1.csv"
-    write_dataset_csv(dataclasses.replace(data, names=data.names + ("noise_1",),
-                                          columns=data.columns + data.columns[:1]), path)
+    write_dataset_csv(tefuse.Dataset(names=data.names + ("noise_1",),
+                                     columns=data.columns + data.columns[:1],
+                                     dropped_rows=data.dropped_rows), path)
     return path
 
 
@@ -1025,45 +1025,66 @@ def test_cluster_and_evaluate_do_not_import_numpy_ma(tmp_path, make, target, sou
     assert (tmp_path / "run" / "ev" / "report.csv").read_text().count(metric) == len(sources)
 
 
-# import tefuse.cli, cluster, evaluate, then inject-noise: when is
-# numpy.random loaded?
-RANDOM_IMPORT_SCRIPT = """
+# import tefuse.cli, cluster, evaluate, then inject-noise: when is each of
+# numpy.random and dataclasses loaded?
+IMPORTS_SCRIPT = """
 import json, sys
 import numpy
-with_numpy = "numpy.random" in sys.modules
+names = ("numpy.random", "dataclasses")
+with_numpy = {name: name in sys.modules for name in names}
+loaded = {name: [] for name in names}
+def record():
+    for name in names:
+        loaded[name].append(name in sys.modules)
 from tefuse.cli import main
-loaded = ["numpy.random" in sys.modules]
+record()
 csv, out, target, sources = sys.argv[1:]
 common = ["--input", csv, "--target", target, "--sources", sources,
           "--alphabet", "4", "--depth", "1"]
 codes = [main(["cluster", *common, "--out", out + "/plain"])]
-loaded.append("numpy.random" in sys.modules)
+record()
 codes.append(main(["evaluate", "--input", csv, "--tree", out + "/plain",
                    "--out", out + "/evaluated"]))
-loaded.append("numpy.random" in sys.modules)
+record()
 codes.append(main(["inject-noise", *common, "--noise-count", "1", "--out", out + "/noisy"]))
-loaded.append("numpy.random" in sys.modules)
+record()
 print(json.dumps({"with_numpy": with_numpy, "codes": codes, "loaded": loaded}))
 """
 
 
-def test_import_and_plain_cluster_do_not_import_numpy_random(tmp_path):
-    # importing numpy.random costs 7-10 ms per process; only injected noise
-    # needs it, so a module-level np.random would add that to every command,
-    # and evaluating a plain tree regenerates no noise
+@pytest.fixture(scope="module")
+def fresh_imports(tmp_path_factory):
+    """What IMPORTS_SCRIPT reports from a fresh interpreter, run once."""
+    tmp_path = tmp_path_factory.mktemp("imports")
     csv = tmp_path / "data.csv"
     write_dataset_csv(ahu_like(n=600, seed=40), csv)
     src = str(Path(tefuse.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     done = subprocess.run(
-        [sys.executable, "-c", RANDOM_IMPORT_SCRIPT, str(csv), str(tmp_path / "run"),
+        [sys.executable, "-c", IMPORTS_SCRIPT, str(csv), str(tmp_path / "run"),
          AHU_TARGET, ",".join(AHU_SOURCES)],
         env=env, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0]
-    if result["with_numpy"]:
+    return result
+
+
+def test_import_and_plain_cluster_do_not_import_numpy_random(fresh_imports):
+    # importing numpy.random costs 7-10 ms per process; only injected noise
+    # needs it, so a module-level np.random would add that to every command,
+    # and evaluating a plain tree regenerates no noise
+    if fresh_imports["with_numpy"]["numpy.random"]:
         pytest.skip("this numpy imports numpy.random with numpy itself")
     # not after the import, the plain cluster nor its evaluation; the noise
     # run shows the check would see it
-    assert result["loaded"] == [False, False, False, True]
+    assert fresh_imports["loaded"]["numpy.random"] == [False, False, False, True]
+
+
+def test_import_cluster_and_evaluate_do_not_import_dataclasses(fresh_imports):
+    # the package's records are plain __slots__ classes: creating dataclasses
+    # cost about 7 ms of every command's import, and the dataclasses module
+    # 1 ms more, which nothing else a command loads pays for
+    if fresh_imports["with_numpy"]["dataclasses"]:
+        pytest.skip("this numpy imports dataclasses with numpy itself")
+    assert fresh_imports["loaded"]["dataclasses"][:3] == [False, False, False]

@@ -13,9 +13,7 @@ from tefuse import (
     discretize_target,
     embed,
     evaluate_levels,
-    predict,
     split_index,
-    train,
 )
 from tefuse.clustering import leaf_sequences, replay_merges
 from tefuse.estimate import (
@@ -33,7 +31,8 @@ from tefuse.estimate import (
 )
 from tefuse.ingest import noise_columns
 
-from oracles import predictions_csv_oracle, sort_and_split_edges
+from oracles import (predict_oracle, predictions_csv_oracle, sort_and_split_edges,
+                     train_oracle)
 
 
 class TestDiscretizeTarget:
@@ -126,19 +125,21 @@ class TestMedian:
 
 
 class TestTrainPredict:
+    """The reference frequency estimator that evaluate_levels is held to."""
+
     def test_deterministic_mapping_gives_point_masses(self):
         states = np.array([0, 1, 2, 0, 1, 2])
         labels = np.array([1, 0, 1, 1, 0, 1])
-        est = train(states, labels)
+        est = train_oracle(states, labels)
         for dist in est.distributions:
             assert dist.max() == 1.0
             assert abs(dist.sum() - 1.0) < 1e-9
-        preds, values = predict(est, states)
+        preds, values = predict_oracle(est, states)
         assert np.array_equal(preds, labels)
         assert values is None
 
     def test_single_row(self):
-        est = train(np.array([7]), np.array([1]), target_alphabet=2)
+        est = train_oracle(np.array([7]), np.array([1]), target_alphabet=2)
         assert est.prior.tolist() == [0.0, 1.0]
         assert est.states.tolist() == [[7]]
         assert est.distributions[0].tolist() == [0.0, 1.0]
@@ -146,51 +147,51 @@ class TestTrainPredict:
     def test_conflicting_labels_three_to_one(self):
         states = np.zeros(4, dtype=int)
         labels = np.array([0, 0, 0, 1])
-        est = train(states, labels)
+        est = train_oracle(states, labels)
         assert est.states.tolist() == [[0]]
         assert est.distributions[0].tolist() == [0.75, 0.25]
 
     def test_unseen_state_falls_back_to_prior(self):
-        est = train(np.array([0, 0, 1]), np.array([1, 1, 0]))
-        preds, _ = predict(est, np.array([99]))
+        est = train_oracle(np.array([0, 0, 1]), np.array([1, 1, 0]))
+        preds, _ = predict_oracle(est, np.array([99]))
         assert preds.tolist() == [1]  # prior argmax
 
     def test_tie_breaks_toward_lower_symbol(self):
         states = np.array([5, 5, 5, 5])
         labels = np.array([1, 3, 3, 1])
-        est = train(states, labels, target_alphabet=4)
-        preds, _ = predict(est, np.array([5]))
+        est = train_oracle(states, labels, target_alphabet=4)
+        preds, _ = predict_oracle(est, np.array([5]))
         assert preds.tolist() == [1]
 
     def test_distributions_normalized(self):
         rng = np.random.default_rng(0)
-        est = train(rng.integers(0, 10, 500), rng.integers(0, 4, 500))
+        est = train_oracle(rng.integers(0, 10, 500), rng.integers(0, 4, 500))
         for dist in est.distributions:
             assert abs(dist.sum() - 1.0) < 1e-9
         assert abs(est.prior.sum() - 1.0) < 1e-9
 
     def test_representatives_map_to_values(self):
-        est = train(np.array([0, 1]), np.array([0, 1]), target_alphabet=2)
+        est = train_oracle(np.array([0, 1]), np.array([0, 1]), target_alphabet=2)
         est.bin_representatives = np.array([10.0, 20.0])
-        preds, values = predict(est, np.array([1, 0, 1]))
+        preds, values = predict_oracle(est, np.array([1, 0, 1]))
         assert values.tolist() == [20.0, 10.0, 20.0]
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            train(np.array([0, 1]), np.array([0]))
+            train_oracle(np.array([0, 1]), np.array([0]))
 
     def test_labels_outside_alphabet_rejected(self):
         with pytest.raises(ValueError):
-            train(np.array([0, 1]), np.array([0, 2]), target_alphabet=2)
+            train_oracle(np.array([0, 1]), np.array([0, 2]), target_alphabet=2)
         with pytest.raises(ValueError):
-            train(np.array([0, 1]), np.array([0, -1]))
+            train_oracle(np.array([0, 1]), np.array([0, -1]))
 
     def test_two_column_states_match_tuple_table(self):
         rng = np.random.default_rng(1)
         for trial in range(10):
             states = rng.integers(-2, 3, (300, 2))
             labels = rng.integers(0, 3, 300)
-            est = train(states, labels, target_alphabet=3)
+            est = train_oracle(states, labels, target_alphabet=3)
             counts = {}
             for row, label in zip(map(tuple, states.tolist()), labels.tolist()):
                 counts.setdefault(row, [0, 0, 0])[label] += 1
@@ -203,7 +204,7 @@ class TestTrainPredict:
                 else prior
                 for row in map(tuple, queries.tolist())
             ]
-            preds, _ = predict(est, queries)
+            preds, _ = predict_oracle(est, queries)
             assert preds.tolist() == want
             assert any(row not in counts for row in map(tuple, queries.tolist()))
 
@@ -374,10 +375,10 @@ class TestEvaluateLevels:
         rows, predicted = [], []
         for level, active in enumerate(tree.levels):
             states = np.column_stack([embed(nodes[a], k).states for a in active])
-            est = train(states[: s - k - 1], tsyms[k + 1: s],
-                        target_alphabet=target_seq.alphabet_size)
+            est = train_oracle(states[: s - k - 1], tsyms[k + 1: s],
+                               target_alphabet=target_seq.alphabet_size)
             est.bin_representatives = reps
-            syms, values = predict(est, states[s - k - 1: n - k - 1])
+            syms, values = predict_oracle(est, states[s - k - 1: n - k - 1])
             want = values if continuous else labels[syms]
             assert report.predicted[level].tolist() == want.tolist()
             value = (np.sqrt(np.mean((values - truth) ** 2)) if continuous

@@ -36,7 +36,6 @@ from .embedding import StateSequence, decode_state, embed
 from .errors import (
     DegenerateInput,
     EmptyAfterFiltering,
-    EmptySequence,
     LengthMismatch,
     MalformedArtifact,
     MissingColumn,
@@ -50,8 +49,6 @@ from .estimate import EvaluationReport, LevelScore, discretize_target, evaluate_
 from .fusion import MergedSequence, fuse, merge_pair
 from .infotheory import (
     causation_entropy_pair,
-    conditional_entropy,
-    shannon_entropy,
     transfer_entropies,
     transfer_entropy,
 )
@@ -68,7 +65,6 @@ from .sdf import (
     SymbolSequence,
     fit_mep_partition,
     fit_uniform_partition,
-    repartition,
     symbolize,
 )
 
@@ -79,12 +75,11 @@ __all__ = [
     "append_noise_channels", "read_config_file",
     # sdf
     "Partition", "SymbolSequence", "fit_mep_partition",
-    "fit_uniform_partition", "symbolize", "repartition",
+    "fit_uniform_partition", "symbolize",
     # embedding
     "StateSequence", "embed", "decode_state",
     # infotheory
-    "shannon_entropy", "conditional_entropy", "transfer_entropy",
-    "transfer_entropies", "causation_entropy_pair",
+    "transfer_entropy", "transfer_entropies", "causation_entropy_pair",
     # fusion
     "MergedSequence", "merge_pair", "fuse",
     # clustering
@@ -94,7 +89,6 @@ __all__ = [
     "EvaluationReport", "LevelScore", "discretize_target", "evaluate_levels",
     # errors
     "PipelineError", "MissingColumn", "UnparseableHeader", "UnreadableCsv",
-    "EmptyAfterFiltering", "DegenerateInput", "EmptySequence",
-    "LengthMismatch", "SequenceTooShort", "TreeDatasetMismatch",
-    "MalformedArtifact",
+    "EmptyAfterFiltering", "DegenerateInput", "LengthMismatch",
+    "SequenceTooShort", "TreeDatasetMismatch", "MalformedArtifact",
 ]

@@ -51,9 +51,10 @@ logger = logging.getLogger(__name__)
 # Caught in this order: a MissingColumn is a configuration error (evaluate
 # raises one from a stored config as a MalformedArtifact), every other
 # PipelineError a data error, as is an OSError (a missing, unreadable or
-# mistyped path).
+# mistyped path) and a float overflow, which a command raises rather than
+# carry an infinite edge, median or error into its outputs.
 CONFIG_ERRORS = (ValueError, MissingColumn)
-DATA_ERRORS = (PipelineError, OSError)
+DATA_ERRORS = (PipelineError, OSError, FloatingPointError)
 
 # Each run option, declared once: key -> (RunConfig field, parser, help).
 # The flag is --key with "_" written as "-", and a --config file takes the
@@ -352,7 +353,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         _refuse_unusable_out(out)
-        outputs = args.func(args)
+        with np.errstate(over="raise"):
+            outputs = args.func(args)
         out.mkdir(parents=True, exist_ok=True)
         for name, data in outputs.items():
             (out / name).write_bytes(data)

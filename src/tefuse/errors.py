@@ -30,10 +30,6 @@ class DegenerateInput(PipelineError):
     """Input has too little variation to support the requested partition."""
 
 
-class EmptySequence(PipelineError):
-    """An operation received a zero-length sequence."""
-
-
 class LengthMismatch(PipelineError):
     """Sequences that must be aligned have different lengths."""
 

@@ -9,9 +9,7 @@ it (the clustering module puts the lower-numbered node first).
 
 :func:`fuse` hands :func:`merge_pair`'s integer values straight to the one
 repartition rule (:func:`tefuse.sdf._repartition`) with the pair's name, so
-a fusion builds no float copy and no intermediate sequence or partition;
-:func:`tefuse.sdf.repartition` of :func:`as_symbol_sequence` of the same
-merge gives the same symbols, alphabet and name.
+a fusion builds no float copy and no intermediate sequence or partition.
 """
 
 from __future__ import annotations
@@ -80,7 +78,7 @@ def fuse(
     values (all of them by default) and applied to the whole sequence; the
     result carries the synthesized name "(x+y)". The output alphabet never
     exceeds ``fused_alphabet`` but may fall below it on degenerate merges
-    (see :func:`tefuse.sdf.repartition`).
+    (see :func:`tefuse.sdf._repartition`).
     """
     merged = merge_pair(x, y)
     return _repartition(merged.values, fused_alphabet, fit_length, _name(merged))

@@ -1,4 +1,4 @@
-"""Plug-in estimators for Shannon, conditional, transfer, and causation entropy.
+"""Plug-in transfer and causation entropy, from joint Shannon entropies.
 
 Everything is measured in bits (log base 2) from empirical joint
 frequencies; outcomes that never occur contribute nothing. No small-sample
@@ -56,7 +56,7 @@ import logging
 
 import numpy as np
 
-from .errors import EmptySequence, LengthMismatch, SequenceTooShort
+from .errors import LengthMismatch, SequenceTooShort
 
 logger = logging.getLogger(__name__)
 
@@ -251,36 +251,6 @@ def _check_lengths(k: int, cols) -> None:
         )
     if n < k + 2:
         raise SequenceTooShort(f"need at least k+2={k + 2} samples, got {n}")
-
-
-def shannon_entropy(seq) -> float:
-    """Entropy of the empirical symbol distribution, in bits."""
-    arr = _column(seq)
-    if len(arr) == 0:
-        raise EmptySequence("cannot take the entropy of an empty sequence")
-    return _entropies(arr[None].copy())[0]
-
-
-def conditional_entropy(next_symbols, given) -> float:
-    """H(next | given) from aligned empirical counts, via H(joint) - H(given).
-
-    ``given`` may be a single sequence or an (n, m) matrix whose columns are
-    tupled into one conditioning variable.
-    """
-    nxt = _column(next_symbols)
-    g = np.asarray(given if not hasattr(given, "symbols") else given.symbols,
-                   dtype=np.int64)
-    if g.ndim == 1:
-        g = g[:, None]
-    if len(nxt) != len(g):
-        raise LengthMismatch(
-            f"next has length {len(nxt)}, conditioning has length {len(g)}"
-        )
-    if len(nxt) == 0:
-        raise EmptySequence("cannot condition on an empty sequence")
-    if g.shape[1] == 0:
-        raise ValueError("the conditioning matrix has no columns")
-    return _joint_entropy(nxt, *g.T) - _joint_entropy(*g.T)
 
 
 def _target_terms(target, k: int):

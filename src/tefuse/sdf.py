@@ -18,11 +18,11 @@ row that cannot be partitioned raises :class:`DegenerateInput` for the first
 such row, named when the caller names its rows.
 
 Integer-valued merged sequences coming out of pairwise fusion are squeezed
-back to a working alphabet with :func:`repartition`, which treats the merged
-values as an ordinal series and re-bins them the same way. Its one rule,
-:func:`_repartition`, takes the merged integers themselves, as
-:func:`tefuse.fusion.fuse` passes them: its edges are merged values, so it
-bins integers against integers and builds the output sequence once.
+back to a working alphabet by :func:`_repartition`, which treats the merged
+values as an ordinal series and re-bins them the same way. It takes the
+merged integers themselves, as :func:`tefuse.fusion.fuse` passes them: its
+edges are merged values, so it bins integers against integers and builds
+the output sequence once.
 """
 
 from __future__ import annotations
@@ -193,35 +193,22 @@ def symbolize(values, partition: Partition, name: str = "") -> SymbolSequence:
     return SymbolSequence(symbols, partition.alphabet_size, name)
 
 
-def repartition(
-    merged: SymbolSequence, target_b: int, fit_length: int | None = None
-) -> SymbolSequence:
-    """Re-symbolize an integer-valued sequence down to at most ``target_b`` symbols.
-
-    The merged values are treated as an ordinal series and re-binned by
-    maximum entropy partitioning, fitted on the first ``fit_length`` entries
-    (all of them by default) and applied to the whole sequence. Two fallbacks
-    keep the operation total during clustering, both logged:
-
-    - ``target_b`` or fewer distinct values: lossless relabel to 0..d-1;
-    - heavier ties collapse some quantile edges: the colliding edges are
-      dropped and the output alphabet shrinks below ``target_b``.
-
-    Either way the mapping is monotone in the merged value.
-    """
-    return _repartition(merged.symbols, target_b, fit_length, merged.source_name)
-
-
 def _repartition(values: np.ndarray, target_b: int, fit_length: int | None,
                  name: str) -> SymbolSequence:
-    """:func:`repartition` of the int64 ``values``, named ``name``: the one
-    repartition rule, which :func:`tefuse.fusion.fuse` applies to the raw
-    merged values.
+    """Re-symbolize the int64 ``values`` down to at most ``target_b``
+    symbols, named ``name``: the one repartition rule, which
+    :func:`tefuse.fusion.fuse` applies to the raw merged values.
 
-    The edges are merged values themselves, so the values are binned as
-    integers, one ``searchsorted`` against the edges, and the output is
-    built once; binning them as floats gives the same symbols for every
-    value below 2**53.
+    The values are an ordinal series, re-binned by maximum entropy
+    partitioning fitted on the first ``fit_length`` entries (all of them
+    when None) and applied to the whole sequence. Two logged fallbacks keep
+    clustering total: ``target_b`` or fewer distinct values relabel
+    losslessly to 0..d-1, and heavier ties drop the colliding quantile
+    edges, so the output alphabet shrinks below ``target_b``. Either way
+    the mapping is monotone in the merged value. The edges are merged
+    values themselves, so the values are binned as integers, one
+    ``searchsorted`` against the edges; binning them as floats gives the
+    same symbols for every value below 2**53.
     """
     if target_b < 2:
         raise ValueError("target_b must be >= 2")

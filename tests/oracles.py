@@ -12,7 +12,7 @@ entropies built on it (:func:`dense_transfer_entropies_oracle`,
 attribute. The frequency estimator (:func:`train_oracle`,
 :func:`predict_oracle`), the reference per-level evaluation is held to,
 counts with dictionaries but hands back numpy arrays and raises the
-package's own errors.
+package's ``LengthMismatch``.
 """
 
 import math
@@ -263,19 +263,23 @@ def _state_tuples(states):
     return [tuple(row) for row in arr.tolist()], arr.shape[1]
 
 
+class EmptyTraining(ValueError):
+    """:func:`train_oracle` was given no samples."""
+
+
 def train_oracle(states, target_symbols, target_alphabet=None):
     """Count the next target symbol of each distinct state tuple (one state
     per row of a 2-D ``states``, or per entry of a 1-D one)."""
     import numpy as np
 
-    from tefuse.errors import EmptySequence, LengthMismatch
+    from tefuse.errors import LengthMismatch
 
     rows, width = _state_tuples(states)
     targets = np.asarray(target_symbols, dtype=np.int64).tolist()
     if len(rows) != len(targets):
         raise LengthMismatch(f"{len(rows)} states but {len(targets)} target symbols")
     if not rows:
-        raise EmptySequence("cannot train on zero samples")
+        raise EmptyTraining("cannot train on zero samples")
     alphabet = target_alphabet if target_alphabet is not None else max(targets) + 1
     if min(targets) < 0 or max(targets) >= alphabet:
         raise ValueError(f"target symbols must lie in 0..{alphabet - 1}")

@@ -5,17 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tefuse import (
-    LengthMismatch,
-    SymbolSequence,
-    fuse,
-    merge_pair,
-    repartition,
-    shannon_entropy,
-)
+from tefuse import LengthMismatch, SymbolSequence, fuse, merge_pair
 from tefuse.fusion import as_symbol_sequence
 
-from oracles import repartition_oracle
+from oracles import entropy_oracle, repartition_oracle
 
 
 def test_merge_encoding():
@@ -99,21 +92,21 @@ def test_fuse_never_increases_entropy():
         merged = as_symbol_sequence(merge_pair(x, y))
         fused = fuse(x, y, target)
         assert fused.alphabet_size <= target
-        assert shannon_entropy(fused) <= shannon_entropy(merged) + 1e-12
+        assert (entropy_oracle(fused.symbols.tolist())
+                <= entropy_oracle(merged.symbols.tolist()) + 1e-12)
 
 
-def _fuse_and_reference(x, y, fused, fit_length):
-    """fuse, and repartition of the full-alphabet view of the same merge,
-    which goes through a SymbolSequence of the merged values."""
+def _fuse_and_check(x, y, fused, fit_length):
+    """fuse, held to the float quantile path of the same merge for its
+    symbols and alphabet, and to the merge's full-alphabet view for its
+    name."""
     got = fuse(x, y, fused, fit_length=fit_length)
-    want = repartition(as_symbol_sequence(merge_pair(x, y)), fused, fit_length=fit_length)
-    return got, want
-
-
-def _assert_same(got, want, oracle):
-    assert got.symbols.tolist() == want.symbols.tolist() == oracle[0]
-    assert got.alphabet_size == want.alphabet_size == oracle[1]
-    assert got.source_name == want.source_name
+    merged = merge_pair(x, y)
+    symbols, alphabet = repartition_oracle(merged.values.tolist(), fused, fit_length)
+    assert got.symbols.tolist() == symbols
+    assert got.alphabet_size == alphabet
+    assert got.source_name == as_symbol_sequence(merged).source_name
+    return got
 
 
 @pytest.mark.parametrize("x, y, fused, fit_length, log", [
@@ -129,15 +122,13 @@ def _assert_same(got, want, oracle):
 def test_fuse_equals_repartition_of_the_merge(caplog, x, y, fused, fit_length, log):
     x, y = SymbolSequence(x, 3, "x"), SymbolSequence(y, 4, "(y+z)")
     with caplog.at_level(logging.INFO, logger="tefuse.sdf"):
-        got, want = _fuse_and_reference(x, y, fused, fit_length)
-    values = merge_pair(x, y).values.tolist()
-    _assert_same(got, want, repartition_oracle(values, fused, fit_length))
+        got = _fuse_and_check(x, y, fused, fit_length)
     assert got.source_name == "(x+(y+z))"
-    # the path the case names fired, once for each of the two calls
+    # the path the case names fired, once
     if log is None:
         assert caplog.text == ""
     else:
-        assert caplog.text.count(log) == 2
+        assert caplog.text.count(log) == 1
 
 
 @settings(deadline=None, max_examples=150)
@@ -150,6 +141,4 @@ def test_fuse_equals_repartition_on_random_pairs(data, bx, by, n, fused):
     ys = data.draw(st.lists(skew.map(lambda v: min(v, by - 1)), min_size=n, max_size=n))
     fit_length = data.draw(st.one_of(st.none(), st.integers(1, n)))
     x, y = SymbolSequence(xs, bx, "x"), SymbolSequence(ys, by, "y")
-    got, want = _fuse_and_reference(x, y, fused, fit_length)
-    values = merge_pair(x, y).values.tolist()
-    _assert_same(got, want, repartition_oracle(values, fused, fit_length))
+    _fuse_and_check(x, y, fused, fit_length)

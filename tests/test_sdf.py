@@ -12,14 +12,13 @@ from tefuse import (
     DegenerateInput,
     Partition,
     RunConfig,
-    SymbolSequence,
     fit_mep_partition,
     fit_uniform_partition,
-    repartition,
     split_index,
     symbolize,
 )
 from tefuse.clustering import fit_leaves
+from tefuse.sdf import _repartition
 
 from oracles import bin_counts, sort_and_split_edges
 
@@ -118,9 +117,8 @@ class TestSymbolize:
 class TestRepartition:
     def test_adjacent_values_collapse(self, caplog):
         values = np.repeat(np.arange(10), 10)
-        seq = SymbolSequence(values, 10, "m")
         with caplog.at_level(logging.WARNING, logger="tefuse.sdf"):
-            out = repartition(seq, 5)
+            out = _repartition(values, 5, None, "m")
         assert caplog.text == ""  # no edge collapsed
         assert out.alphabet_size == 5
         # pairs of adjacent merged values share one output symbol
@@ -129,21 +127,20 @@ class TestRepartition:
         assert max(counts) - min(counts) == 0
 
     def test_few_distinct_relabels_losslessly(self):
-        seq = SymbolSequence([4, 9, 4, 0, 9, 9], 10, "m")
-        out = repartition(seq, 5)
+        out = _repartition(np.array([4, 9, 4, 0, 9, 9]), 5, None, "m")
         assert out.alphabet_size == 3
         assert out.symbols.tolist() == [1, 2, 1, 0, 2, 2]
 
     def test_balanced_input_is_order_isomorphic(self):
         values = np.tile(np.arange(5), 20)
-        out = repartition(SymbolSequence(values, 5, "m"), 5)
+        out = _repartition(values, 5, None, "m")
         assert out.symbols.tolist() == values.tolist()
 
     def test_ordinal_structure_preserved(self):
         rng = np.random.default_rng(17)
         for trial in range(20):
             values = rng.integers(0, 25, size=300)
-            out = repartition(SymbolSequence(values, 25, "m"), 5)
+            out = _repartition(values, 5, None, "m")
             order = np.argsort(values, kind="stable")
             assert np.all(np.diff(out.symbols[order]) >= 0)
 
@@ -152,7 +149,7 @@ class TestRepartition:
         # collide and the output alphabet drops below the target.
         values = np.array([0] * 194 + [1, 2, 3, 4, 5, 6], dtype=np.int64)
         with caplog.at_level(logging.WARNING, logger="tefuse.sdf"):
-            out = repartition(SymbolSequence(values, 7, "m"), 6)
+            out = _repartition(values, 6, None, "m")
         # all five edges sit at 0; the four duplicates go, one edge stays
         assert out.alphabet_size == 2
         assert out.symbols.tolist() == [0] * 194 + [1] * 6
@@ -163,14 +160,12 @@ class TestRepartition:
     def test_fit_prefix_clamps_unseen_values(self):
         # values 20..24 never occur in the fit window; they clamp to the top
         values = np.concatenate([np.tile(np.arange(10), 10), np.arange(20, 25)])
-        seq = SymbolSequence(values, 25, "m")
-        out = repartition(seq, 5, fit_length=100)
+        out = _repartition(values, 5, 100, "m")
         assert out.symbols[:100].tolist() == (values[:100] // 2).tolist()
         assert out.symbols[100:].tolist() == [4] * 5
 
     def test_relabel_fit_prefix_clamps(self):
-        seq = SymbolSequence([0, 3, 0, 3, 9], 10, "m")
-        out = repartition(seq, 4, fit_length=4)
+        out = _repartition(np.array([0, 3, 0, 3, 9]), 4, 4, "m")
         assert out.alphabet_size == 2
         assert out.symbols.tolist() == [0, 1, 0, 1, 1]
 

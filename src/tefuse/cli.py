@@ -12,6 +12,16 @@ input content digest, and library versions, so a run can be replayed and a
 stored tree refuses to evaluate against tampered data. Outputs are
 byte-identical across reruns and across --threads settings.
 
+``cluster`` and ``inject-noise`` also write ``dataset.f64``, the columns
+they parsed, noise channels included, as raw little-endian float64 in
+config order (sources, then target); the manifest's ``dataset`` block
+records its digest and columns. ``evaluate`` hashes ``--input`` and refuses
+a digest other than the stored one, reads only the CSV's header, to check
+that it holds the configured columns, and then takes the rows from
+``dataset.f64`` once its size, digest and values check out. It never parses
+the CSV's rows or regenerates noise, and a missing or damaged file is a
+data error.
+
 Each ``cmd_*`` returns its artifacts as ``{file name: bytes}``, and only
 :func:`main` touches ``--out``: it refuses an unusable ``--out`` before the
 command runs and creates it only once the command has returned, so a run
@@ -42,8 +52,8 @@ from .clustering import (cluster, export_tree, fit_leaves, leaf_sequences, te_co
 from .errors import MalformedArtifact, MissingColumn, PipelineError, TreeDatasetMismatch
 from .estimate import (evaluate_levels, predictions_csv, report_csv, report_json,
                        resolve_target_kind, target_symbols)
-from .ingest import (PARTITIONERS, TARGET_KINDS, RunConfig, append_noise_channels, load_csv,
-                     noise_columns, read_config_file)
+from .ingest import (PARTITIONERS, TARGET_KINDS, Dataset, RunConfig, append_noise_channels,
+                     header_indices, load_csv, noise_columns, read_config_file)
 from .jsonout import _json_bytes, _parse_json
 
 logger = logging.getLogger(__name__)
@@ -82,6 +92,9 @@ _CONFIG_FLAGS = {
 # RunConfig's field defaults; an option whose field has none is required.
 _DEFAULTS = RunConfig.defaults()
 
+# The columns cluster parsed, which evaluate reads in place of the CSV.
+DATASET_FILE = "dataset.f64"
+
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
@@ -91,29 +104,33 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _read_input(args, config: RunConfig, noise: dict | None = None,
-                expected: str | None = None):
+def _read_input(args, config: RunConfig, noise: dict | None = None):
     """Read ``--input`` once: the SHA-256 of its bytes and the dataset
     parsed from the same bytes, with ``noise``'s channels appended.
 
-    The bytes are hashed before they are parsed. A digest other than
-    ``expected`` raises :class:`TreeDatasetMismatch` without a parse, so
-    the wrong file is named as such rather than by its first flaw. The CSV
-    holds every configured source but the last ``noise["count"]``, the
-    injected channels, which are regenerated from ``noise["seed"]``.
+    The CSV holds every configured source but the last ``noise["count"]``,
+    the injected channels, which are generated from ``noise["seed"]``.
     """
     data = Path(args.input).read_bytes()
     digest = _sha256(data)
-    if expected is not None and digest != expected:
-        raise TreeDatasetMismatch(
-            f"{args.input} has digest {digest[:12]}..., tree was built from "
-            f"{expected[:12]}..."
-        )
     if noise is None:
         return digest, load_csv(args.input, config, data=data)
     own = config.replace(source_columns=config.source_columns[:-noise["count"]])
     dataset = load_csv(args.input, own, data=data)
     return digest, append_noise_channels(dataset, noise["count"], noise["seed"])
+
+
+def _stored_columns(config: RunConfig) -> list[str]:
+    """The columns of ``dataset.f64``, in its order: the sources, then the target."""
+    return [*config.source_columns, config.target_column]
+
+
+def _dataset_bytes(dataset, config: RunConfig) -> bytes:
+    """``dataset.f64``: the run's columns as little-endian float64, one
+    column after another, joined into the file's bytes without a stacked
+    copy in between."""
+    return b"".join(np.ascontiguousarray(dataset.column(name), dtype="<f8").data
+                    for name in _stored_columns(config))
 
 
 def _build_config(args) -> RunConfig:
@@ -173,11 +190,14 @@ def cmd_cluster(args, noise_count: int = 0) -> dict[str, bytes]:
     target_seq, kind, _, _ = target_symbols(dataset, config)
     tree = cluster(leaves, target_seq, config)
 
+    stored = _dataset_bytes(dataset, config)
     extra = {"noise": noise, "target_kind_resolved": kind,
              "candidate_evaluations": [len(m.all_candidate_scores) for m in tree.merges],
-             "te_computed": te_computed(tree)}
+             "te_computed": te_computed(tree),
+             "dataset": {"sha256": _sha256(stored), "columns": _stored_columns(config)}}
     return {"tree.json": export_tree(tree, "json"),
             "tree.dot": export_tree(tree, "dot"),
+            DATASET_FILE: stored,
             "manifest.json": _manifest("cluster", args, digest, config, dataset, extra)}
 
 
@@ -187,15 +207,29 @@ def cmd_inject_noise(args) -> dict[str, bytes]:
     return cmd_cluster(args, noise_count=args.noise_count)
 
 
-def _manifest_entries(manifest: dict) -> tuple[str, RunConfig, dict | None]:
-    """The input digest, configuration and noise spec a cluster run recorded."""
+def _count(value, name: str, least: int) -> int:
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} {value!r} is not an integer >= {least}")
+    return value
+
+
+def _manifest_entries(manifest: dict) -> tuple[str, RunConfig, dict | None, dict]:
+    """The input digest, configuration and noise spec a cluster run
+    recorded, and what it recorded of ``dataset.f64``: its digest and
+    columns, and the input's row count and dropped rows."""
     digest = manifest["input"]["sha256"]
     if not isinstance(digest, str):
         raise TypeError(f"input digest {digest!r} is not a string")
     config = RunConfig.from_dict(manifest["config"])
+    stored = {"sha256": manifest["dataset"]["sha256"],
+              "columns": manifest["dataset"]["columns"],
+              "rows": _count(manifest["input"]["rows"], "input rows", 1),
+              "rows_dropped": _count(manifest["input"]["rows_dropped"], "dropped rows", 0)}
+    if not isinstance(stored["sha256"], str):
+        raise TypeError(f"dataset digest {stored['sha256']!r} is not a string")
     noise = manifest.get("noise")
     if noise is None:
-        return digest, config, None
+        return digest, config, None, stored
     noise = {"count": noise["count"], "seed": noise["seed"]}
     for key, value in noise.items():
         if type(value) is not int:
@@ -208,22 +242,56 @@ def _manifest_entries(manifest: dict) -> tuple[str, RunConfig, dict | None]:
     if noise["seed"] != config.seed:
         raise ValueError(f"noise seed {noise['seed']} is not the configured "
                          f"seed {config.seed}")
-    return digest, config, noise
+    return digest, config, noise, stored
+
+
+def _stored_dataset(tree_dir: Path, config: RunConfig, stored: dict) -> Dataset:
+    """The dataset ``cluster`` parsed, read back from ``dataset.f64``. Its
+    columns must be the configured ones, and its size, digest and values
+    agree with the manifest's ``stored`` entries."""
+    names = _stored_columns(config)
+    if stored["columns"] != names:
+        raise MalformedArtifact(f"{tree_dir / 'manifest.json'} records dataset columns "
+                                f"{stored['columns']!r}, not the configured {names}")
+    path = tree_dir / DATASET_FILE
+    data = path.read_bytes()
+    if len(data) != 8 * len(names) * stored["rows"]:
+        raise MalformedArtifact(f"{path} holds {len(data)} bytes, not {len(names)} "
+                                f"columns of {stored['rows']} float64 values")
+    digest = _sha256(data)
+    if digest != stored["sha256"]:
+        raise MalformedArtifact(f"{path} has digest {digest[:12]}..., the manifest "
+                                f"records {stored['sha256'][:12]}...")
+    values = np.frombuffer(data, dtype="<f8").reshape(len(names), stored["rows"])
+    if not np.isfinite(values).all():
+        raise MalformedArtifact(f"{path} holds a value that is not finite")
+    return Dataset(tuple(names), tuple(values), dropped_rows=stored["rows_dropped"])
 
 
 def cmd_evaluate(args) -> dict[str, bytes]:
     tree_dir = Path(args.tree)
     manifest = tree_dir / "manifest.json"
-    expected, config, noise = _parse_json(manifest.read_bytes(), str(manifest),
-                                          _manifest_entries)
+    expected, config, noise, stored = _parse_json(manifest.read_bytes(), str(manifest),
+                                                  _manifest_entries)
     if args.target_kind is not None:
         config = config.replace(target_kind=args.target_kind)
+    data = Path(args.input).read_bytes()
+    digest = _sha256(data)
+    if digest != expected:
+        raise TreeDatasetMismatch(
+            f"{args.input} has digest {digest[:12]}..., tree was built from "
+            f"{expected[:12]}..."
+        )
+    # the columns the CSV itself holds: all but the injected noise channels
+    injected = noise_columns(noise["count"]) if noise else ()
     try:
-        digest, dataset = _read_input(args, config, noise, expected)
+        header_indices(args.input, [name for name in _stored_columns(config)
+                                    if name not in injected], data=data)
     except MissingColumn as exc:
         # the digest matched, so the stored config names a column the run never read
         raise MalformedArtifact(f"{manifest} configures column {exc.name!r}, "
                                 f"which {args.input} lacks") from None
+    dataset = _stored_dataset(tree_dir, config, stored)
     if args.target_kind is not None:
         # a kind the target cannot take is the flag's fault (exit 2)
         resolve_target_kind(dataset.column(config.target_column), config)

@@ -50,13 +50,13 @@ import logging
 import numpy as np
 
 from .clustering import MergeTree, leaf_sequences, replay_merges
-from .errors import SequenceTooShort
+from .errors import PipelineError, SequenceTooShort
 from .frozen import Frozen, FrozenValue
 from .infotheory import _chunks, _joint_ids, _windows
 from .ingest import Dataset, RunConfig, split_index
 from .jsonout import _json_bytes
-from .sdf import (MAX_ENTROPY, SymbolSequence, _distinct, _fit_partitions, _one_dimensional,
-                  symbolize)
+from .sdf import (MAX_ENTROPY, SymbolSequence, _distinct, _fit_partitions, _named,
+                  _one_dimensional, symbolize)
 
 logger = logging.getLogger(__name__)
 
@@ -91,8 +91,9 @@ def discretize_target(values, b: int, name: str | None = None):
     fit's one sort gives every median (a zero median is taken by np.median).
     A bin left empty by ties inherits the nearest populated bin's
     representative so lookups stay total. A target that cannot be
-    partitioned raises :class:`~tefuse.errors.DegenerateInput`, naming
-    ``name`` when given.
+    partitioned raises :class:`~tefuse.errors.DegenerateInput`, and one
+    whose edges or medians pass float64's range
+    :class:`~tefuse.errors.PipelineError`, each naming ``name`` when given.
     """
     values = _one_dimensional(values)
     ordered = np.array(values[None])  # the fit sorts it in place
@@ -113,6 +114,9 @@ def discretize_target(values, b: int, name: str | None = None):
             populated = np.flatnonzero(~np.isnan(representatives))
             nearest = populated[np.argmin(np.abs(populated - s))]
             representatives[s] = representatives[nearest]
+    if not np.isfinite(representatives).all():
+        raise PipelineError(_named(name, f"the {b}-bin medians "
+                                         f"{representatives.tolist()} are not all finite"))
     return seq, partition, representatives
 
 
@@ -215,7 +219,8 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     have been produced from this dataset's training split with this
     configuration; leaves and merges are replayed deterministically, so a
     tree whose leaves are not the configured sources, in order, raises
-    :class:`TreeDatasetMismatch`.
+    :class:`TreeDatasetMismatch`, and an RMSE that passes float64's range
+    a :class:`~tefuse.errors.PipelineError` naming the target.
 
     Each level's joint states are ranked once, coarsest level first: the
     last level's ids are the joint ids of its nodes' windows, and level h's
@@ -279,6 +284,9 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
             value = float(np.mean(pred_syms == tsyms[s:]))
         else:
             value = float(np.sqrt(np.mean((values - truth) ** 2)))
+            if not np.isfinite(value):
+                raise PipelineError(_named(config.target_column,
+                                           f"the level {level} RMSE is {value}"))
         rows.append(LevelScore(level=level, metric=metric, value=value, n_test=n - s))
         predicted.append(values)
         logger.info("level %d (%d nodes): %s = %.4f on %d held-out rows",

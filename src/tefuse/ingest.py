@@ -13,6 +13,7 @@ across the boundary.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import logging
@@ -181,33 +182,54 @@ def load_csv(path, config: RunConfig, *, data: bytes | None = None) -> Dataset:
     that hashes the bytes it has read this way reads the file only once.
     """
     selected = list(config.source_columns) + [config.target_column]
-    raw = open(path, "rb") if data is None else io.BytesIO(data)
-    try:
-        with io.TextIOWrapper(raw, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise UnparseableHeader(f"{path}: file is empty") from None
-            if not header or any(not h for h in header):
-                raise UnparseableHeader(f"{path}: header contains empty column names")
-            if len(set(header)) != len(header):
-                raise UnparseableHeader(f"{path}: header contains duplicate column names")
-            for name in selected:
-                if name not in header:
-                    raise MissingColumn(name)
-            indices = [header.index(name) for name in selected]
-            columns, dropped = _parse_bulk(fh.read(), indices)
-    except UnicodeDecodeError as exc:
-        raise UnreadableCsv(f"{path}: not valid UTF-8: {exc}") from None
-    except csv.Error as exc:
-        raise UnreadableCsv(f"{path}: {exc}") from None
+    with _csv_text(path, data) as fh:
+        indices = _header_indices(fh, path, selected)
+        columns, dropped = _parse_bulk(fh.read(), indices)
     if not columns.shape[1]:
         raise EmptyAfterFiltering(f"{path}: no usable rows after filtering")
     if dropped:
         logger.info("%s: dropped %d rows with missing, non-numeric or "
                     "non-finite cells", path, dropped)
     return Dataset(names=tuple(selected), columns=tuple(columns), dropped_rows=dropped)
+
+
+def header_indices(path, names, *, data: bytes | None = None) -> list[int]:
+    """The position of each of ``names`` in a CSV's header, which is read
+    and checked as :func:`load_csv` reads it; a name the header lacks
+    raises :class:`MissingColumn`. Only the header's lines are decoded.
+    ``data`` and ``path`` are as for :func:`load_csv`."""
+    with _csv_text(path, data) as fh:
+        return _header_indices(fh, path, names)
+
+
+@contextlib.contextmanager
+def _csv_text(path, data: bytes | None):
+    """The CSV as text, the file ``path`` or its bytes ``data``; text that
+    is not UTF-8 and a :mod:`csv` fault raise :class:`UnreadableCsv`."""
+    raw = open(path, "rb") if data is None else io.BytesIO(data)
+    try:
+        with io.TextIOWrapper(raw, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise UnreadableCsv(f"{path}: not valid UTF-8: {exc}") from None
+    except csv.Error as exc:
+        raise UnreadableCsv(f"{path}: {exc}") from None
+
+
+def _header_indices(fh, path, names) -> list[int]:
+    """Read the header record from ``fh`` and place ``names`` in it."""
+    try:
+        header = [h.strip() for h in next(csv.reader(fh))]
+    except StopIteration:
+        raise UnparseableHeader(f"{path}: file is empty") from None
+    if not header or any(not h for h in header):
+        raise UnparseableHeader(f"{path}: header contains empty column names")
+    if len(set(header)) != len(header):
+        raise UnparseableHeader(f"{path}: header contains duplicate column names")
+    for name in names:
+        if name not in header:
+            raise MissingColumn(name)
+    return [header.index(name) for name in names]
 
 
 # Characters that numpy strips around a number where float() rejects them.

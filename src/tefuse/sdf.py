@@ -15,7 +15,8 @@ minimum and maximum. :func:`fit_mep_partition` and
 :func:`tefuse.clustering.fit_leaves` fits all the sources' training
 prefixes in one call, so each row gets the floats its one-row fit gives. A
 row that cannot be partitioned raises :class:`DegenerateInput` for the first
-such row, named when the caller names its rows.
+such row, named when the caller names its rows, and a row whose edges pass
+float64's range (equal widths over ±1e308, say) a :class:`PipelineError`.
 
 Integer-valued merged sequences coming out of pairwise fusion are squeezed
 back to a working alphabet by :func:`_repartition`, which treats the merged
@@ -31,7 +32,7 @@ import logging
 
 import numpy as np
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, PipelineError
 from .frozen import Frozen
 from .infotheory import _run_edges, _run_starts
 
@@ -128,7 +129,8 @@ def _fit_partitions(rows: np.ndarray, b: int, kind: str, names=None) -> list[Par
     one gather. A uniform fit spans each row's minimum and maximum. Either
     way the edges of a row are the floats its one-row fit gives. The rows
     are then checked in order, as one-row fits would be: the first that
-    cannot be partitioned raises :class:`DegenerateInput`, named by
+    cannot be partitioned raises :class:`DegenerateInput`, and the first
+    with an edge that is not finite :class:`PipelineError`, each named by
     ``names`` when given.
     """
     _check_finite(rows)
@@ -145,8 +147,10 @@ def _fit_partitions(rows: np.ndarray, b: int, kind: str, names=None) -> list[Par
         lo, hi = rows.min(axis=1), rows.max(axis=1)
         edges = lo[:, None] + np.arange(1, b) * (hi - lo)[:, None] / b
         degenerate = hi <= lo
+    finite = np.isfinite(edges).all(axis=1).tolist()
     partitions = []
-    for row, (row_edges, bad) in enumerate(zip(edges, degenerate.tolist())):
+    for row, (row_edges, bad, ok) in enumerate(zip(edges, degenerate.tolist(), finite)):
+        name = None if names is None else names[row]
         if bad:
             if kind == UNIFORM:
                 problem = "constant series cannot be uniformly partitioned"
@@ -155,11 +159,17 @@ def _fit_partitions(rows: np.ndarray, b: int, kind: str, names=None) -> list[Par
             else:
                 problem = (f"ties collapse the {b}-bin quantile edges; "
                            "use fewer bins or uniform partitioning")
-            if names is not None:
-                problem = f"column {names[row]!r}: {problem}"
-            raise DegenerateInput(problem)
+            raise DegenerateInput(_named(name, problem))
+        if not ok:
+            raise PipelineError(_named(name, f"the {b}-bin edges {row_edges.tolist()} "
+                                             "are not all finite"))
         partitions.append(Partition(edges=row_edges, alphabet_size=b, kind=kind))
     return partitions
+
+
+def _named(name: str | None, problem: str) -> str:
+    """``problem``, prefixed with the column ``name`` when there is one."""
+    return problem if name is None else f"column {name!r}: {problem}"
 
 
 def fit_mep_partition(values, b: int) -> Partition:

@@ -358,6 +358,26 @@ class TestEvaluate:
         assert f"target column {AHU_TARGET!r}" in capsys.readouterr().err
         assert not eval_dir.exists()
 
+    @pytest.mark.parametrize("command", [["cluster"], ["inject-noise", "--noise-count", "2"]])
+    def test_evaluate_parses_no_rows_and_makes_no_noise(self, occ_csv, tmp_path, monkeypatch,
+                                                        command):
+        # evaluate takes the columns cluster parsed, noise channels included,
+        # from dataset.f64: it neither parses the CSV nor generates noise
+        run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+        assert main([command[0], "--input", str(occ_csv), *COMMON, *command[1:],
+                     "--out", str(run_dir)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate parsed the CSV or made noise")
+
+        for module in (cli, tefuse.ingest):
+            monkeypatch.setattr(module, "load_csv", refuse)
+            monkeypatch.setattr(module, "append_noise_channels", refuse)
+        assert main(["evaluate", "--input", str(occ_csv), "--tree", str(run_dir),
+                     "--out", str(eval_dir)]) == 0
+        leaves = len(json.loads((run_dir / "tree.json").read_text())["leaves"])
+        assert len((eval_dir / "report.csv").read_text().splitlines()) == 1 + leaves
+
     def test_evaluate_idempotent(self, occ_csv, tmp_path):
         run_dir = tmp_path / "run"
         run_cluster(occ_csv, run_dir)
@@ -570,6 +590,72 @@ class TestMalformedArtifacts:
         assert "data error" in capsys.readouterr().err
 
 
+def _edit_manifest(run_dir, edit):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    edit(manifest)
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _forge_digest(run_dir, data):
+    """Record ``data``'s SHA-256 as dataset.f64's digest in the manifest."""
+    _edit_manifest(run_dir, lambda m: m["dataset"].update(
+        sha256=hashlib.sha256(data).hexdigest()))
+
+
+def _flip_byte_100(run_dir, path):
+    data = bytearray(path.read_bytes())
+    data[100] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _nan_at_row_3(run_dir, path):
+    values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+    values[3] = np.nan
+    path.write_bytes(values.tobytes())
+    _forge_digest(run_dir, path.read_bytes())
+
+
+# (how dataset.f64 or the manifest is damaged, a part of the message)
+DATASET_FAULTS = {
+    "missing": (lambda run, path: path.unlink(), "No such file or directory"),
+    "truncated": (lambda run, path: path.write_bytes(path.read_bytes()[:-8]),
+                  "bytes, not 6 columns of"),
+    "emptied": (lambda run, path: path.write_bytes(b""), "holds 0 bytes, not 6 columns"),
+    "byte-flipped": (_flip_byte_100, "the manifest records"),
+    "directory": (lambda run, path: (path.unlink(), path.mkdir()), "Is a directory"),
+    "digest-edited": (lambda run, path: _forge_digest(run, b"other"),
+                      "the manifest records"),
+    "rows-edited": (lambda run, path: _edit_manifest(
+        run, lambda m: m["input"].update(rows=m["input"]["rows"] - 1)),
+        "bytes, not 6 columns of"),
+    "rows-not-an-integer": (lambda run, path: _edit_manifest(
+        run, lambda m: m["input"].update(rows=float(m["input"]["rows"]))),
+        "input rows"),
+    "columns-edited": (lambda run, path: _edit_manifest(
+        run, lambda m: m["dataset"]["columns"].reverse()),
+        "records dataset columns"),
+    "nan-forged": (_nan_at_row_3, "holds a value that is not finite"),
+}
+
+
+@pytest.mark.parametrize("fault", list(DATASET_FAULTS))
+def test_damaged_dataset_file_exits_3(occ_csv, tmp_path, capsys, fault):
+    # evaluate reads the columns cluster parsed from dataset.f64 and never
+    # parses the CSV's rows, so any damage to the file or to what the
+    # manifest records of it is a data error naming the file or manifest
+    run_dir, out = tmp_path / "run", tmp_path / "eval"
+    assert run_cluster(occ_csv, run_dir) == 0
+    damage, message = DATASET_FAULTS[fault]
+    damage(run_dir, run_dir / "dataset.f64")
+    capsys.readouterr()
+    assert main(["evaluate", "--input", str(occ_csv), "--tree", str(run_dir),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tefuse: data error: ") and message in err
+    assert "dataset.f64" in err or "manifest.json" in err
+    assert not out.exists()
+
+
 # the values a stored entry is set to; REMOVED deletes it
 STORED_VALUES = [None, True, False, 0, -1, 1, 2, 1.5, 10**30, float("nan"), "x", "",
                  "discrete", [], {}, [0], REMOVED]
@@ -599,18 +685,18 @@ def stored_runs(tmp_path_factory):
     stored = {}
     for name, argv in runs.items():
         assert main([*argv, "--input", str(csv), "--out", str(root / name)]) == 0
-        stored[name] = {f: (root / name / f).read_text()
-                        for f in ("manifest.json", "tree.json")}
+        stored[name] = {f: (root / name / f).read_bytes()
+                        for f in ("manifest.json", "tree.json", "dataset.f64")}
     return csv, stored
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_stored_entry_edit_exits_0_or_3(stored_runs, data):
-    # any one entry of a stored manifest.json or tree.json, set to a value
-    # of any JSON type or deleted: evaluate succeeds or reports a data
-    # error, never a configuration error or a traceback, and a failed run
-    # leaves no --out
+    # any one entry of a stored manifest.json or tree.json (the manifest's
+    # dataset block and input rows among them), set to a value of any JSON
+    # type or deleted: evaluate succeeds or reports a data error, never a
+    # configuration error or a traceback, and a failed run leaves no --out
     csv, stored = stored_runs
     run = data.draw(st.sampled_from(sorted(stored)))
     name = data.draw(st.sampled_from(["manifest.json", "tree.json"]))
@@ -627,8 +713,8 @@ def test_stored_entry_edit_exits_0_or_3(stored_runs, data):
     with tempfile.TemporaryDirectory() as tmp:
         run_dir, out = Path(tmp) / "run", Path(tmp) / "out"
         run_dir.mkdir()
-        for file, text in stored[run].items():
-            (run_dir / file).write_text(json.dumps(doc) if file == name else text)
+        for file, data in stored[run].items():
+            (run_dir / file).write_bytes(json.dumps(doc).encode() if file == name else data)
         code = main(["evaluate", "--input", str(csv), "--tree", str(run_dir),
                      "--out", str(out)])
         assert code in (0, 3), (run, name, parents, key, value)
@@ -657,7 +743,7 @@ class TestInjectNoise:
               "--noise-count", "2", "--seed", "12", "--out", str(b)])
         assert (a / "tree.json").read_bytes() != (b / "tree.json").read_bytes()
 
-    def test_evaluate_regenerates_noise(self, occ_csv, tmp_path):
+    def test_evaluate_reads_stored_noise(self, occ_csv, tmp_path):
         run_dir = tmp_path / "run"
         main(["inject-noise", "--input", str(occ_csv), *COMMON,
               "--noise-count", "2", "--seed", "11", "--out", str(run_dir)])
@@ -1079,6 +1165,40 @@ def test_import_and_plain_cluster_do_not_import_numpy_random(fresh_imports):
     # not after the import, the plain cluster nor its evaluation; the noise
     # run shows the check would see it
     assert fresh_imports["loaded"]["numpy.random"] == [False, False, False, True]
+
+
+# evaluate alone in a fresh interpreter: does it load numpy.random?
+EVALUATE_IMPORTS_SCRIPT = """
+import json, sys
+import numpy
+with_numpy = "numpy.random" in sys.modules
+from tefuse.cli import main
+csv, tree, out = sys.argv[1:]
+code = main(["evaluate", "--input", csv, "--tree", tree, "--out", out])
+print(json.dumps({"with_numpy": with_numpy, "code": code,
+                  "loaded": "numpy.random" in sys.modules}))
+"""
+
+
+def test_evaluating_injected_noise_does_not_import_numpy_random(occ_csv, tmp_path):
+    # the noise channels come back from dataset.f64, not from the seed, so
+    # evaluating an inject-noise tree skips numpy.random's import as well
+    run_dir = tmp_path / "noisy"
+    assert main(["inject-noise", "--input", str(occ_csv), *COMMON, "--noise-count", "2",
+                 "--out", str(run_dir)]) == 0
+    src = str(Path(tefuse.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", EVALUATE_IMPORTS_SCRIPT, str(occ_csv), str(run_dir),
+         str(tmp_path / "eval")],
+        env=env, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert len((tmp_path / "eval" / "report.csv").read_text().splitlines()) == 1 + 7
+    if result["with_numpy"]:
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert not result["loaded"]
 
 
 def test_import_cluster_and_evaluate_do_not_import_dataclasses(fresh_imports):

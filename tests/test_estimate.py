@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tefuse import (
     Dataset,
     LengthMismatch,
+    PipelineError,
     RunConfig,
     TreeDatasetMismatch,
     append_noise_channels,
@@ -58,6 +59,14 @@ class TestDiscretizeTarget:
         assert np.bincount(seq.symbols, minlength=3).tolist() == [2, 4, 0]
         assert not np.isnan(reps).any()
         assert reps[2] == reps[1]
+
+    def test_median_past_float64_range_is_an_error(self):
+        # the upper bin's median of 1.7e308 and 1.75e308 once came back inf
+        values = np.array([1.0, 2.0, 1.7e308, 1.75e308])
+        with np.errstate(over="ignore"), pytest.raises(PipelineError) as raised:
+            discretize_target(values, 2, "t")
+        assert str(raised.value) == ("column 't': the 2-bin medians [1.5, inf] "
+                                     "are not all finite")
 
 
 def _bits(x):
@@ -420,6 +429,16 @@ class TestEvaluateLevels:
         tree = cluster(leaves, target_seq, config)
         with pytest.raises(ValueError):
             evaluate_levels(tree, ds, config)
+
+    def test_rmse_past_float64_range_is_an_error(self):
+        # squared errors of a target near 1e200 once gave an infinite RMSE
+        rng = np.random.default_rng(3)
+        ds = Dataset(names=("a", "b", "z"),
+                     columns=(rng.uniform(-1, 1, 60), rng.normal(size=60),
+                              rng.uniform(1, 1.7, 60) * 1e200))
+        with np.errstate(over="ignore"), pytest.raises(PipelineError) as raised:
+            _run(ds, source_columns=("a", "b"), target_kind="continuous")
+        assert str(raised.value) == "column 'z': the level 0 RMSE is inf"
 
     def test_tree_of_other_sources_rejected(self):
         ds = _driven_dataset()

@@ -2,9 +2,9 @@
 
 ``.github/check_pins.py`` pins ``tree.json`` and ``report.csv`` on the
 benchmark workloads. This suite pins the rest: ``symbols.csv``,
-``partitions.json``, ``tree.dot``, ``report.json``, ``predictions.csv`` and
-the ``export-tree`` outputs, beside ``tree.json`` and ``report.csv``, from
-``symbolize``, ``cluster``, ``inject-noise``, ``evaluate`` and
+``partitions.json``, ``tree.dot``, ``dataset.f64``, ``report.json``,
+``predictions.csv`` and the ``export-tree`` outputs, beside ``tree.json``
+and ``report.csv``, from ``symbolize``, ``cluster``, ``inject-noise``, ``evaluate`` and
 ``export-tree`` run through :func:`tefuse.cli.main` on small
 ``synthdata`` inputs. The cases take continuous and discrete targets, both
 partitioners, and fused alphabets that send repartitioning down its
@@ -53,12 +53,15 @@ CASES = {
 
 # "command/file" -> SHA-256, per case; recorded before the bulk leaf fit and
 # the integer repartition core were written, and unchanged by them
+# (dataset.f64, the columns cluster parsed for evaluate, was added later)
 PINS = {
     "continuous-mep": {
         "symbolize/partitions.json":
             "3a141870b99421a196e8d286529cf213d90b315606f875df5833bde7f97f8694",
         "symbolize/symbols.csv":
             "a38627256fcd5e93a55d41a5e202ed1b2ac81f97c4f8c2236fd7b839cdd4c5dc",
+        "cluster/dataset.f64":
+            "1978d3d276df5222e80c12fa49b6e1e17d5600da4863051bb35c8387c5593071",
         "cluster/tree.dot":
             "9ccd56fe7ab544d932f2bf04cc8ff29b4f2e69a7fa8f66b569e5aeb91d5519a2",
         "cluster/tree.json":
@@ -79,6 +82,8 @@ PINS = {
             "a164c29d2f602bf005fd6a9ebc4cd5ef261251e1a4c974a374e29f4ffc235706",
         "symbolize/symbols.csv":
             "44e82b31d4b926a1f10f43c1aa1000bb284553583d57a186f0e1ac33ed78bb9e",
+        "inject-noise/dataset.f64":
+            "c7ff7388550e868dd1bc8f2593e111ce1aab129f1fa943a1be40eaf64205aaaf",
         "inject-noise/tree.dot":
             "0ea8d268c882994736644b0eaffb245ad31ad42ce4805d6f0423203f0eb77639",
         "inject-noise/tree.json":
@@ -99,6 +104,8 @@ PINS = {
             "3cb68bb43bec3b73badf7daf97df488262e801e41a11d9927c248b98e6e6d30c",
         "symbolize/symbols.csv":
             "6433c6227cbeb17e4820cbc00133ad786e9260a81a8d68b96477a370d60c2bbd",
+        "inject-noise/dataset.f64":
+            "6491dfd03d67893dc31aefe867f3966bb20cfc7c47f7ec0ca8457c15fd28fbac",
         "inject-noise/tree.dot":
             "f228de42caa150371ce2551bed42f5ac884cd98bf50ccc56e2b4301d35131808",
         "inject-noise/tree.json":
@@ -119,6 +126,8 @@ PINS = {
             "6fbfacc75d90841947e8d9b2d4b4fc6af59102f297b1b84a5ace9fc04f783074",
         "symbolize/symbols.csv":
             "cbfd7a7b59aac5913abbada1153aa86274afa370dfa58296cf5d218e2fe55617",
+        "cluster/dataset.f64":
+            "86b7e97e99ced4a3889a0f7e949c1b84cd1389789ae7e27fade76b86acadc841",
         "cluster/tree.dot":
             "7e499c53cc2bfab0375e74ac0c6cf8b13c664ee549f2ce2bc698b0b84c84594e",
         "cluster/tree.json":

@@ -11,6 +11,7 @@ from tefuse import (
     Dataset,
     DegenerateInput,
     Partition,
+    PipelineError,
     RunConfig,
     fit_mep_partition,
     fit_uniform_partition,
@@ -85,6 +86,25 @@ class TestUniformPartition:
     def test_midpoint_for_two_bins(self):
         part = fit_uniform_partition(np.array([-1.0, 0.25, 1.0]), 2)
         assert part.edges.tolist() == [0.0]
+
+    @pytest.mark.parametrize("values, b, edges", [
+        ([-1e308, 0.0, 1e308], 2, "[inf]"),
+        ([0.0, 1e308], 3, "[3.333333333333333e+307, inf]"),
+    ])
+    def test_edges_past_float64_range_are_an_error(self, values, b, edges):
+        # they once came back as edges, and symbolize put every value in bin 0
+        with np.errstate(over="ignore"), pytest.raises(PipelineError) as raised:
+            fit_uniform_partition(np.array(values), b)
+        assert str(raised.value) == f"the {b}-bin edges {edges} are not all finite"
+
+    def test_bulk_fit_names_the_column_whose_edges_overflow(self):
+        columns = {"a": np.arange(4.0), "b": np.array([-1e308, 0.0, 1e308, 1.0])}
+        dataset = Dataset(names=[*columns, "y"], columns=[*columns.values(), np.zeros(4)])
+        config = _leaves_config(list(columns), alphabet=2, partitioner="uniform",
+                                train_fraction=1.0)
+        with np.errstate(over="ignore"), pytest.raises(PipelineError) as raised:
+            fit_leaves(dataset, config)
+        assert str(raised.value) == "column 'b': the 2-bin edges [inf] are not all finite"
 
 
 class TestSymbolize:

@@ -30,7 +30,8 @@ that fails leaves no ``--out`` behind.
 Each run option is declared once, in ``_CONFIG_FLAGS``: its RunConfig
 field, the parser of its flag and config-file text, and its help; the
 help's defaults are RunConfig's. RunConfig then checks flags, config files
-and stored manifests alike.
+and stored manifests alike. ``--out`` and the run options are each declared
+once too, in a parent parser of the commands that take them.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error.
 """
@@ -238,7 +239,8 @@ def _manifest_entries(manifest: dict) -> tuple[str, RunConfig, dict | None, dict
     if not 1 <= count < len(sources) or sources[-count:] != noise_columns(count):
         raise ValueError(f"noise count {count} does not match the trailing "
                          f"noise sources of {list(sources)}")
-    # cmd_cluster records the config's seed; another would make other noise
+    # evaluate makes no noise, but cmd_cluster records the config's seed, so
+    # another one marks an edited manifest that misstates the stored channels
     if noise["seed"] != config.seed:
         raise ValueError(f"noise seed {noise['seed']} is not the configured "
                          f"seed {config.seed}")
@@ -348,13 +350,6 @@ def _add_flag(parser: argparse.ArgumentParser, key: str, default) -> None:
     parser.add_argument(_flag(key), dest=key, type=parse, help=text)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="input CSV file")
-    parser.add_argument("--config", help="key=value configuration file")
-    for key, (field, _, _) in _CONFIG_FLAGS.items():
-        _add_flag(parser, key, _DEFAULTS.get(field))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tefuse",
@@ -368,36 +363,38 @@ def build_parser() -> argparse.ArgumentParser:
                              "serial and outputs never depend on this flag")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cluster", help="run the fusion hierarchy")
-    _add_config_flags(p)
-    p.add_argument("--out", required=True, help="output directory")
+    # options several commands share, each declared once in a parent
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="output directory")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--input", required=True, help="input CSV file")
+    run.add_argument("--config", help="key=value configuration file")
+    for key, (field, _, _) in _CONFIG_FLAGS.items():
+        _add_flag(run, key, _DEFAULTS.get(field))
+
+    p = sub.add_parser("cluster", parents=[run, out], help="run the fusion hierarchy")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("inject-noise",
+    p = sub.add_parser("inject-noise", parents=[run, out],
                        help="append seeded noise channels, then cluster")
-    _add_config_flags(p)
     p.add_argument("--noise-count", dest="noise_count", type=int, required=True,
                    help="number of standard-normal channels to append")
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_inject_noise)
 
-    p = sub.add_parser("evaluate", help="score a stored tree level by level")
+    p = sub.add_parser("evaluate", parents=[out], help="score a stored tree level by level")
     p.add_argument("--input", required=True, help="the original CSV file")
     p.add_argument("--tree", required=True,
                    help="directory holding tree.json and manifest.json")
     _add_flag(p, "target_kind", "as the tree was built")
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("symbolize", help="dump symbol streams and partitions")
-    _add_config_flags(p)
-    p.add_argument("--out", required=True, help="output directory")
+    p = sub.add_parser("symbolize", parents=[run, out],
+                       help="dump symbol streams and partitions")
     p.set_defaults(func=cmd_symbolize)
 
-    p = sub.add_parser("export-tree", help="re-render a stored tree")
+    p = sub.add_parser("export-tree", parents=[out], help="re-render a stored tree")
     p.add_argument("--tree", required=True, help="path to tree.json")
     p.add_argument("--format", choices=("json", "dot"), default="dot")
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_export_tree)
     return parser
 

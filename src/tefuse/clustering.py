@@ -23,11 +23,13 @@ prepared once per run (:func:`~tefuse.infotheory._target_terms`), and a
 level passes its missing keys in one batch to
 :func:`~tefuse.infotheory._scores`, the one path to the TE kernel, as 2-D
 blocks of one chunk each, cut by the kernel's rule
-(:func:`~tefuse.infotheory._chunks`). Each node's training prefix is sliced
-once, never copied whole. A chunk's block is gathered from the prefixes
-when its turn comes, one row per key: its singles' prefixes, then its
-pairs' merged columns, which one multiply-add over the gathered prefixes
-makes with :func:`~tefuse.fusion.merge_pair`'s arithmetic
+(:func:`~tefuse.infotheory._chunks`). The one node table holds training
+prefixes, sliced on entry and fused from their parents' prefixes, so no
+held-out row is read; :func:`replay_merges` alone fuses full series. A
+chunk's block is gathered from the prefixes when its turn comes, one row
+per key: its singles' prefixes, then its pairs' merged columns, which one
+multiply-add over the gathered prefixes makes with
+:func:`~tefuse.fusion.merge_pair`'s arithmetic
 (``prefix[i] * b_j + prefix[j]``). The values equal :func:`score_pair`'s,
 whatever the chunk size; :func:`_pair_score` writes the distance for both,
 and kept and fresh values are the same floats, so the candidate list and
@@ -106,10 +108,10 @@ def cluster(
 ) -> MergeTree:
     """Run the fusion hierarchy until ``config.stop_at`` supernodes remain.
 
-    All scoring uses only the training prefix (``config.train_fraction`` of
-    the common length); fused node sequences are produced full length, with
-    their repartition quantiles fitted on the same prefix, so downstream
-    evaluation sees no information from held-out rows.
+    Every source and the target are cut to the training prefix
+    (``config.train_fraction`` of the common length) on entry, and fused
+    nodes are fused from their parents' prefixes, so the tree depends on no
+    held-out row; :func:`replay_merges` rebuilds full-length fused series.
     """
     if len(sources) < 2:
         raise ValueError("clustering needs at least two source sequences")
@@ -119,16 +121,11 @@ def cluster(
             raise LengthMismatch(
                 f"source {seq.source_name!r} has length {len(seq)}, target has {n}"
             )
-    train_len = split_index(n, config.train_fraction)
+    train_len = _train_length(n, config)
     k = config.depth
-    if train_len < k + 2:
-        raise SequenceTooShort(
-            f"training prefix of {train_len} rows cannot support depth k={k}"
-        )
 
-    nodes: dict[int, SymbolSequence] = dict(enumerate(sources))
-    # each node's training prefix, sliced once
-    views = {i: seq.symbols[:train_len] for i, seq in nodes.items()}
+    nodes = {i: SymbolSequence(seq.symbols[:train_len], seq.alphabet_size,
+                               seq.source_name) for i, seq in enumerate(sources)}
     names = [seq.source_name for seq in sources]
     z_terms = _target_terms(target.symbols[:train_len], k)
     active = list(range(len(sources)))
@@ -141,12 +138,12 @@ def cluster(
     def block(chunk):
         # one row per key: a node's prefix, or for a pair merge_pair's
         # x * b_y + y on the prefixes; a chunk's pairs follow its singles
-        rows = np.concatenate([views[key[0]] for key in chunk]).reshape(len(chunk), -1)
-        merged = [key for key in chunk if len(key) == 2]
+        rows = np.concatenate([nodes[key[0]].symbols for key in chunk]).reshape(len(chunk), -1)
+        merged = [nodes[key[1]] for key in chunk if len(key) == 2]
         if merged:
             tail = rows[len(chunk) - len(merged):]
-            tail *= np.array([nodes[j].alphabet_size for _, j in merged])[:, None]
-            tail += np.concatenate([views[j] for _, j in merged]).reshape(tail.shape)
+            tail *= np.array([y.alphabet_size for y in merged])[:, None]
+            tail += np.concatenate([y.symbols for y in merged]).reshape(tail.shape)
         return rows
 
     level = 0
@@ -163,12 +160,10 @@ def cluster(
         best = min(range(len(pairs)), key=lambda idx: scores[idx])
         win_i, win_j = pairs[best]
 
-        fused = fuse(nodes[win_i], nodes[win_j], config.fused_alphabet,
-                     fit_length=train_len)
+        fused = fuse(nodes[win_i], nodes[win_j], config.fused_alphabet)
         new_id = len(names)
         names.append(fused.source_name)
         nodes[new_id] = fused
-        views[new_id] = fused.symbols[:train_len]
         merges.append(MergeRecord(
             level=level,
             pair=(win_i, win_j),
@@ -191,6 +186,16 @@ def cluster(
     )
 
 
+def _train_length(n: int, config: RunConfig) -> int:
+    """The length of the training prefix of ``n`` rows, which must hold the
+    k + 2 rows a depth-k transfer entropy needs."""
+    train_len = split_index(n, config.train_fraction)
+    if train_len < config.depth + 2:
+        raise SequenceTooShort(
+            f"training prefix of {train_len} rows cannot support depth k={config.depth}")
+    return train_len
+
+
 def te_computed(tree: MergeTree) -> list[int]:
     """The transfer entropies :func:`cluster` computes per level: every single
     and pair of the m leaves first, then at each later level with m active
@@ -205,9 +210,10 @@ def replay_merges(
     """Rebuild every node's full-length sequence from the recorded merges.
 
     Fusion is deterministic given the pair order and the training prefix, so
-    replaying a stored tree against the same symbolized leaves reproduces the
-    clustering run's node sequences exactly. Leaves whose names are not the
-    tree's leaves, in order, raise :class:`TreeDatasetMismatch`.
+    replaying a stored tree against the same symbolized leaves extends the
+    clustering run's prefix node sequences exactly to full length. Leaves
+    whose names are not the tree's leaves, in order, raise
+    :class:`TreeDatasetMismatch`.
     """
     names = tuple(seq.source_name for seq in leaf_seqs)
     if names != tree.leaves:

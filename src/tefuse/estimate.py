@@ -32,7 +32,7 @@ merged there; that triple in turn gives back every window of the level.
 over every row, and each finer level as a 3-column rank of the coarser
 level's ids and the merged pair's window keys. Dense ranking keeps the
 order of the keys, so ranking raw window keys gives the ids that ranking
-dense window ids (:func:`tefuse.infotheory._history`) would. Predictions
+dense window ids (``_joint_ids(_windows(...))``) would. Predictions
 depend only on how rows group into states, not on how the ids are
 numbered, so they equal those of a frequency table fitted on each level's
 full window matrix. The nodes' window keys are folded a chunk of
@@ -49,8 +49,8 @@ import logging
 
 import numpy as np
 
-from .clustering import MergeTree, leaf_sequences, replay_merges
-from .errors import PipelineError, SequenceTooShort
+from .clustering import MergeTree, _train_length, leaf_sequences, replay_merges
+from .errors import PipelineError
 from .frozen import Frozen, FrozenValue
 from .infotheory import _chunks, _joint_ids, _windows
 from .ingest import Dataset, RunConfig, split_index
@@ -232,12 +232,8 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     matrix would predict.
     """
     n = dataset.n
-    s = split_index(n, config.train_fraction)
+    s = _train_length(n, config)
     k = config.depth
-    if s < k + 2:
-        raise SequenceTooShort(
-            f"training prefix of {s} rows cannot support depth k={k}"
-        )
     if s >= n:
         raise ValueError("train fraction leaves no held-out rows to evaluate")
 

@@ -23,10 +23,9 @@ element for element whatever way the tuples are formed, whatever the key
 width and whichever rows share a batch. Dense ids 0..m-1
 (:func:`_joint_ids`, one more sort) are made only where a table needs them:
 the target's windows and its (next, own window) states, which every source
-is joined with, :func:`_history`, and the estimator. A source's windows
-stay raw keys. A history window is the tuple of its k+1
-lagged symbols, so every quantity here is invariant under any bijective
-relabeling of the input alphabets.
+is joined with, and the estimator. A source's windows stay raw keys. A
+history window is the tuple of its k+1 lagged symbols, so every quantity
+here is invariant under any bijective relabeling of the input alphabets.
 
 Lag convention: the target symbol at t+1 is paired with states through t,
 giving aligned tuples for t = k .. n-2.
@@ -149,8 +148,8 @@ def _joint_ids(*columns) -> np.ndarray:
 
     Equal tuples share an id, ids run 0..m-1 over the m distinct tuples and
     follow lexicographic tuple order: one sort ranks the :func:`_fold` keys.
-    Only tables that keep or index by ids use them (the target's windows,
-    :func:`_history`, the estimator); an entropy counts the keys directly.
+    Only tables that keep or index by ids use them (the target's windows
+    and states, the estimator); an entropy counts the keys directly.
     """
     return np.unique(_fold(columns), return_inverse=True)[1]
 
@@ -229,11 +228,6 @@ def _windows(arr: np.ndarray, k: int) -> np.ndarray:
     return _fold([arr[..., j: n - 1 - k + j] for j in range(k + 1)], [bounds] * (k + 1))
 
 
-def _history(arr: np.ndarray, k: int) -> np.ndarray:
-    """Dense ids of the (k+1)-symbol windows ending at t = k .. n-2."""
-    return np.unique(_windows(arr, k), return_inverse=True)[1]
-
-
 def _aligned(k: int, *seqs) -> list[np.ndarray]:
     """Validate equal-length sequences; return their columns."""
     if k < 0:
@@ -258,7 +252,7 @@ def _target_terms(target, k: int):
     (next, own window) ids and its window ids as one (2, 1, windows) stack,
     that stack's (min, max) and H(next | own)."""
     (y,) = _aligned(k, target)
-    yw = _history(y, k)
+    yw = _joint_ids(_windows(y, k))
     next_own = _joint_ids(y[k + 1:], yw)
     ids = np.stack([next_own, yw])
     h_next_own, h_own = _entropies(ids.copy())  # which sorts its copy

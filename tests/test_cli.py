@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -1067,6 +1068,55 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["cluster"])  # missing required flags
     assert info.value.code == 2
+
+
+# The option strings each command accepts, recorded before --out and the
+# run options moved into shared parent parsers, and the least argv each
+# command parses with.
+RUN_OPTIONS = {"--input", "--config", "--target", "--sources", "--alphabet",
+               "--target-alphabet", "--depth", "--fused-alphabet", "--stop-at",
+               "--train-fraction", "--seed", "--partitioner", "--target-kind"}
+COMMAND_OPTIONS = {
+    "cluster": (RUN_OPTIONS | {"--out"}, ["--input", "x.csv", "--out", "o"]),
+    "inject-noise": (RUN_OPTIONS | {"--noise-count", "--out"},
+                     ["--input", "x.csv", "--noise-count", "1", "--out", "o"]),
+    "evaluate": ({"--input", "--tree", "--target-kind", "--out"},
+                 ["--input", "x.csv", "--tree", "t", "--out", "o"]),
+    "symbolize": (RUN_OPTIONS | {"--out"}, ["--input", "x.csv", "--out", "o"]),
+    "export-tree": ({"--tree", "--format", "--out"}, ["--tree", "t.json", "--out", "o"]),
+}
+OPTION_VALUES = {"--format": "json", "--partitioner": "mep"}
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_each_command_accepts_its_recorded_options(capsys, command):
+    accepted, least = COMMAND_OPTIONS[command]
+    parser = cli.build_parser()
+
+    def code(argv):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+        return 0
+
+    # every option some command takes: this command parses exactly its own
+    # and their unique prefixes, which argparse takes as abbreviations
+    # (evaluate refuses --alphabet, export-tree refuses --input, and
+    # evaluate reads --target as --target-kind)
+    for option in sorted(set().union(*(o for o, _ in COMMAND_OPTIONS.values()))):
+        argv = [command, *least, option, OPTION_VALUES.get(option, "1")]
+        own = option in accepted or sum(o.startswith(option) for o in accepted) == 1
+        assert (code(argv) == 0) == own, option
+    # the least argv needs each of its options
+    assert code([command, *least]) == 0
+    for index in range(0, len(least), 2):
+        assert code([command, *least[:index], *least[index + 2:]]) == 2
+    capsys.readouterr()
+    # --help lists each option, and no other
+    assert code([command, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == accepted | {"--help"}
 
 
 # cluster, then evaluate, in one process: does either import numpy.ma?

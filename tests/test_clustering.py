@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tefuse import (
     MalformedArtifact,
@@ -226,6 +228,35 @@ class TestCluster:
         tree_prefix = cluster(prefix, z_prefix, _config(4, train_fraction=1.0))
         assert [m.pair for m in tree.merges] == [m.pair for m in tree_prefix.merges]
         assert [m.score for m in tree.merges] == [m.score for m in tree_prefix.merges]
+
+        # any alphabets, fused alphabet and in-alphabet held-out rows: the
+        # whole tree is the tree of the training prefixes alone
+        @settings(max_examples=60, deadline=None)
+        @given(st.data())
+        def any_suffix(data):
+            # the sources' alphabets, then the target's
+            alphabets = [*data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=5)),
+                         data.draw(st.integers(1, 4))]
+            depth = data.draw(st.integers(0, 2))
+            train_len = data.draw(st.integers(depth + 2, 40))
+            n = train_len + data.draw(st.integers(1, 25))
+
+            def column(b, size):
+                return data.draw(st.lists(st.integers(0, b - 1), min_size=size,
+                                          max_size=size))
+
+            prefixes = [column(b, train_len) for b in alphabets]
+            full = [SymbolSequence(values + column(b, n - train_len), b, f"s{i}")
+                    for i, (values, b) in enumerate(zip(prefixes, alphabets))]
+            cut = [SymbolSequence(values, b, f"s{i}")
+                   for i, (values, b) in enumerate(zip(prefixes, alphabets))]
+            config = _config(len(alphabets) - 1, depth=depth, train_fraction=train_len / n,
+                             fused_alphabet=data.draw(st.integers(2, 9)))
+            assert split_index(n, config.train_fraction) == train_len
+            tree = cluster(full[:-1], full[-1], config)
+            assert tree == cluster(cut[:-1], cut[-1], config.replace(train_fraction=1.0))
+
+        any_suffix()
 
     def test_replay_reproduces_fused_sequences(self):
         channels, z = xor_system(800, seed=14)

@@ -16,7 +16,7 @@ from tefuse import (
     transfer_entropy,
 )
 from tefuse import infotheory
-from tefuse.infotheory import _counts, _fold, _history, _joint_entropy, _joint_ids, _windows
+from tefuse.infotheory import _counts, _fold, _joint_entropy, _joint_ids, _windows
 
 from oracles import (
     causation_pair_oracle,
@@ -91,7 +91,7 @@ class TestJointIds:
         rng = np.random.default_rng(17)
         symbols = rng.integers(0, 10, 500)
         sorts = _count_sorts(monkeypatch)
-        got = _history(symbols, 5)
+        got = _joint_ids(_windows(symbols, 5))
         assert len(sorts) == 1
         assert np.array_equal(got, joint_ids_oracle(
             *(symbols[j: 500 - 1 - 5 + j] for j in range(6))))
@@ -180,7 +180,7 @@ class TestValueSortCounts:
             for k in range(4):
                 keys = _windows(symbols, k)
                 assert np.array_equal(np.unique(keys, return_inverse=True)[1],
-                                      _history(symbols, k))
+                                      _joint_ids(_windows(symbols, k)))
 
     @pytest.mark.parametrize("broadcast", [True, False], ids=["view", "unbroadcast"])
     @pytest.mark.parametrize("extreme", [False, True], ids=["no-sort", "re-rank"])
@@ -205,7 +205,7 @@ class TestValueSortCounts:
         for k in range(3):
             for got, row in zip(_windows(rows, k), rows):
                 assert np.array_equal(np.unique(got, return_inverse=True)[1],
-                                      _history(row, k))
+                                      _joint_ids(_windows(row, k)))
 
     @pytest.mark.parametrize("k", range(4))
     def test_named_scores_equal_dense_id_path(self, k):

@@ -48,8 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clustering import (cluster, export_tree, fit_leaves, leaf_sequences, te_computed,
-                         tree_from_json)
+from .clustering import _cluster, export_tree, fit_leaves, leaf_sequences, tree_from_json
 from .errors import MalformedArtifact, MissingColumn, PipelineError, TreeDatasetMismatch
 from .estimate import (evaluate_levels, predictions_csv, report_csv, report_json,
                        resolve_target_kind, target_symbols)
@@ -189,12 +188,12 @@ def cmd_cluster(args, noise_count: int = 0) -> dict[str, bytes]:
 
     leaves = leaf_sequences(dataset, config)
     target_seq, kind, _, _ = target_symbols(dataset, config)
-    tree = cluster(leaves, target_seq, config)
+    tree, scored = _cluster(leaves, target_seq, config)
 
     stored = _dataset_bytes(dataset, config)
     extra = {"noise": noise, "target_kind_resolved": kind,
              "candidate_evaluations": [len(m.all_candidate_scores) for m in tree.merges],
-             "te_computed": te_computed(tree),
+             "te_computed": scored,
              "dataset": {"sha256": _sha256(stored), "columns": _stored_columns(config)}}
     return {"tree.json": export_tree(tree, "json"),
             "tree.dot": export_tree(tree, "dot"),
@@ -351,10 +350,13 @@ def _add_flag(parser: argparse.ArgumentParser, key: str, default) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False on every parser: argparse would otherwise take any
+    # unique prefix of an option for it (evaluate's --target for --target-kind)
     parser = argparse.ArgumentParser(
         prog="tefuse",
         description="Hierarchical fusion of multivariate time series by "
                     "transfer-entropy similarity.",
+        allow_abbrev=False,
     )
     parser.add_argument("--verbose", action="store_true",
                         help="log progress to stderr")
@@ -364,35 +366,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # options several commands share, each declared once in a parent
-    out = argparse.ArgumentParser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     out.add_argument("--out", required=True, help="output directory")
-    run = argparse.ArgumentParser(add_help=False)
+    run = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     run.add_argument("--input", required=True, help="input CSV file")
     run.add_argument("--config", help="key=value configuration file")
     for key, (field, _, _) in _CONFIG_FLAGS.items():
         _add_flag(run, key, _DEFAULTS.get(field))
 
-    p = sub.add_parser("cluster", parents=[run, out], help="run the fusion hierarchy")
+    p = sub.add_parser("cluster", parents=[run, out], allow_abbrev=False,
+                       help="run the fusion hierarchy")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("inject-noise", parents=[run, out],
+    p = sub.add_parser("inject-noise", parents=[run, out], allow_abbrev=False,
                        help="append seeded noise channels, then cluster")
     p.add_argument("--noise-count", dest="noise_count", type=int, required=True,
                    help="number of standard-normal channels to append")
     p.set_defaults(func=cmd_inject_noise)
 
-    p = sub.add_parser("evaluate", parents=[out], help="score a stored tree level by level")
+    p = sub.add_parser("evaluate", parents=[out], allow_abbrev=False,
+                       help="score a stored tree level by level")
     p.add_argument("--input", required=True, help="the original CSV file")
     p.add_argument("--tree", required=True,
                    help="directory holding tree.json and manifest.json")
     _add_flag(p, "target_kind", "as the tree was built")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("symbolize", parents=[run, out],
+    p = sub.add_parser("symbolize", parents=[run, out], allow_abbrev=False,
                        help="dump symbol streams and partitions")
     p.set_defaults(func=cmd_symbolize)
 
-    p = sub.add_parser("export-tree", parents=[out], help="re-render a stored tree")
+    p = sub.add_parser("export-tree", parents=[out], allow_abbrev=False,
+                       help="re-render a stored tree")
     p.add_argument("--tree", required=True, help="path to tree.json")
     p.add_argument("--format", choices=("json", "dot"), default="dot")
     p.set_defaults(func=cmd_export_tree)

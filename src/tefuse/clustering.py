@@ -14,28 +14,36 @@ lexicographically smallest (i, j) node-id pair so runs are reproducible.
 Scores can be negative or positive and are never clamped. Every active pair
 is a candidate at every level, in ascending (i, j) order, and the argmin is
 taken over the full list, so a run's output depends only on its inputs and
-configuration. A node's sequence never changes once created, so each
-single-node TE and each pair's joint TE is computed once, on first use, and
-kept in one table keyed by node-id tuple, ``(i,)`` or ``(i, j)``: the first
-level computes every single and every pair, and each later level only the
-new node's TE and its pairs with the other active nodes. The target is
-prepared once per run (:func:`~tefuse.infotheory._target_terms`), and a
-level passes its missing keys in one batch to
-:func:`~tefuse.infotheory._scores`, the one path to the TE kernel, as 2-D
-blocks of one chunk each, cut by the kernel's rule
+configuration. A node's sequence never changes once created, and a TE
+depends only on the rows it counts, so the TEs live in one table keyed by
+content. When a node is made it gets a content id: the lowest node id with
+the same training-prefix symbols and alphabet. A single is keyed ``(c,)``
+and a pair of nodes i < j ``(c_i, c_j)``, in the pair's own orientation,
+so the key fixes the merged row ``prefix[i] * b_j + prefix[j]``. Each
+distinct row is scored once: the first level scores every leaf and every
+pair, and each later level only the new node's keys, alone and paired with
+each other active node, that no earlier node already gave. A fused node
+often repeats its major parent's training symbols (see the fusion note in
+the README), and then its single and its pairs with the nodes below that
+parent cost nothing. :func:`cluster`'s core also returns the rows each
+level scored, which the ``cluster`` and ``inject-noise`` commands write as
+the manifest's ``te_computed``. The target is prepared once per run
+(:func:`~tefuse.infotheory._target_terms`), and a level passes its new keys
+in one batch to :func:`~tefuse.infotheory._scores`, the one path to the TE
+kernel, as 2-D blocks of one chunk each, cut by the kernel's rule
 (:func:`~tefuse.infotheory._chunks`). The one node table holds training
 prefixes, sliced on entry and fused from their parents' prefixes, so no
 held-out row is read; :func:`replay_merges` alone fuses full series. A
 chunk's block is gathered from the prefixes when its turn comes, one row
 per key: its singles' prefixes, then its pairs' merged columns, which one
 multiply-add over the gathered prefixes makes with
-:func:`~tefuse.fusion.merge_pair`'s arithmetic
-(``prefix[i] * b_j + prefix[j]``). The values equal :func:`score_pair`'s,
-whatever the chunk size; :func:`_pair_score` writes the distance for both,
-and kept and fresh values are the same floats, so the candidate list and
-the winner depend on neither the batching nor the table. Each score equals
-minus the sum of the pair's :func:`~tefuse.infotheory.causation_entropy_pair`
-values, up to round-off.
+:func:`~tefuse.fusion.merge_pair`'s arithmetic. Equal rows give equal
+windows, keys and floats whatever else shares their block, so the values
+equal :func:`score_pair`'s, whatever the chunk size and whichever node
+first brought the content; :func:`_pair_score` writes the distance for
+both, so the candidate list and the winner depend on neither the batching
+nor the table. Each score equals minus the sum of the pair's
+:func:`~tefuse.infotheory.causation_entropy_pair` values, up to round-off.
 
 ``tree.json`` is ``json.dumps(doc, indent=2)`` plus a line break, byte for
 byte, and :func:`_export_json`, the one writer that knows its schema,
@@ -113,6 +121,13 @@ def cluster(
     nodes are fused from their parents' prefixes, so the tree depends on no
     held-out row; :func:`replay_merges` rebuilds full-length fused series.
     """
+    return _cluster(sources, target, config)[0]
+
+
+def _cluster(sources: list[SymbolSequence], target: SymbolSequence,
+             config: RunConfig) -> tuple[MergeTree, list[int]]:
+    """:func:`cluster`'s tree, and the number of transfer entropies it
+    scored at each level."""
     if len(sources) < 2:
         raise ValueError("clustering needs at least two source sequences")
     n = len(target)
@@ -124,16 +139,28 @@ def cluster(
     train_len = _train_length(n, config)
     k = config.depth
 
-    nodes = {i: SymbolSequence(seq.symbols[:train_len], seq.alphabet_size,
-                               seq.source_name) for i, seq in enumerate(sources)}
-    names = [seq.source_name for seq in sources]
+    # nodes by id, and each node's content id: the lowest node id with the
+    # same training prefix and alphabet, found when the node is made
+    nodes: list[SymbolSequence] = []
+    content: list[int] = []
+    first_of: dict[tuple[int, bytes], int] = {}
+
+    def add(seq: SymbolSequence) -> None:
+        content.append(first_of.setdefault((seq.alphabet_size, seq.symbols.tobytes()),
+                                           len(nodes)))
+        nodes.append(seq)
+
+    for seq in sources:
+        add(SymbolSequence(seq.symbols[:train_len], seq.alphabet_size, seq.source_name))
     z_terms = _target_terms(target.symbols[:train_len], k)
     active = list(range(len(sources)))
     levels = [tuple(active)]
     merges: list[MergeRecord] = []
-    # T(x->z) keyed (i,) and T(xy->z) keyed (i, j) with i < j; active ids
-    # stay ascending because a fused node takes the next id and goes last.
+    # T(x->z) keyed (c,) and T(xy->z) keyed (c_i, c_j) by content id, for
+    # nodes i < j; active ids stay ascending because a fused node takes the
+    # next id and goes last. A content id is a node id holding that content.
     te: dict[tuple[int, ...], float] = {}
+    scored: list[int] = []
 
     def block(chunk):
         # one row per key: a node's prefix, or for a pair merge_pair's
@@ -146,14 +173,19 @@ def cluster(
             tail += np.concatenate([y.symbols for y in merged]).reshape(tail.shape)
         return rows
 
-    level = 0
+    level = fresh = 0  # nodes from id ``fresh`` on have no keys looked up yet
     while len(active) > config.stop_at:
         level += 1
         pairs = list(itertools.combinations(active, 2))
-        missing = [key for key in [*((i,) for i in active), *pairs] if key not in te]
+        wanted = [*((content[j],) for j in active if j >= fresh),
+                  *((content[i], content[j]) for i, j in pairs if j >= fresh)]
+        missing = [key for key in dict.fromkeys(wanted) if key not in te]
         blocks = map(block, _chunks(missing, train_len - 1 - k))
         te.update(zip(missing, _scores(blocks, z_terms)))
-        scores = [_pair_score(te[i,], te[j,], te[i, j]) for i, j in pairs]
+        scored.append(len(missing))
+        single = {i: te[content[i],] for i in active}
+        scores = [_pair_score(single[i], single[j], te[content[i], content[j]])
+                  for i, j in pairs]
 
         # Pairs are enumerated in ascending (i, j) order, so the first
         # minimum is the lexicographic tie-break winner.
@@ -161,29 +193,31 @@ def cluster(
         win_i, win_j = pairs[best]
 
         fused = fuse(nodes[win_i], nodes[win_j], config.fused_alphabet)
-        new_id = len(names)
-        names.append(fused.source_name)
-        nodes[new_id] = fused
+        fresh = len(nodes)
+        add(fused)
         merges.append(MergeRecord(
             level=level,
             pair=(win_i, win_j),
             score=scores[best],
             all_candidate_scores=tuple(zip(pairs, scores)),
-            te_to_target=tuple((i, te[i,]) for i in active),
+            te_to_target=tuple(single.items()),
         ))
-        active = [a for a in active if a not in (win_i, win_j)] + [new_id]
+        active = [a for a in active if a not in (win_i, win_j)] + [fresh]
         levels.append(tuple(active))
         logger.info(
-            "level %d: fused nodes %d+%d -> %d (%s), score %.6f over %d candidates",
-            level, win_i, win_j, new_id, fused.source_name, scores[best], len(pairs),
+            "level %d: fused nodes %d+%d -> %d (%s), score %.6f over %d candidates, "
+            "%d transfer entropies scored",
+            level, win_i, win_j, fresh, fused.source_name, scores[best], len(pairs),
+            scored[-1],
         )
 
-    return MergeTree(
+    tree = MergeTree(
         leaves=tuple(seq.source_name for seq in sources),
-        node_names=tuple(names),
+        node_names=tuple(seq.source_name for seq in nodes),
         merges=tuple(merges),
         levels=tuple(levels),
     )
+    return tree, scored
 
 
 def _train_length(n: int, config: RunConfig) -> int:
@@ -194,14 +228,6 @@ def _train_length(n: int, config: RunConfig) -> int:
         raise SequenceTooShort(
             f"training prefix of {train_len} rows cannot support depth k={config.depth}")
     return train_len
-
-
-def te_computed(tree: MergeTree) -> list[int]:
-    """The transfer entropies :func:`cluster` computes per level: every single
-    and pair of the m leaves first, then at each later level with m active
-    nodes the newest node alone and paired with each of the other m - 1."""
-    return [m + m * (m - 1) // 2 if h == 0 else m
-            for h, m in enumerate(len(level) for level in tree.levels[:-1])]
 
 
 def replay_merges(

@@ -12,7 +12,9 @@ entropies built on it (:func:`dense_transfer_entropies_oracle`,
 attribute. The frequency estimator (:func:`train_oracle`,
 :func:`predict_oracle`), the reference per-level evaluation is held to,
 counts with dictionaries but hands back numpy arrays and raises the
-package's ``LengthMismatch``.
+package's ``LengthMismatch``. :func:`cluster_oracle`, the fusion loop with a
+transfer-entropy table keyed by node id, scores through the package's
+kernel: it checks the table's keys, not the kernel.
 """
 
 import math
@@ -312,3 +314,56 @@ def predict_oracle(est, states):
     if est.bin_representatives is None:
         return symbols, None
     return symbols, est.bin_representatives[symbols]
+
+
+def cluster_oracle(sources, target, config):
+    """The fusion hierarchy with its transfer-entropy table keyed by node id,
+    ``(i,)`` and ``(i, j)``, so a node whose training prefix repeats another
+    node's is scored again. It scores through the package's kernel, so
+    :func:`tefuse.clustering.cluster`, whose table is keyed by content, must
+    give the same tree, float for float."""
+    import itertools
+
+    import numpy as np
+
+    from tefuse.clustering import MergeRecord, MergeTree, _pair_score, _train_length
+    from tefuse.fusion import fuse
+    from tefuse.infotheory import _chunks, _scores, _target_terms
+    from tefuse.sdf import SymbolSequence
+
+    train_len = _train_length(len(target), config)
+    k = config.depth
+    nodes = {i: SymbolSequence(seq.symbols[:train_len], seq.alphabet_size, seq.source_name)
+             for i, seq in enumerate(sources)}
+    names = [seq.source_name for seq in sources]
+    z_terms = _target_terms(target.symbols[:train_len], k)
+    active = list(range(len(sources)))
+    levels, merges, te = [tuple(active)], [], {}
+
+    def block(chunk):
+        rows = [nodes[key[0]].symbols if len(key) == 1
+                else nodes[key[0]].symbols * nodes[key[1]].alphabet_size
+                + nodes[key[1]].symbols for key in chunk]
+        return np.stack(rows)
+
+    level = 0
+    while len(active) > config.stop_at:
+        level += 1
+        pairs = list(itertools.combinations(active, 2))
+        missing = [key for key in [*((i,) for i in active), *pairs] if key not in te]
+        te.update(zip(missing, _scores(map(block, _chunks(missing, train_len - 1 - k)),
+                                       z_terms)))
+        scores = [_pair_score(te[i,], te[j,], te[i, j]) for i, j in pairs]
+        best = min(range(len(pairs)), key=lambda idx: scores[idx])
+        win_i, win_j = pairs[best]
+        fused = fuse(nodes[win_i], nodes[win_j], config.fused_alphabet)
+        new_id = len(names)
+        names.append(fused.source_name)
+        nodes[new_id] = fused
+        merges.append(MergeRecord(level=level, pair=(win_i, win_j), score=scores[best],
+                                  all_candidate_scores=tuple(zip(pairs, scores)),
+                                  te_to_target=tuple((i, te[i,]) for i in active)))
+        active = [a for a in active if a not in (win_i, win_j)] + [new_id]
+        levels.append(tuple(active))
+    return MergeTree(leaves=tuple(names[:len(sources)]), node_names=tuple(names),
+                     merges=tuple(merges), levels=tuple(levels))

@@ -100,8 +100,10 @@ class TestCluster:
         assert (out / "tree.dot").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["candidate_evaluations"] == [10, 6, 3, 1]
-        # 5 singles + 10 pairs, then the new node alone and with each other node
-        assert manifest["te_computed"] == [15, 4, 3, 2]
+        # the rows cluster scored: 5 singles + 10 pairs, then each level's
+        # new contents only, since every fused node repeats a parent's
+        # training symbols (a table keyed by node id scores [15, 4, 3, 2])
+        assert manifest["te_computed"] == [15, 3, 1, 0]
         assert manifest["config"]["alphabet"] == 3
         assert "sha256" in manifest["input"]
 
@@ -1070,6 +1072,25 @@ def test_usage_error_exit_code(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command, argv", [
+    # read as --target-kind discrete, this would score the tree with exit 0
+    ("evaluate", ["--target", "discrete"]),
+    # read as --alphabet 3, this would cluster with exit 0
+    ("cluster", [*COMMON[:4], "--alph", "3"]),
+], ids=["evaluate-target", "cluster-alph"])
+def test_an_abbreviated_option_exits_2_and_leaves_no_out(occ_csv, tmp_path, capsys,
+                                                         command, argv):
+    tree = tmp_path / "run"
+    assert run_cluster(occ_csv, tree) == 0
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([command, "--input", str(occ_csv), *(["--tree", str(tree)] * (command == "evaluate")),
+              *argv, "--out", str(out)])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # The option strings each command accepts, recorded before --out and the
 # run options moved into shared parent parsers, and the least argv each
 # command parses with.
@@ -1101,13 +1122,18 @@ def test_each_command_accepts_its_recorded_options(capsys, command):
         return 0
 
     # every option some command takes: this command parses exactly its own
-    # and their unique prefixes, which argparse takes as abbreviations
-    # (evaluate refuses --alphabet, export-tree refuses --input, and
-    # evaluate reads --target as --target-kind)
+    # (evaluate refuses --alphabet and export-tree --input), and a prefix of
+    # one of them, which argparse would take as an abbreviation, exits 2
+    # (evaluate's --target is no --target-kind)
     for option in sorted(set().union(*(o for o, _ in COMMAND_OPTIONS.values()))):
         argv = [command, *least, option, OPTION_VALUES.get(option, "1")]
-        own = option in accepted or sum(o.startswith(option) for o in accepted) == 1
-        assert (code(argv) == 0) == own, option
+        assert code(argv) == (0 if option in accepted else 2), option
+    for option in sorted(accepted):
+        for end in range(3, len(option)):
+            argv = [command, *least, option[:end], OPTION_VALUES.get(option, "1")]
+            if option[:end] not in accepted:
+                assert code(argv) == 2, option[:end]
+    assert code(["--verb", command, *least]) == code(["--thr", "2", command, *least]) == 2
     # the least argv needs each of its options
     assert code([command, *least]) == 0
     for index in range(0, len(least), 2):

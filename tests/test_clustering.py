@@ -25,7 +25,7 @@ from tefuse import clustering, fusion, infotheory
 from tefuse.clustering import leaf_sequences
 from tefuse.estimate import target_symbols
 
-from oracles import score_oracle
+from oracles import cluster_oracle, score_oracle
 from synthdata import occupancy_like
 
 
@@ -381,17 +381,20 @@ class TestPairCache:
         scores, target_terms = clustering._scores, clustering._target_terms
         monkeypatch.setattr(clustering, "_scores", counting)
         monkeypatch.setattr(clustering, "_target_terms", building)
-        tree = cluster(leaves, target, config)
+        tree, reported = clustering._cluster(leaves, target, config)
         n = len(leaves)
-        # the target's terms once per run, and one batch per level: all
-        # singles and pairs first, then at each later level with m active
-        # nodes the new node alone and paired with each of the other m - 1
+        # the target's terms once per run, and one batch per level, of the
+        # rows cluster reports: every single and pair of the n distinct
+        # leaves first, then at each later level with m active nodes at most
+        # the new node alone and paired with each of the other m - 1
         assert len(terms_built) == 1
         assert len(batches) == len(tree.merges) == n - 1
-        assert batches == [n + n * (n - 1) // 2, *range(n - 1, 1, -1)]
-        # the manifest's te_computed counts the same batches
-        assert batches == clustering.te_computed(tree)
-        assert sum(batches) == n + n * (n - 1) // 2 + sum(range(2, n))
+        assert batches == reported
+        assert batches[0] == n + n * (n - 1) // 2
+        assert all(rows <= len(active) for rows, active in zip(batches[1:], tree.levels[1:]))
+        # the fused nodes repeat a parent's training symbols, so this fixture
+        # scores 34 rows where a table keyed by node id scores 28 + 6 + ... + 2 = 48
+        assert batches == [28, 0, 3, 3, 0, 0]
 
     def test_te_table_equals_transfer_entropy(self, noisy_run, monkeypatch):
         leaves, target, config = noisy_run
@@ -405,10 +408,9 @@ class TestPairCache:
 
         scores = clustering._scores
         monkeypatch.setattr(clustering, "_scores", recording)
-        cluster(leaves, target, config)
+        _, reported = clustering._cluster(leaves, target, config)
         z_train = target.symbols[:split_index(len(target), config.train_fraction)]
-        n = len(leaves)
-        assert len(scored) == n + n * (n - 1) // 2 + sum(range(2, n))
+        assert len(scored) == sum(reported)
         for source, value in scored:
             assert value == transfer_entropy(source, z_train, config.depth)
 
@@ -430,13 +432,14 @@ class TestPairCache:
         monkeypatch.setattr(infotheory, "_column", checking)
         monkeypatch.setattr(infotheory, "_transfer_rows", recording)
         monkeypatch.setattr(infotheory, "_CHUNK_KEYS", 3 * windows)
-        tree = cluster(leaves, target, config)
+        _, reported = clustering._cluster(leaves, target, config)
         # the target's prefix is checked once; the sources reach the kernel
         # as 2-D blocks, never one column at a time
         assert len(columns) == 1 and len(columns[0]) == windows + 1 + config.depth
-        # each level's missing keys, 3 rows to a chunk, the last chunk shorter
+        # the rows each level reports, 3 to a chunk, the last chunk shorter;
+        # a level with no new content runs no kernel
         want = [(min(3, batch - start), windows + 1 + config.depth)
-                for batch in clustering.te_computed(tree)
+                for batch in reported
                 for start in range(0, batch, 3)]
         assert chunks == want
 
@@ -447,6 +450,88 @@ class TestPairCache:
         for budget in (1, 2**40):
             monkeypatch.setattr(infotheory, "_CHUNK_KEYS", budget)
             assert export_tree(cluster(leaves, target, config)) == default
+
+
+class TestContentTable:
+    """cluster keys its TE table by content: a node's content id is the
+    lowest node id with the same training prefix and alphabet, and a pair
+    i < j is keyed (c_i, c_j), so each distinct row is scored once and every
+    value is the one a table keyed by node id gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), lossless=st.booleans())
+    def test_tree_equals_the_node_id_table(self, data, lossless):
+        n_sources = data.draw(st.integers(2, 5))
+        n = data.draw(st.integers(24, 90))
+        alphabets = data.draw(st.lists(st.integers(2, 4), min_size=n_sources,
+                                       max_size=n_sources))
+        columns = []
+        for b in alphabets:
+            # a column may repeat an earlier one of its alphabet, so that
+            # leaves share content too
+            twins = [c for c in columns if c.alphabet_size == b]
+            if twins and data.draw(st.booleans()):
+                symbols = data.draw(st.sampled_from(twins)).symbols
+            else:
+                symbols = data.draw(st.lists(st.integers(0, b - 1), min_size=n, max_size=n))
+            columns.append(SymbolSequence(symbols, b, f"s{len(columns)}"))
+        z = SymbolSequence(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                           3, "z")
+        # the default fused alphabet repeats contents; at the product of the
+        # leaf alphabets, >= b_x * b_y at every merge, each merge relabels
+        # losslessly and its content is new
+        fused = math.prod(alphabets) if lossless else None
+        config = _config(n_sources, depth=data.draw(st.integers(0, 2)),
+                         train_fraction=data.draw(st.sampled_from([0.6, 1.0])),
+                         fused_alphabet=fused, stop_at=data.draw(st.integers(1, 2)))
+        tree, scored = clustering._cluster(columns, z, config)
+        want = cluster_oracle(columns, z, config)
+        assert tree == want
+        assert export_tree(tree) == export_tree(want)
+        # each level scores the contents, alone and as ordered pairs, that
+        # no earlier level met
+        train_len = split_index(n, config.train_fraction)
+        nodes = replay_merges(columns, tree, config)
+        content = {i: (seq.alphabet_size, seq.symbols[:train_len].tobytes())
+                   for i, seq in nodes.items()}
+        seen, fresh = set(), []
+        for active in tree.levels[:-1]:
+            keys = {(content[i],) for i in active}
+            keys |= {(content[i], content[j]) for a, i in enumerate(active)
+                     for j in active[a + 1:]}
+            fresh.append(len(keys - seen))
+            seen |= keys
+        assert scored == fresh
+
+    def test_a_fused_node_that_repeats_its_major_parent_scores_no_single(self, monkeypatch):
+        # leaves of exactly equal-count bins at the default fused alphabet:
+        # each fused node's training symbols are its major parent's
+        rng = np.random.default_rng(26)
+        n, b = 300, 3
+        leaves = _seqs([rng.permutation(np.repeat(np.arange(b), n // b)) for _ in range(5)], b)
+        z = SymbolSequence(rng.integers(0, 2, n), 2, "z")
+        config = _config(5, alphabet=b, depth=1)
+        keys = []
+
+        def recording(items, windows):
+            keys.append(list(items))
+            return chunks(keys[-1], windows)
+
+        chunks = clustering._chunks
+        monkeypatch.setattr(clustering, "_chunks", recording)
+        tree, scored = clustering._cluster(leaves, z, config)
+        nodes = replay_merges(leaves, tree, config)
+        for index, record in enumerate(tree.merges):
+            fused = nodes[len(leaves) + index]
+            major = nodes[record.pair[0]]
+            assert (fused.symbols.tolist(), fused.alphabet_size) == (
+                major.symbols.tolist(), major.alphabet_size)
+        # each level's keys are the rows cluster reports; only level 1
+        # scores a single, one for each leaf
+        assert [len(level) for level in keys] == scored
+        assert [sum(len(key) == 1 for key in level) for level in keys] == [5, 0, 0, 0]
+        assert scored[0] == 5 + 10 and sum(scored) < 15 + 4 + 3 + 2
+        assert tree == cluster_oracle(leaves, z, config)
 
 
 class TestExport:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tefuse import LengthMismatch, SymbolSequence, fuse, merge_pair
+from tefuse import (LengthMismatch, SymbolSequence, fit_mep_partition, fuse, merge_pair,
+                    symbolize)
 from tefuse.fusion import as_symbol_sequence
 
 from oracles import entropy_oracle, repartition_oracle
@@ -142,3 +143,39 @@ def test_fuse_equals_repartition_on_random_pairs(data, bx, by, n, fused):
     fit_length = data.draw(st.one_of(st.none(), st.integers(1, n)))
     x, y = SymbolSequence(xs, bx, "x"), SymbolSequence(ys, by, "y")
     _fuse_and_check(x, y, fused, fit_length)
+
+
+# What a merge keeps. At the default fused alphabet (the working alphabet b),
+# a maximum entropy leaf x of exactly equal-count bins is its own fused node:
+# the b - 1 quantile edges of x * b_y + y on the training prefix are the last
+# merged values of x's bins, so the fused training symbols are x's and the
+# minor parent y is dropped. A fused alphabet of b_x * b_y keeps both.
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), b=st.integers(2, 6), by=st.integers(2, 6),
+       per_bin=st.integers(1, 30), held_out=st.integers(0, 20))
+def test_fuse_at_the_working_alphabet_keeps_an_equal_count_major_parent(
+        data, b, by, per_bin, held_out):
+    train_len = b * per_bin
+    values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=train_len + held_out,
+                                max_size=train_len + held_out, unique=True))
+    x = symbolize(values, fit_mep_partition(values[:train_len], b), "x")
+    assert np.bincount(x.symbols[:train_len], minlength=b).tolist() == [per_bin] * b
+    y = SymbolSequence(data.draw(st.lists(st.integers(0, by - 1), min_size=len(values),
+                                          max_size=len(values))), by, "y")
+    fused = fuse(x, y, b, fit_length=train_len)
+    assert fused.alphabet_size == b
+    assert fused.symbols[:train_len].tolist() == x.symbols[:train_len].tolist()
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), bx=st.integers(1, 6), by=st.integers(1, 6), n=st.integers(1, 60))
+def test_fuse_at_the_product_alphabet_relabels_losslessly(data, bx, by, n):
+    xs = data.draw(st.lists(st.integers(0, bx - 1), min_size=n, max_size=n))
+    ys = data.draw(st.lists(st.integers(0, by - 1), min_size=n, max_size=n))
+    x, y = SymbolSequence(xs, bx, "x"), SymbolSequence(ys, by, "y")
+    fused = fuse(x, y, max(2, bx * by))
+    # the fused symbols rank the distinct merged values, which decode to (x, y)
+    merged = np.unique(merge_pair(x, y).values)
+    assert fused.alphabet_size == len(merged)
+    assert (merged[fused.symbols] // by).tolist() == xs
+    assert (merged[fused.symbols] % by).tolist() == ys

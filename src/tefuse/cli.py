@@ -61,10 +61,12 @@ logger = logging.getLogger(__name__)
 # Caught in this order: a MissingColumn is a configuration error (evaluate
 # raises one from a stored config as a MalformedArtifact), every other
 # PipelineError a data error, as is an OSError (a missing, unreadable or
-# mistyped path) and a float overflow, which a command raises rather than
-# carry an infinite edge, median or error into its outputs.
+# mistyped path), a MemoryError (an array too large to allocate, such as
+# the edges of a uniform partition into 10**18 bins) and a float overflow,
+# which a command raises rather than carry an infinite edge, median or
+# error into its outputs.
 CONFIG_ERRORS = (ValueError, MissingColumn)
-DATA_ERRORS = (PipelineError, OSError, FloatingPointError)
+DATA_ERRORS = (PipelineError, OSError, FloatingPointError, MemoryError)
 
 # Each run option, declared once: key -> (RunConfig field, parser, help).
 # The flag is --key with "_" written as "-", and a --config file takes the

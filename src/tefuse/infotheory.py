@@ -30,22 +30,27 @@ here is invariant under any bijective relabeling of the input alphabets.
 Lag convention: the target symbol at t+1 is paired with states through t,
 giving aligned tuples for t = k .. n-2.
 
-Every transfer entropy takes one path. :func:`_target_terms` checks a
+Every transfer and causation entropy takes one path, and every entropy
+behind them is a row of one kernel call. :func:`_target_terms` checks a
 target and a depth and prepares, once, the target's (next, own window) and
 own window ids as one (2, 1, windows) stack, that stack's bounds, and
-H(next | own history). :func:`_scores`, the one caller of the kernel
-:func:`_transfer_rows`, scores 2-D blocks of sources, one row per source,
-against a prepared target, with one length check per block; a caller with
+H(next | own history); :func:`_source` checks a source against it. The kernel
+:func:`_conditional_entropies` gives H(next | own, source) for each row of
+a 2-D array of source window keys. :func:`_scores` scores 2-D blocks of
+sources, one row per source, against a prepared target, with one length
+check per block, as H(next | own) less the kernel's row; a caller with
 many batches prepares the target once. Sources are cut into chunks by one
 rule, :func:`_chunks`: at most ``_CHUNK_KEYS`` source window keys to a
 chunk, and at least one source. :func:`transfer_entropies` checks the
 target first, then reads its sources lazily, checks each one when its turn
 comes and stacks each chunk into a block; :func:`transfer_entropy` is
-``transfer_entropies`` of one source. A block costs one :func:`_fold` of its
-windows, one pass that folds the target's stack in, within the given
-bounds, to give its (next, own, source) and (own, source) keys over the
-whole batch, and one row-wise sort of those keys, whatever the number of
-sources in it.
+``transfer_entropies`` of one source. :func:`causation_entropy_pair` makes
+one kernel call over the window keys of y, of x and of the pair (x, y),
+whose fold keeps the lexicographic order of (x, y) windows. A kernel call
+costs one pass that folds the target's stack in, within the given bounds,
+to give its (next, own, source) and (own, source) keys over the whole
+batch, and one row-wise sort of those keys, whatever the number of rows in
+it.
 """
 
 from __future__ import annotations
@@ -206,10 +211,6 @@ def _entropies(keys: np.ndarray) -> list[float]:
     return [float(-terms[a:b].sum()) for a, b in zip([0, *ends], ends)]
 
 
-def _joint_entropy(*columns) -> float:
-    return _entropies(_fold(columns, narrow=True)[None])[0]
-
-
 def _clamped(value: float, what: str) -> float:
     # Plug-in conditional mutual information is nonnegative; only float
     # round-off can push it below zero, and only by ~1e-16.
@@ -228,15 +229,6 @@ def _windows(arr: np.ndarray, k: int) -> np.ndarray:
     return _fold([arr[..., j: n - 1 - k + j] for j in range(k + 1)], [bounds] * (k + 1))
 
 
-def _aligned(k: int, *seqs) -> list[np.ndarray]:
-    """Validate equal-length sequences; return their columns."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    cols = [_column(s) for s in seqs]
-    _check_lengths(k, cols)
-    return cols
-
-
 def _check_lengths(k: int, cols) -> None:
     n = len(cols[-1])
     if any(len(c) != n for c in cols):
@@ -251,7 +243,10 @@ def _target_terms(target, k: int):
     """Check a target and a depth; return the target's column, ``k``, its
     (next, own window) ids and its window ids as one (2, 1, windows) stack,
     that stack's (min, max) and H(next | own)."""
-    (y,) = _aligned(k, target)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    y = _column(target)
+    _check_lengths(k, (y,))
     yw = _joint_ids(_windows(y, k))
     next_own = _joint_ids(y[k + 1:], yw)
     ids = np.stack([next_own, yw])
@@ -259,21 +254,26 @@ def _target_terms(target, k: int):
     return y, k, ids[:, None], (0, int(ids.max())), h_next_own - h_own
 
 
-def _transfer_rows(rows: np.ndarray, k: int, ids: np.ndarray,
-                   id_bounds: tuple[int, int], h_own: float) -> list[float]:
-    """H(next | own) - H(next | own, source) for each source row of ``rows``.
+def _source(source, y: np.ndarray, k: int) -> np.ndarray:
+    """A source's column, checked against the target's column ``y``."""
+    x = _column(source)
+    _check_lengths(k, (x, y))
+    return x
 
-    The (next, own, source window) and (own, source window) keys of every
-    row are :func:`_fold`'s keys of the target's (2, 1, windows) id stack,
-    within its given bounds, and the rows' window keys: a (2, rows, windows)
-    batch counted with one row-wise sort, of int32 keys where they fit.
+
+def _conditional_entropies(keys: np.ndarray, ids: np.ndarray,
+                           id_bounds: tuple[int, int]) -> list[float]:
+    """H(next | own, source) for each row of a 2-D array of source window
+    keys, toward a target's (2, 1, windows) id stack.
+
+    The (next, own, source) and (own, source) keys of every row are
+    :func:`_fold`'s keys of the id stack, within its given bounds, and the
+    row: a (2, rows, windows) batch counted with one row-wise sort, of
+    int32 keys where they fit.
     """
-    xw = _windows(rows, k)
-    keys = _fold((ids, xw), (id_bounds, None), narrow=True)
-    del xw  # not needed while the keys are counted
-    h = _entropies(keys.reshape(-1, keys.shape[2]))
-    return [_clamped(h_own - (h_joint - h_given), "transfer entropy")
-            for h_joint, h_given in zip(h[:len(rows)], h[len(rows):])]
+    joint = _fold((ids, keys), (id_bounds, None), narrow=True)
+    h = _entropies(joint.reshape(-1, joint.shape[2]))
+    return [h_joint - h_given for h_joint, h_given in zip(h[:len(keys)], h[len(keys):])]
 
 
 def transfer_entropy(source, target, k: int) -> float:
@@ -294,14 +294,8 @@ def transfer_entropies(sources, target, k: int) -> list[float]:
     """
     terms = _target_terms(target, k)
     y = terms[0]
-
-    def checked(source) -> np.ndarray:
-        x = _column(source)
-        _check_lengths(k, (x, y))
-        return x
-
-    blocks = map(np.stack, _chunks(map(checked, sources), len(y) - 1 - k))
-    return _scores(blocks, terms)
+    checked = (_source(source, y, k) for source in sources)
+    return _scores(map(np.stack, _chunks(checked, len(y) - 1 - k)), terms)
 
 
 def _chunks(items, windows: int):
@@ -318,11 +312,12 @@ def _scores(blocks, target) -> list[float]:
     target prepared by :func:`_target_terms`, so that a caller scoring many
     batches against one target prepares it once; each block's width is
     checked against the target."""
-    y, k, *terms = target
+    y, k, ids, id_bounds, h_own = target
     values = []
     for block in blocks:
         _check_lengths(k, (block[0], y))
-        values += _transfer_rows(block, k, *terms)
+        h = _conditional_entropies(_windows(block, k), ids, id_bounds)
+        values += [_clamped(h_own - h_source, "transfer entropy") for h_source in h]
     return values
 
 
@@ -333,12 +328,10 @@ def causation_entropy_pair(x, y, z, k: int) -> tuple[float, float]:
     H(z_next | z,y histories) - H(z_next | z,x,y histories), the second the
     symmetric quantity with x and y swapped.
     """
-    xa, ya, za = _aligned(k, x, y, z)
-    next_own, zw = _target_terms(za, k)[2][:, 0]
-    xw, yw = _windows(xa, k), _windows(ya, k)
-    h_zx = _joint_entropy(next_own, xw) - _joint_entropy(zw, xw)
-    h_zy = _joint_entropy(next_own, yw) - _joint_entropy(zw, yw)
-    h_zxy = _joint_entropy(next_own, xw, yw) - _joint_entropy(zw, xw, yw)
+    z, k, ids, id_bounds, _ = _target_terms(z, k)
+    xw, yw = _windows(np.stack([_source(x, z, k), _source(y, z, k)]), k)
+    h_zy, h_zx, h_zxy = _conditional_entropies(
+        np.stack([yw, xw, _fold((xw, yw))]), ids, id_bounds)
     return (
         _clamped(h_zy - h_zxy, "causation entropy x beyond (z,y)"),
         _clamped(h_zx - h_zxy, "causation entropy y beyond (z,x)"),

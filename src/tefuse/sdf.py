@@ -141,7 +141,9 @@ def _fit_partitions(rows: np.ndarray, b: int, kind: str, names=None) -> list[Par
     if kind == MAX_ENTROPY:
         rows.sort(axis=1)
         distinct = np.count_nonzero(_run_edges(rows), axis=1)
-        edges = _quantile_edges(rows, b)
+        # with more bins than rows no row has b distinct values, and b - 1
+        # edges need not fit in memory, so none is read
+        edges = _quantile_edges(rows, b) if b <= rows.shape[1] else rows[:, :0]
         degenerate = (distinct < b) | (np.diff(edges, axis=1) <= 0).any(axis=1)
     else:
         lo, hi = rows.min(axis=1), rows.max(axis=1)

@@ -973,6 +973,14 @@ DEGENERATE_COLUMNS = [
     pytest.param("cluster", ["--target", "y2", "--sources", "a,d", "--alphabet", "3"],
                  "column 'y2': need at least 10 distinct values for 10 bins, got 2",
                  id="cluster-target"),
+    # more bins than training rows: refused before any edge is allocated
+    pytest.param("cluster", ["--target", "y", "--sources", "a", "--alphabet", str(10**18)],
+                 f"column 'a': need at least {10**18} distinct values for {10**18} bins, "
+                 "got 210", id="cluster-huge-alphabet"),
+    pytest.param("cluster", ["--target", "y", "--sources", "a",
+                             "--target-alphabet", str(10**18)],
+                 f"column 'y': need at least {10**18} distinct values for {10**18} bins, "
+                 "got 210", id="cluster-huge-target-alphabet"),
 ]
 
 
@@ -1005,6 +1013,17 @@ def test_evaluate_names_degenerate_column(degenerate_csv, tmp_path, capsys, edit
     assert main(["evaluate", "--input", str(degenerate_csv), "--tree", str(run_dir),
                  *flags, "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"tefuse: data error: {message}\n"
+    assert not out.exists()
+
+
+def test_uniform_edges_past_memory_are_a_data_error(degenerate_csv, tmp_path, capsys):
+    # 10**18 - 1 uniform edges take 8 EiB, more than any 64-bit address
+    # space, so the allocation is refused without touching memory
+    out = tmp_path / "out"
+    assert main(["cluster", "--input", str(degenerate_csv), "--target", "y",
+                 "--sources", "a", "--partitioner", "uniform", "--alphabet", str(10**18),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("tefuse: data error: Unable to allocate")
     assert not out.exists()
 
 

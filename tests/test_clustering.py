@@ -419,18 +419,18 @@ class TestPairCache:
         leaves, target, config = noisy_run
         windows = split_index(len(target), config.train_fraction) - 1 - config.depth
         columns, chunks = [], []
-        column, kernel = infotheory._column, infotheory._transfer_rows
+        column, kernel = infotheory._column, infotheory._conditional_entropies
 
         def checking(seq):
             columns.append(seq)
             return column(seq)
 
-        def recording(rows, *args):
-            chunks.append(rows.shape)
-            return kernel(rows, *args)
+        def recording(keys, *args):
+            chunks.append(keys.shape)
+            return kernel(keys, *args)
 
         monkeypatch.setattr(infotheory, "_column", checking)
-        monkeypatch.setattr(infotheory, "_transfer_rows", recording)
+        monkeypatch.setattr(infotheory, "_conditional_entropies", recording)
         monkeypatch.setattr(infotheory, "_CHUNK_KEYS", 3 * windows)
         _, reported = clustering._cluster(leaves, target, config)
         # the target's prefix is checked once; the sources reach the kernel
@@ -438,7 +438,7 @@ class TestPairCache:
         assert len(columns) == 1 and len(columns[0]) == windows + 1 + config.depth
         # the rows each level reports, 3 to a chunk, the last chunk shorter;
         # a level with no new content runs no kernel
-        want = [(min(3, batch - start), windows + 1 + config.depth)
+        want = [(min(3, batch - start), windows)
                 for batch in reported
                 for start in range(0, batch, 3)]
         assert chunks == want

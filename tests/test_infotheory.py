@@ -16,7 +16,7 @@ from tefuse import (
     transfer_entropy,
 )
 from tefuse import infotheory
-from tefuse.infotheory import _counts, _fold, _joint_entropy, _joint_ids, _windows
+from tefuse.infotheory import _counts, _entropies, _fold, _joint_ids, _windows
 
 from oracles import (
     causation_pair_oracle,
@@ -258,35 +258,40 @@ def _count_sorts(monkeypatch):
     return calls
 
 
+def joint_entropy(*cols):
+    """The joint entropy of aligned columns, as one row of the kernel."""
+    return _entropies(_fold(cols, narrow=True)[None])[0]
+
+
 def conditional_entropy(nxt, given):
     """H(next | given) as H(next, given) - H(given), from the kernel's joint
     entropies; ``given`` is one column or an (n, m) matrix of columns."""
     columns = np.asarray(given).reshape(len(nxt), -1).T
-    return _joint_entropy(nxt, *columns) - _joint_entropy(*columns)
+    return joint_entropy(nxt, *columns) - joint_entropy(*columns)
 
 
 class TestShannonEntropy:
     def test_constant_is_zero(self):
-        assert _joint_entropy([3] * 20) == 0.0
+        assert joint_entropy([3] * 20) == 0.0
 
     def test_balanced_binary_is_one_bit(self):
-        assert _joint_entropy([0, 1] * 50) == 1.0
+        assert joint_entropy([0, 1] * 50) == 1.0
 
     def test_uniform_four_is_two_bits(self):
-        assert _joint_entropy([0, 0, 1, 1, 2, 2, 3, 3]) == 2.0
+        assert joint_entropy([0, 0, 1, 1, 2, 2, 3, 3]) == 2.0
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(0)
         for trial in range(20):
             seq = rng.integers(0, 5, int(rng.integers(1, 200)))
-            assert math.isclose(_joint_entropy(seq), entropy_oracle(seq.tolist()),
+            assert math.isclose(joint_entropy(seq), entropy_oracle(seq.tolist()),
                                 abs_tol=1e-12)
 
     def test_range(self):
         rng = np.random.default_rng(1)
         for trial in range(20):
             seq = rng.integers(0, 6, 100)
-            h = _joint_entropy(seq)
+            h = joint_entropy(seq)
             assert -1e-12 <= h <= math.log2(len(set(seq.tolist()))) + 1e-12
 
 
@@ -302,13 +307,13 @@ class TestConditionalEntropy:
         nxt = np.tile([0, 1], 6)
         assert math.isclose(conditional_entropy(nxt, given), 1.0, abs_tol=1e-12)
         assert math.isclose(conditional_entropy(nxt, given),
-                            _joint_entropy(nxt), abs_tol=1e-12)
+                            joint_entropy(nxt), abs_tol=1e-12)
 
     def test_constant_conditioning(self):
         nxt = np.array([0, 1, 1, 0, 2, 2])
         given = np.zeros(6, dtype=int)
         assert math.isclose(conditional_entropy(nxt, given),
-                            _joint_entropy(nxt), abs_tol=1e-12)
+                            joint_entropy(nxt), abs_tol=1e-12)
 
     def test_chain_rule(self):
         rng = np.random.default_rng(2)
@@ -316,10 +321,10 @@ class TestConditionalEntropy:
             nxt = rng.integers(0, 3, 150)
             given = rng.integers(0, 4, (150, 2))
             joint = np.column_stack([nxt, given])
-            h_joint = _joint_entropy(
+            h_joint = joint_entropy(
                 np.unique(joint, axis=0, return_inverse=True)[1]
             )
-            h_given = _joint_entropy(
+            h_given = joint_entropy(
                 np.unique(given, axis=0, return_inverse=True)[1]
             )
             assert math.isclose(h_joint, h_given + conditional_entropy(nxt, given),
@@ -513,19 +518,19 @@ class TestChunks:
         z = rng.integers(0, 3, n)
         sources = [rng.integers(0, 3, n) for _ in range(7)]
         chunks = []
-        kernel = infotheory._transfer_rows
+        kernel = infotheory._conditional_entropies
 
-        def recording(rows, *args):
-            chunks.append(rows.shape)
-            return kernel(rows, *args)
+        def recording(keys, *args):
+            chunks.append(keys.shape)
+            return kernel(keys, *args)
 
-        monkeypatch.setattr(infotheory, "_transfer_rows", recording)
+        monkeypatch.setattr(infotheory, "_conditional_entropies", recording)
         for budget, want in ((1, [1] * 7), (3 * (n - 1 - k), [3, 3, 1]),
                              (2**40, [7])):
             monkeypatch.setattr(infotheory, "_CHUNK_KEYS", budget)
             chunks.clear()
             transfer_entropies(sources, z, k)
-            assert chunks == [(rows, n) for rows in want]
+            assert chunks == [(rows, n - 1 - k) for rows in want]
 
     def test_sources_read_lazily(self):
         rng = np.random.default_rng(76)
@@ -548,7 +553,7 @@ class TestChunks:
 
 
 class TestTransferRows:
-    """_transfer_rows folds the target's ids with the rows' window keys, and
+    """The kernel folds the target's ids with the rows' window keys, and
     _fold re-ranks them only when the id-times-width product reaches the limit."""
 
     LABELS = {
@@ -667,6 +672,44 @@ def test_negative_depth_rejected(call):
 
 
 class TestCausationEntropyPair:
+    @pytest.mark.parametrize("short", ["x", "y", "z"])
+    def test_shorter_sequence_is_a_length_mismatch(self, short):
+        columns = {name: [0, 1, 1, 0, 1, 0, 0, 1] for name in "xyz"}
+        columns[short] = columns[short][:-1]
+        with pytest.raises(LengthMismatch):
+            causation_entropy_pair(columns["x"], columns["y"], columns["z"], 1)
+
+    def test_too_short_triple(self):
+        # k = 1 needs k + 2 = 3 samples
+        with pytest.raises(SequenceTooShort):
+            causation_entropy_pair([0, 1], [1, 0], [0, 1], 1)
+
+    @pytest.mark.parametrize("flat", ["x", "y", "z"])
+    def test_two_dimensional_input_rejected(self, flat):
+        columns = {name: [0, 1, 1, 0, 1, 0] for name in "xyz"}
+        columns[flat] = [columns[flat]] * 2
+        with pytest.raises(ValueError, match="one-dimensional"):
+            causation_entropy_pair(columns["x"], columns["y"], columns["z"], 1)
+
+    def test_one_kernel_batch(self, monkeypatch):
+        # the target's (next, own) and own rows, then one batch of the
+        # (next, own, source) and (own, source) keys of y, x and (x, y)
+        rng = np.random.default_rng(14)
+        n, k = 60, 1
+        x, y, z = (rng.integers(0, 3, n) for _ in range(3))
+        want = causation_entropy_pair(x, y, z, k)
+        shapes = []
+        counts = infotheory._counts
+
+        def recording(keys):
+            shapes.append(keys.shape)
+            return counts(keys)
+
+        monkeypatch.setattr(infotheory, "_counts", recording)
+        assert causation_entropy_pair(x, y, z, k) == want
+        windows = n - 1 - k
+        assert shapes == [(2, windows), (2 * 3, windows)]
+
     def test_duplicate_source_adds_nothing(self):
         rng = np.random.default_rng(10)
         x = rng.integers(0, 3, 500)

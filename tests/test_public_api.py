@@ -31,8 +31,8 @@ PUBLIC = [
     "SequenceTooShort", "TreeDatasetMismatch", "MalformedArtifact",
 ]
 
-# wrappers that only tests called; the entropies score through
-# infotheory._joint_entropy and fusion through sdf._repartition
+# wrappers that only tests called; every entropy is a row of
+# infotheory._entropies and fusion goes through sdf._repartition
 REMOVED = ["shannon_entropy", "conditional_entropy", "repartition", "EmptySequence"]
 
 

@@ -50,6 +50,13 @@ class TestMepPartition:
         with pytest.raises(DegenerateInput):
             fit_mep_partition(values, 3)
 
+    def test_more_bins_than_values_allocates_no_edges(self):
+        # 10**18 - 1 edges would take 8 EiB: the fit refuses before reading any
+        with pytest.raises(DegenerateInput) as raised:
+            fit_mep_partition(np.arange(10.0), 10**18)
+        assert str(raised.value) == \
+            f"need at least {10**18} distinct values for {10**18} bins, got 10"
+
     def test_small_alphabet_rejected(self):
         with pytest.raises(ValueError):
             fit_mep_partition(np.arange(10.0), 1)

@@ -52,7 +52,7 @@ from .clustering import _cluster, export_tree, fit_leaves, leaf_sequences, tree_
 from .errors import MalformedArtifact, MissingColumn, PipelineError, TreeDatasetMismatch
 from .estimate import (evaluate_levels, predictions_csv, report_csv, report_json,
                        resolve_target_kind, target_symbols)
-from .ingest import (PARTITIONERS, TARGET_KINDS, Dataset, RunConfig, append_noise_channels,
+from .ingest import (PARTITIONERS, TARGET_KINDS, Dataset, RunConfig, _noise_block,
                      header_indices, load_csv, noise_columns, read_config_file)
 from .jsonout import _json_bytes, _parse_json
 
@@ -106,20 +106,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _read_input(args, config: RunConfig, noise: dict | None = None):
+def _read_input(args, config: RunConfig):
     """Read ``--input`` once: the SHA-256 of its bytes and the dataset
-    parsed from the same bytes, with ``noise``'s channels appended.
-
-    The CSV holds every configured source but the last ``noise["count"]``,
-    the injected channels, which are generated from ``noise["seed"]``.
-    """
+    parsed from the same bytes."""
     data = Path(args.input).read_bytes()
-    digest = _sha256(data)
-    if noise is None:
-        return digest, load_csv(args.input, config, data=data)
-    own = config.replace(source_columns=config.source_columns[:-noise["count"]])
-    dataset = load_csv(args.input, own, data=data)
-    return digest, append_noise_channels(dataset, noise["count"], noise["seed"])
+    return _sha256(data), load_csv(args.input, config, data=data)
 
 
 def _stored_columns(config: RunConfig) -> list[str]:
@@ -180,13 +171,18 @@ def _manifest(command: str, args, digest: str, config: RunConfig, dataset,
 
 def cmd_cluster(args, noise_count: int = 0) -> dict[str, bytes]:
     config = _build_config(args)
+    digest, dataset = _read_input(args, config)
     noise = None
     if noise_count:
+        # drawn before any channel is named, so that a count too large to
+        # allocate fails at once instead of building its names first
+        block = _noise_block(noise_count, dataset.n, config.seed)
+        names = noise_columns(noise_count)
         # the full config, so that RunConfig refuses a source named like a channel
-        config = config.replace(
-            source_columns=config.source_columns + noise_columns(noise_count))
+        config = config.replace(source_columns=config.source_columns + names)
+        dataset = Dataset(dataset.names + names, dataset.columns + tuple(block),
+                          dataset.dropped_rows)
         noise = {"count": noise_count, "seed": config.seed}
-    digest, dataset = _read_input(args, config, noise)
 
     leaves = leaf_sequences(dataset, config)
     target_seq, kind, _, _ = target_symbols(dataset, config)

@@ -40,7 +40,11 @@ nodes at a time, cut by the transfer-entropy kernel's chunk rule
 (:func:`tefuse.infotheory._chunks`), so a level pays for no per-node fold
 and a long series is never stacked whole; each chunk's keys share its
 bounds, which changes them as numbers but keeps their order within a row.
-A level's seen-in-training mask is one flag set at each training id.
+A level's seen-in-training mask is one flag set at each training id, and
+only the table rows that held-out rows read are reduced to their argmax
+(:func:`_best_symbols`). :func:`predictions_csv` formats each distinct
+number once and joins each level's lines in one pass, so both per-row
+stages pay per distinct value or per queried state.
 """
 
 from __future__ import annotations
@@ -131,9 +135,21 @@ def _state_counts(ids: np.ndarray, targets: np.ndarray, alphabet: int,
 def _best_symbols(table: np.ndarray, prior: np.ndarray, found: np.ndarray) -> np.ndarray:
     """The argmax symbol of ``table`` row ``found[r]`` for each query r, or the
     prior's argmax where ``found`` is -1 (a state unseen in training); ties
-    go to the lower symbol."""
-    # -1 picks the prior's argmax, appended last
-    return np.append(np.argmax(table, axis=1), np.argmax(prior))[found]
+    go to the lower symbol.
+
+    Only the rows that some query reads are reduced: one scatter of
+    ``found`` marks them, the argmax runs over those rows alone, and each
+    query gathers its row's symbol. That is never more rows than the
+    table's, and far fewer where most states occur only in training.
+    """
+    # slot -1, after the table's rows, holds the prior's argmax
+    best = np.empty(len(table) + 1, dtype=np.intp)
+    queried = np.zeros(len(table) + 1, dtype=bool)
+    queried[found] = True
+    rows = np.flatnonzero(queried[:-1])
+    best[rows] = np.argmax(table[rows], axis=1)
+    best[-1] = np.argmax(prior)
+    return best[found]
 
 
 class LevelScore(FrozenValue):
@@ -325,17 +341,22 @@ def predictions_csv(report: EvaluationReport) -> bytes:
     """One line per level and held-out row: ``level,row,truth,predicted``,
     the numbers written as Python ``repr``s, as UTF-8 bytes.
 
-    The ``row,truth,`` prefixes are built once for all levels, and a
-    prediction takes one of a few values, so each distinct number is
-    formatted once and the lines are joined from those texts. Each level's
-    lines are encoded as one chunk, so only one level is held as text.
+    A level's text is one ``"".join`` over one list of three pieces per
+    line, which every level reuses: ``parts[0::3]`` holds the level's
+    prefix, ``parts[1::3]`` the ``row,truth,`` texts, built once for all
+    levels, and ``parts[2::3]`` the level's predictions. A prediction takes
+    one of a few values, so each distinct number is formatted once, and no
+    line is concatenated on its own. Each level's text is encoded as one
+    chunk, so only one level is held as text.
     """
     rows = [f"{pos},{truth}," for pos, truth in
             zip(report.positions.tolist(), _number_texts(report.truth))]
+    parts = [""] * (3 * len(rows))
+    parts[1::3] = rows
     chunks = [b"level,row,truth,predicted"]
     for level, predicted in enumerate(report.predicted):
-        prefix = f"\n{level},"  # ends the line before
-        chunks.append("".join([prefix + row + pred for row, pred in
-                               zip(rows, _number_texts(predicted))]).encode())
+        parts[0::3] = [f"\n{level},"] * len(rows)  # ends the line before
+        parts[2::3] = _number_texts(predicted)
+        chunks.append("".join(parts).encode())
     chunks.append(b"\n")
     return b"".join(chunks)

@@ -352,20 +352,27 @@ def noise_columns(count: int) -> tuple[str, ...]:
     return tuple(f"noise_{i + 1}" for i in range(count))
 
 
-def append_noise_channels(dataset: Dataset, count: int, seed: int) -> Dataset:
-    """Append ``count`` standard-normal channels named noise_1..noise_count.
+def _noise_block(count: int, rows: int, seed: int) -> np.ndarray:
+    """``count`` standard-normal channels of ``rows`` values, one per row.
 
     Generation is fully determined by ``seed``; this is the only source of
-    randomness anywhere in the pipeline.
+    randomness anywhere in the pipeline. A block too large to allocate
+    raises numpy's ``MemoryError`` (or ``ValueError`` past its array size
+    limit) at once, so a caller draws it before naming any channel.
     """
+    return np.random.default_rng(seed).standard_normal((count, rows))
+
+
+def append_noise_channels(dataset: Dataset, count: int, seed: int) -> Dataset:
+    """Append ``count`` standard-normal channels named noise_1..noise_count,
+    drawn by :func:`_noise_block` before any channel is named."""
     if count < 1:
         raise ValueError("noise channel count must be >= 1")
+    noise = _noise_block(count, dataset.n, seed)
     names = noise_columns(count)
     for name in names:
         if name in dataset.names:
             raise ValueError(f"dataset already has a column named {name!r}")
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((count, dataset.n))
     return Dataset(
         names=dataset.names + names,
         columns=dataset.columns + tuple(noise),

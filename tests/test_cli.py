@@ -375,7 +375,7 @@ class TestEvaluate:
 
         for module in (cli, tefuse.ingest):
             monkeypatch.setattr(module, "load_csv", refuse)
-            monkeypatch.setattr(module, "append_noise_channels", refuse)
+            monkeypatch.setattr(module, "_noise_block", refuse)
         assert main(["evaluate", "--input", str(occ_csv), "--tree", str(run_dir),
                      "--out", str(eval_dir)]) == 0
         leaves = len(json.loads((run_dir / "tree.json").read_text())["leaves"])
@@ -940,6 +940,36 @@ def test_failed_run_leaves_no_out(csv_with_noise_1, tmp_path, capsys, name, run_
     capsys.readouterr()
     assert main(_command(name, csv_with_noise_1, run_dir, out) + flags) == code
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count, code, message", [
+    (10**11, 3, "tefuse: data error: Unable to allocate"),
+    (10**16, 2, "tefuse: configuration error: array is too big"),
+])
+def test_huge_noise_count_fails_before_naming_channels(tmp_path, capsys, monkeypatch,
+                                                       count, code, message):
+    # a count too large to allocate once built a name per channel before the
+    # noise block was refused, and such a run was killed for want of memory
+    names = cli.noise_columns
+
+    def bounded(n):
+        if n > 10**6:
+            raise AssertionError(f"{n} channel names built")
+        return names(n)
+
+    for module in (cli, tefuse.ingest):
+        monkeypatch.setattr(module, "noise_columns", bounded)
+    i = np.arange(200)
+    path, out = tmp_path / "small.csv", tmp_path / "out"
+    write_dataset_csv(tefuse.Dataset(names=("a", "b", "y"),
+                                     columns=(np.sin(i / 7), np.cos(i / 5), np.sin(i / 7 + 0.4))),
+                      path)
+    assert main(["inject-noise", "--input", str(path), "--target", "y", "--sources", "a,b",
+                 "--noise-count", str(count), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -20,6 +20,7 @@ from tefuse.clustering import leaf_sequences, replay_merges
 from tefuse.estimate import (
     ACCURACY,
     RMSE,
+    _best_symbols,
     _labels,
     _median,
     EvaluationReport,
@@ -490,3 +491,98 @@ class TestPredictionsCsv:
                                   truth=empty, predicted=(empty, empty))
         assert predictions_csv(report) == b"level,row,truth,predicted\n"
         assert predictions_csv_oracle(report) == "level,row,truth,predicted\n"
+
+
+def _first_max(row):
+    """The index of the first largest entry: ties go to the lower symbol."""
+    return max(range(len(row)), key=lambda i: (row[i], -i))
+
+
+# How queries pick table rows: a mix of seen (row id) and unseen (-1)
+# states; every state unseen, as at a level no held-out row shares with
+# training; one state queried many times; and more queries than states,
+# each state read, as on a long series with few states.
+QUERY_SHAPES = ("mixed", "unseen", "one_state", "dense")
+
+
+@st.composite
+def best_symbol_cases(draw):
+    alphabet = draw(st.integers(1, 6))
+    states = draw(st.integers(0, 40))
+    # counts of 0..3 make ties common, in the table and in the prior
+    counts = st.integers(0, 3)
+    table = draw(st.lists(st.lists(counts, min_size=alphabet, max_size=alphabet),
+                          min_size=states, max_size=states))
+    prior = draw(st.lists(counts, min_size=alphabet, max_size=alphabet))
+    shape = draw(st.sampled_from(QUERY_SHAPES if states else ("unseen",)))
+    if shape == "unseen":
+        found = draw(st.lists(st.just(-1), max_size=60))
+    elif shape == "one_state":
+        state = draw(st.integers(0, states - 1))
+        found = draw(st.lists(st.sampled_from([state, state, -1]), min_size=1, max_size=60))
+    elif shape == "dense":
+        found = list(range(states)) + draw(st.lists(st.integers(-1, states - 1),
+                                                   min_size=states, max_size=4 * states))
+        found = draw(st.permutations(found))
+    else:
+        found = draw(st.lists(st.integers(-1, states - 1), max_size=60))
+    return table, prior, found, alphabet
+
+
+class TestBestSymbols:
+    """Each held-out row's prediction is its state's most frequent next
+    symbol, or the prior's for an unseen state (-1), ties going to the
+    lower symbol; held to a per-query oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(best_symbol_cases())
+    def test_matches_per_query_oracle(self, case):
+        table, prior, found, alphabet = case
+        got = _best_symbols(np.array(table, dtype=np.int64).reshape(len(table), alphabet),
+                            np.array(prior, dtype=np.int64), np.array(found, dtype=np.int64))
+        want = [_first_max(prior if f == -1 else table[f]) for f in found]
+        assert got.tolist() == want
+
+
+# Values a prediction can take, the signed zeros and non-finite ones included.
+PREDICTION_VALUES = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+                              st.floats())
+
+
+@st.composite
+def prediction_arrays(draw, rows):
+    """One level's predictions: ``rows`` picks from at most 10 values, as
+    float64, float32, int or bool."""
+    kind = draw(st.sampled_from(["float64", "float64", "float32", "int", "bool"]))
+    if kind == "float32":
+        pool = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+                         st.floats(width=32))
+    elif kind == "int":
+        pool = st.integers(-2**63, 2**63 - 1)
+    elif kind == "bool":
+        pool = st.booleans()
+    else:
+        pool = PREDICTION_VALUES
+    values = draw(st.lists(pool, min_size=1, max_size=10))
+    # a seeded pick per row: drawing 9000 picks one by one is slow to generate
+    picks = np.random.default_rng(draw(st.integers(0, 2**32))).integers(len(values), size=rows)
+    dtype = {"float64": np.float64, "float32": np.float32, "int": np.int64,
+             "bool": np.bool_}[kind]
+    return np.array([values[i] for i in picks.tolist()], dtype=dtype)
+
+
+@st.composite
+def evaluation_reports(draw):
+    rows = draw(st.integers(0, 300))
+    levels = draw(st.integers(0, 30))
+    start = draw(st.integers(0, 10**6))
+    truth = draw(st.lists(PREDICTION_VALUES, min_size=rows, max_size=rows))
+    predicted = tuple(draw(prediction_arrays(rows)) for _ in range(levels))
+    return EvaluationReport(rows=(), config={}, positions=np.arange(start, start + rows),
+                            truth=np.array(truth, dtype=np.float64), predicted=predicted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(evaluation_reports())
+def test_predictions_csv_matches_row_writer(report):
+    assert predictions_csv(report).decode() == predictions_csv_oracle(report)

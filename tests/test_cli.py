@@ -1,11 +1,14 @@
 import builtins
+import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import logging
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -1194,6 +1197,185 @@ def test_each_command_accepts_its_recorded_options(capsys, command):
     assert listed == accepted | {"--help"}
 
 
+def _argparse_vars(argv):
+    """argparse's namespace for ``argv`` as a dict, or None where it exits
+    (with usage and help text swallowed)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _same_vars(a, b):
+    # of one type (True is no 1), and NaN, which --train-fraction parses,
+    # equals only itself as an object
+    return a.keys() == b.keys() and all(
+        type(a[k]) is type(b[k]) and (a[k] == b[k] or a[k] != a[k] and b[k] != b[k])
+        for k in a)
+
+
+def _valid_values(entry):
+    _, _, parse, _, choices, _, _ = entry
+    if choices is not None:
+        return st.sampled_from(choices)
+    if parse is int:
+        return st.integers(0, 99).map(str)
+    if parse is float:
+        return st.sampled_from(["0.5", "0.7", "1", "1e-1", " 0.3 ", "nan", "inf"])
+    return st.text(alphabet="ab,. =x-", max_size=5).filter(lambda v: not v.startswith("-"))
+
+
+# values some flag refuses or only argparse takes: no number, outside
+# --format's choices, empty, dash-leading
+OTHER_VALUES = st.sampled_from(["x", "1.5", "png", "", "-1", "-x", "1e400", "a b"])
+
+
+def _any_values(entry):
+    return st.one_of(_valid_values(entry), OTHER_VALUES)
+
+
+@st.composite
+def well_formed_lines(draw, values=_valid_values):
+    """``[--verbose | --threads INT]* COMMAND (--flag VALUE)*``: each of the
+    command's required flags at least once, any of its flags repeated, each
+    value drawn from ``values(entry)``."""
+    argv = []
+    for entry in draw(st.lists(st.sampled_from(cli._TOP), max_size=3)):
+        argv += [entry[0]] if entry[2] is None else [entry[0], draw(values(entry))]
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[command][1]
+    chosen = [entry for entry in options if entry[3]]
+    chosen += draw(st.lists(st.sampled_from(options), max_size=4))
+    argv.append(command)
+    for entry in draw(st.permutations(chosen)):
+        argv += [entry[0], draw(values(entry))]
+    return argv
+
+
+# what a mutation inserts or writes over a token: help, "--", unknown
+# commands and flags, prefixes and "=" forms of flags, flags of the wrong
+# level, negative numbers, empty and dash-leading values
+NOISE = st.one_of(
+    st.sampled_from(["-h", "--help", "--", "-", "", "--bogus", "-1", "-0.5", "bogus",
+                     "x", "1.5", "1e400", "png", "cluster", "export-tree", "--verbose",
+                     "--threads", "--verbose=1", "--threads=2"]),
+    st.sampled_from(sorted({entry[0] for _, options in cli._COMMANDS.values()
+                            for entry in options})).flatmap(
+        lambda flag: st.sampled_from([flag, flag[:-1], flag[:4], flag + "=1",
+                                      flag + "=json"]))
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A line of the well-formed shape, whose values need not parse, with up
+    to three tokens inserted, deleted or overwritten."""
+    argv = draw(well_formed_lines(_any_values))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        how = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if how == "insert":
+            argv.insert(at, draw(NOISE))
+        elif at < len(argv):
+            if how == "delete":
+                del argv[at]
+            else:
+                argv[at] = draw(NOISE)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=command_lines())
+def test_fast_path_agrees_with_argparse(argv):
+    # the fast path returns None for every line argparse refuses or prints
+    # help for, and argparse's namespace, or None, for the others
+    expected, got = _argparse_vars(argv), cli._fast_parse(argv)
+    if expected is None:
+        assert got is None
+    elif got is not None:
+        assert _same_vars(vars(got), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=well_formed_lines())
+def test_fast_path_takes_every_well_formed_line(argv):
+    got, expected = cli._fast_parse(argv), _argparse_vars(argv)
+    assert got is not None and expected is not None
+    assert _same_vars(vars(got), expected)
+
+
+def _readme_commands():
+    """Each ``tefuse ...`` line of README's CLI section, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("tefuse ")]
+
+
+def _workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their module's annotations through sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+def test_fast_path_takes_readme_and_benchmark_lines():
+    # the benchmark times these lines, so the saving rests on each of them
+    # skipping argparse
+    argvs = _readme_commands()
+    assert len(argvs) == 5
+    for workload in _workloads().values():
+        argvs.append(workload.cluster_argv(Path("in.csv"), Path("tree"), 0))
+        argvs.append(workload.evaluate_argv(Path("in.csv"), Path("tree"), Path("eval")))
+    for argv in argvs:
+        got = cli._fast_parse(argv)
+        assert got is not None, argv
+        assert _same_vars(vars(got), _argparse_vars(argv)), argv
+
+
+# two calls to main in one fresh interpreter, each marked on stderr
+VERBOSE_SCRIPT = """
+import sys
+from tefuse.cli import main
+tree, out = sys.argv[1:3]
+for n, flag in enumerate(sys.argv[3:]):
+    print(f"call {n}", file=sys.stderr, flush=True)
+    code = main([*([flag] if flag else []), "export-tree", "--tree", tree,
+                 "--out", f"{out}/{n}"])
+    assert code == 0
+"""
+
+
+@pytest.mark.parametrize("flags", [["", "--verbose"], ["--verbose", ""]],
+                         ids=["plain-then-verbose", "verbose-then-plain"])
+def test_verbose_applies_to_each_call(occ_csv, tmp_path, flags):
+    # logging.basicConfig sets a level only on its first call in a process,
+    # so each main sets the tefuse logger's level from its own --verbose
+    assert run_cluster(occ_csv, tmp_path / "run") == 0
+    src = str(Path(tefuse.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", VERBOSE_SCRIPT, str(tmp_path / "run" / "tree.json"),
+         str(tmp_path / "out"), *flags],
+        env=env, capture_output=True, text=True, check=True)
+    calls = re.split(r"call \d\n", done.stderr)[1:]
+    assert len(calls) == 2
+    for flag, err in zip(flags, calls):
+        wrote = [line for line in err.splitlines()
+                 if line.startswith("INFO tefuse.cli: wrote ")]
+        assert len(wrote) == (2 if flag else 0), (flag, err)
+        assert len(err.splitlines()) == len(wrote), err
+
+
 # cluster, then evaluate, in one process: does either import numpy.ma?
 MASKED_IMPORT_SCRIPT = """
 import json, sys
@@ -1237,11 +1419,12 @@ def test_cluster_and_evaluate_do_not_import_numpy_ma(tmp_path, make, target, sou
 
 
 # import tefuse.cli, cluster, evaluate, then inject-noise: when is each of
-# numpy.random and dataclasses loaded?
+# numpy.random, dataclasses and argparse's modules loaded? Then which are
+# loaded after a usage error?
 IMPORTS_SCRIPT = """
 import json, sys
 import numpy
-names = ("numpy.random", "dataclasses")
+names = ("numpy.random", "dataclasses", "argparse", "gettext", "locale")
 with_numpy = {name: name in sys.modules for name in names}
 loaded = {name: [] for name in names}
 def record():
@@ -1259,7 +1442,13 @@ codes.append(main(["evaluate", "--input", csv, "--tree", out + "/plain",
 record()
 codes.append(main(["inject-noise", *common, "--noise-count", "1", "--out", out + "/noisy"]))
 record()
-print(json.dumps({"with_numpy": with_numpy, "codes": codes, "loaded": loaded}))
+try:
+    main(["cluster", *common])
+except SystemExit as exc:
+    usage_exit = exc.code
+usage_error = {name: name in sys.modules for name in names}
+print(json.dumps({"with_numpy": with_numpy, "codes": codes, "loaded": loaded,
+                  "usage_exit": usage_exit, "usage_error": usage_error}))
 """
 
 
@@ -1333,3 +1522,17 @@ def test_import_cluster_and_evaluate_do_not_import_dataclasses(fresh_imports):
     if fresh_imports["with_numpy"]["dataclasses"]:
         pytest.skip("this numpy imports dataclasses with numpy itself")
     assert fresh_imports["loaded"]["dataclasses"][:3] == [False, False, False]
+
+
+@pytest.mark.parametrize("name", ["argparse", "gettext", "locale"])
+def test_commands_do_not_import_argparse(fresh_imports, name):
+    # argparse's first parser cost about 5 ms per process on a 2-vCPU host
+    # (gettext's import of locale, regex compiles, a help formatter per
+    # option); a well-formed command line takes the fast path and loads
+    # none of them
+    if fresh_imports["with_numpy"][name]:
+        pytest.skip(f"this interpreter loads {name} before tefuse")
+    assert fresh_imports["loaded"][name] == [False, False, False, False]
+    # a usage error (no --out) builds the parser: the check would see it
+    assert fresh_imports["usage_exit"] == 2
+    assert fresh_imports["usage_error"][name]

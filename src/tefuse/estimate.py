@@ -40,11 +40,12 @@ nodes at a time, cut by the transfer-entropy kernel's chunk rule
 (:func:`tefuse.infotheory._chunks`), so a level pays for no per-node fold
 and a long series is never stacked whole; each chunk's keys share its
 bounds, which changes them as numbers but keeps their order within a row.
-A level's seen-in-training mask is one flag set at each training id, and
-only the table rows that held-out rows read are reduced to their argmax
-(:func:`_best_symbols`). :func:`predictions_csv` formats each distinct
-number once and joins each level's lines in one pass, so both per-row
-stages pay per distinct value or per queried state.
+Every level predicts through one function, :func:`_held_out_symbols`: a
+mask of the states training rows reach and one of the states held-out rows
+reach pick the table rows reduced to their argmax, and every other state
+takes the prior's. :func:`predictions_csv` formats each distinct number
+once and joins each level's lines in one pass, so both per-row stages pay
+per distinct value or per queried state.
 """
 
 from __future__ import annotations
@@ -124,32 +125,30 @@ def discretize_target(values, b: int, name: str | None = None):
     return seq, partition, representatives
 
 
-def _state_counts(ids: np.ndarray, targets: np.ndarray, alphabet: int,
-                  distinct: int) -> np.ndarray:
-    """Row i counts the next target symbols of the rows whose state id is i,
-    for ids 0..distinct-1: one bincount of ``id * alphabet + target``."""
-    counts = np.bincount(ids * alphabet + targets, minlength=distinct * alphabet)
-    return counts.reshape(distinct, alphabet)
+def _held_out_symbols(ids: np.ndarray, n_train: int, targets: np.ndarray,
+                      prior: np.ndarray) -> np.ndarray:
+    """The predicted symbol of each held-out row, ``ids[n_train:]``, from a
+    frequency table of the training rows, ``ids[:n_train]`` paired with
+    ``targets``: a state's most frequent next symbol if some training row
+    has it, else the prior's, ties going to the lower symbol.
 
-
-def _best_symbols(table: np.ndarray, prior: np.ndarray, found: np.ndarray) -> np.ndarray:
-    """The argmax symbol of ``table`` row ``found[r]`` for each query r, or the
-    prior's argmax where ``found`` is -1 (a state unseen in training); ties
-    go to the lower symbol.
-
-    Only the rows that some query reads are reduced: one scatter of
-    ``found`` marks them, the argmax runs over those rows alone, and each
-    query gathers its row's symbol. That is never more rows than the
-    table's, and far fewer where most states occur only in training.
+    One bincount of ``id * alphabet + target`` counts the table. Two masks
+    mark the states that training rows reach (``seen``) and that held-out
+    rows reach; the argmax runs over the table rows both mark, never more
+    rows than the table's and far fewer where most states occur only in
+    training, and every other state takes the prior's argmax.
     """
-    # slot -1, after the table's rows, holds the prior's argmax
-    best = np.empty(len(table) + 1, dtype=np.intp)
-    queried = np.zeros(len(table) + 1, dtype=bool)
-    queried[found] = True
-    rows = np.flatnonzero(queried[:-1])
-    best[rows] = np.argmax(table[rows], axis=1)
-    best[-1] = np.argmax(prior)
-    return best[found]
+    train, test = ids[:n_train], ids[n_train:]
+    distinct, alphabet = int(ids.max()) + 1, len(prior)
+    table = np.bincount(train * alphabet + targets, minlength=distinct * alphabet)
+    seen = np.zeros(distinct, dtype=bool)
+    seen[train] = True
+    queried = np.zeros(distinct, dtype=bool)
+    queried[test] = True
+    rows = np.flatnonzero(seen & queried)
+    best = np.full(distinct, np.argmax(prior))
+    best[rows] = np.argmax(table.reshape(distinct, alphabet)[rows], axis=1)
+    return best[test]
 
 
 class LevelScore(FrozenValue):
@@ -241,11 +240,11 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     Each level's joint states are ranked once, coarsest level first: the
     last level's ids are the joint ids of its nodes' windows, and level h's
     are the joint ids of level h+1's ids and the windows of the pair merged
-    at level h+1, a 3-column rank however many nodes are active. Each level
-    then counts its training rows' next symbols per state and predicts every
-    held-out row from its state's counts, or from the prior when no training
-    row shares its state, as a frequency table fitted on the level's window
-    matrix would predict.
+    at level h+1, a 3-column rank however many nodes are active. One rule
+    then predicts every level (:func:`_held_out_symbols`): a held-out row
+    takes its state's most frequent next symbol in training, or the prior's
+    when no training row shares its state, ties going to the lower symbol,
+    as a frequency table fitted on the level's window matrix would predict.
     """
     n = dataset.n
     s = _train_length(n, config)
@@ -273,19 +272,11 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
         windows.update(zip([a for a, _ in chunk],
                            _windows(np.stack([seq.symbols for _, seq in chunk]), k)))
 
-    def held_out_symbols(ids: np.ndarray) -> np.ndarray:
-        train, test = ids[:n_train], ids[n_train:]
-        distinct = int(ids.max()) + 1
-        seen = np.zeros(distinct, dtype=bool)
-        seen[train] = True
-        counts = _state_counts(train, targets, alphabet, distinct)
-        return _best_symbols(counts, prior, np.where(seen[test], test, -1))
-
     ids = _joint_ids(*(windows[a] for a in tree.levels[-1]))
-    symbols = [held_out_symbols(ids)]
+    symbols = [_held_out_symbols(ids, n_train, targets, prior)]
     for record in reversed(tree.merges):
         ids = _joint_ids(ids, *(windows[a] for a in record.pair))
-        symbols.append(held_out_symbols(ids))
+        symbols.append(_held_out_symbols(ids, n_train, targets, prior))
     symbols.reverse()
 
     rows: list[LevelScore] = []

@@ -20,7 +20,7 @@ from tefuse.clustering import leaf_sequences, replay_merges
 from tefuse.estimate import (
     ACCURACY,
     RMSE,
-    _best_symbols,
+    _held_out_symbols,
     _labels,
     _median,
     EvaluationReport,
@@ -134,8 +134,18 @@ class TestMedian:
                     assert _bits(reps[s]) == _bits(np.median(members))
 
 
+def _program(train, labels, queries, alphabet):
+    """The program's predictions for ``queries``, from training states
+    ``train`` with next symbols ``labels``."""
+    labels = np.asarray(labels)
+    ids = np.concatenate([np.asarray(train), queries]).astype(np.int64)
+    return _held_out_symbols(ids, len(labels), labels,
+                             np.bincount(labels, minlength=alphabet)).tolist()
+
+
 class TestTrainPredict:
-    """The reference frequency estimator that evaluate_levels is held to."""
+    """The reference frequency estimator that evaluate_levels is held to;
+    the named behaviours are asserted on the program too."""
 
     def test_deterministic_mapping_gives_point_masses(self):
         states = np.array([0, 1, 2, 0, 1, 2])
@@ -160,11 +170,14 @@ class TestTrainPredict:
         est = train_oracle(states, labels)
         assert est.states.tolist() == [[0]]
         assert est.distributions[0].tolist() == [0.75, 0.25]
+        assert predict_oracle(est, np.array([0]))[0].tolist() == [0]
+        assert _program(states, labels, [0], 2) == [0]
 
     def test_unseen_state_falls_back_to_prior(self):
         est = train_oracle(np.array([0, 0, 1]), np.array([1, 1, 0]))
         preds, _ = predict_oracle(est, np.array([99]))
         assert preds.tolist() == [1]  # prior argmax
+        assert _program([0, 0, 1], [1, 1, 0], [99], 2) == [1]
 
     def test_tie_breaks_toward_lower_symbol(self):
         states = np.array([5, 5, 5, 5])
@@ -172,6 +185,7 @@ class TestTrainPredict:
         est = train_oracle(states, labels, target_alphabet=4)
         preds, _ = predict_oracle(est, np.array([5]))
         assert preds.tolist() == [1]
+        assert _program(states, labels, [5], 4) == [1]
 
     def test_distributions_normalized(self):
         rng = np.random.default_rng(0)
@@ -493,55 +507,60 @@ class TestPredictionsCsv:
         assert predictions_csv_oracle(report) == "level,row,truth,predicted\n"
 
 
-def _first_max(row):
-    """The index of the first largest entry: ties go to the lower symbol."""
-    return max(range(len(row)), key=lambda i: (row[i], -i))
-
-
-# How queries pick table rows: a mix of seen (row id) and unseen (-1)
-# states; every state unseen, as at a level no held-out row shares with
-# training; one state queried many times; and more queries than states,
-# each state read, as on a long series with few states.
-QUERY_SHAPES = ("mixed", "unseen", "one_state", "dense")
+# How held-out ids pick states: a mix of seen and unseen states; no state
+# seen, as at a level no held-out row shares with training; one state queried
+# many times; only seen states; and more queries than states, each seen
+# state read, as on a long series with few states.
+QUERY_SHAPES = ("mixed", "unseen", "one_state", "seen_only", "dense")
 
 
 @st.composite
-def best_symbol_cases(draw):
+def held_out_cases(draw):
+    """(ids, n_train, targets, alphabet): training ids with their next
+    symbols, then held-out ids. States take ids from 0..40 with gaps, and
+    each (state, symbol) count is 0..3, so ties are common in the table and
+    in the prior."""
     alphabet = draw(st.integers(1, 6))
-    states = draw(st.integers(0, 40))
-    # counts of 0..3 make ties common, in the table and in the prior
-    counts = st.integers(0, 3)
-    table = draw(st.lists(st.lists(counts, min_size=alphabet, max_size=alphabet),
-                          min_size=states, max_size=states))
-    prior = draw(st.lists(counts, min_size=alphabet, max_size=alphabet))
-    shape = draw(st.sampled_from(QUERY_SHAPES if states else ("unseen",)))
+    states = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True))
+    counts = st.lists(st.integers(0, 3), min_size=alphabet, max_size=alphabet)
+    train = [(state, symbol) for state in states
+             for symbol, count in enumerate(draw(counts)) for _ in range(count)]
+    train = draw(st.permutations(train or [(states[0], 0)]))
+    seen = sorted({state for state, _ in train})
+    other = st.integers(0, 45)
+    shape = draw(st.sampled_from(QUERY_SHAPES))
     if shape == "unseen":
-        found = draw(st.lists(st.just(-1), max_size=60))
+        test = draw(st.lists(other.filter(lambda i: i not in seen), min_size=1, max_size=60))
     elif shape == "one_state":
-        state = draw(st.integers(0, states - 1))
-        found = draw(st.lists(st.sampled_from([state, state, -1]), min_size=1, max_size=60))
+        state = draw(other)
+        test = draw(st.lists(st.sampled_from([state, state, draw(other)]),
+                             min_size=1, max_size=60))
+    elif shape == "seen_only":
+        test = draw(st.lists(st.sampled_from(seen), min_size=1, max_size=60))
     elif shape == "dense":
-        found = list(range(states)) + draw(st.lists(st.integers(-1, states - 1),
-                                                   min_size=states, max_size=4 * states))
-        found = draw(st.permutations(found))
+        test = draw(st.permutations(seen + draw(st.lists(other, min_size=len(seen),
+                                                         max_size=4 * len(seen)))))
     else:
-        found = draw(st.lists(st.integers(-1, states - 1), max_size=60))
-    return table, prior, found, alphabet
+        test = draw(st.lists(other, min_size=1, max_size=60))
+    ids = np.array([state for state, _ in train] + test, dtype=np.int64)
+    targets = np.array([symbol for _, symbol in train], dtype=np.int64)
+    return ids, len(train), targets, alphabet
 
 
-class TestBestSymbols:
+class TestHeldOutSymbols:
     """Each held-out row's prediction is its state's most frequent next
-    symbol, or the prior's for an unseen state (-1), ties going to the
-    lower symbol; held to a per-query oracle."""
+    symbol in training, or the prior's for a state no training row has,
+    ties going to the lower symbol; held to the reference estimator."""
 
     @settings(max_examples=300, deadline=None)
-    @given(best_symbol_cases())
-    def test_matches_per_query_oracle(self, case):
-        table, prior, found, alphabet = case
-        got = _best_symbols(np.array(table, dtype=np.int64).reshape(len(table), alphabet),
-                            np.array(prior, dtype=np.int64), np.array(found, dtype=np.int64))
-        want = [_first_max(prior if f == -1 else table[f]) for f in found]
-        assert got.tolist() == want
+    @given(held_out_cases())
+    def test_matches_reference_estimator(self, case):
+        ids, n_train, targets, alphabet = case
+        got = _held_out_symbols(ids, n_train, targets,
+                                np.bincount(targets, minlength=alphabet))
+        want = predict_oracle(train_oracle(ids[:n_train], targets, alphabet),
+                              ids[n_train:])[0]
+        assert got.tolist() == want.tolist()
 
 
 # Values a prediction can take, the signed zeros and non-finite ones included.

@@ -300,6 +300,7 @@ def cmd_evaluate(args) -> dict[str, bytes]:
         # the digest matched, so the stored config names a column the run never read
         raise MalformedArtifact(f"{manifest} configures column {exc.name!r}, "
                                 f"which {args.input} lacks") from None
+    del data  # only its digest and header are read; the rows come from dataset.f64
     dataset = _stored_dataset(tree_dir, config, stored)
     if args.target_kind is not None:
         # a kind the target cannot take is the flag's fault (exit 2)

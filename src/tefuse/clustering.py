@@ -159,6 +159,8 @@ def _cluster(sources: list[SymbolSequence], target: SymbolSequence,
     # T(x->z) keyed (c,) and T(xy->z) keyed (c_i, c_j) by content id, for
     # nodes i < j; active ids stay ascending because a fused node takes the
     # next id and goes last. A content id is a node id holding that content.
+    # Each level scores the keys the table lacks, which only its newest
+    # node can bring, and reads every score back through the same keys.
     te: dict[tuple[int, ...], float] = {}
     scored: list[int] = []
 
@@ -173,19 +175,19 @@ def _cluster(sources: list[SymbolSequence], target: SymbolSequence,
             tail += np.concatenate([y.symbols for y in merged]).reshape(tail.shape)
         return rows
 
-    level = fresh = 0  # nodes from id ``fresh`` on have no keys looked up yet
+    level = 0
     while len(active) > config.stop_at:
         level += 1
         pairs = list(itertools.combinations(active, 2))
-        wanted = [*((content[j],) for j in active if j >= fresh),
-                  *((content[i], content[j]) for i, j in pairs if j >= fresh)]
-        missing = [key for key in dict.fromkeys(wanted) if key not in te]
+        single_keys = [(content[i],) for i in active]
+        pair_keys = [(content[i], content[j]) for i, j in pairs]
+        missing = list(dict.fromkeys(key for key in single_keys + pair_keys if key not in te))
         blocks = map(block, _chunks(missing, train_len - 1 - k))
         te.update(zip(missing, _scores(blocks, z_terms)))
         scored.append(len(missing))
-        single = {i: te[content[i],] for i in active}
-        scores = [_pair_score(single[i], single[j], te[content[i], content[j]])
-                  for i, j in pairs]
+        single = {i: te[key] for i, key in zip(active, single_keys)}
+        scores = [_pair_score(single[i], single[j], te[key])
+                  for (i, j), key in zip(pairs, pair_keys)]
 
         # Pairs are enumerated in ascending (i, j) order, so the first
         # minimum is the lexicographic tie-break winner.
@@ -193,7 +195,7 @@ def _cluster(sources: list[SymbolSequence], target: SymbolSequence,
         win_i, win_j = pairs[best]
 
         fused = fuse(nodes[win_i], nodes[win_j], config.fused_alphabet)
-        fresh = len(nodes)
+        node = len(nodes)
         add(fused)
         merges.append(MergeRecord(
             level=level,
@@ -202,12 +204,12 @@ def _cluster(sources: list[SymbolSequence], target: SymbolSequence,
             all_candidate_scores=tuple(zip(pairs, scores)),
             te_to_target=tuple(single.items()),
         ))
-        active = [a for a in active if a not in (win_i, win_j)] + [fresh]
+        active = [a for a in active if a not in (win_i, win_j)] + [node]
         levels.append(tuple(active))
         logger.info(
             "level %d: fused nodes %d+%d -> %d (%s), score %.6f over %d candidates, "
             "%d transfer entropies scored",
-            level, win_i, win_j, fresh, fused.source_name, scores[best], len(pairs),
+            level, win_i, win_j, node, fused.source_name, scores[best], len(pairs),
             scored[-1],
         )
 
@@ -356,38 +358,44 @@ def tree_from_json(data: bytes | str) -> MergeTree:
     Raises :class:`MalformedArtifact` for bytes that are not JSON, a missing
     or mistyped entry, or a tree that no run could have produced.
     """
-    tree = _parse_json(data, "tree", _tree_from_doc)
-    _check_tree(tree)
-    return tree
+    return _parse_json(data, "tree", _tree_from_doc)
 
 
-def _check_tree(tree: MergeTree) -> None:
-    """Names are strings, node ids integers and scores numbers; merge i is
-    at the integer level i + 1 and pairs two distinct nodes active at that
-    level, the node names cover leaves and merges, and the levels are the
-    active sets the merges produce (evaluation indexes nodes through them)."""
-    ids = [i for level in tree.levels for i in level]
+def _tree_from_doc(doc: dict) -> MergeTree:
+    """The tree a document holds, checked as it is read: names are strings,
+    node ids integers and scores numbers; the node names cover leaves and
+    merges; merge i is at the integer level i + 1 and pairs two distinct
+    nodes active at that level; and the levels are the active sets the
+    merges produce (evaluation indexes nodes through them)."""
+    leaves, node_names = tuple(doc["leaves"]), tuple(doc["node_names"])
+    levels = tuple(tuple(level) for level in doc["levels"])
+    # every node id and score, gathered as the merges are read
+    ids = [i for level in levels for i in level]
     scores = []
-    for record in tree.merges:
-        ids += [*record.pair, *(i for pair, _ in record.all_candidate_scores for i in pair),
-                *(i for i, _ in record.te_to_target)]
-        scores += [record.score, *(s for _, s in record.all_candidate_scores),
-                   *(v for _, v in record.te_to_target)]
-    if not all(isinstance(name, str) for name in tree.leaves + tree.node_names):
+    merges = []
+    for m in doc["merges"]:
+        candidates = tuple((tuple(pair), score) for pair, score in m["candidates"])
+        te_to_target = tuple((node_id, value) for node_id, value in m["te_to_target"])
+        pair = tuple(m["pair"])
+        ids += [*pair, *(i for p, _ in candidates for i in p), *(i for i, _ in te_to_target)]
+        scores += [m["score"], *(s for _, s in candidates), *(v for _, v in te_to_target)]
+        merges.append(MergeRecord(level=m["level"], pair=pair, score=m["score"],
+                                  all_candidate_scores=candidates, te_to_target=te_to_target))
+    if not all(isinstance(name, str) for name in leaves + node_names):
         raise MalformedArtifact("tree has a node name that is not a string")
     if not all(type(i) is int for i in ids):
         raise MalformedArtifact("tree has a node id that is not an integer")
     if not all(type(s) in (int, float) for s in scores):
         raise MalformedArtifact("tree has a score that is not a number")
-    n_leaves, n_merges = len(tree.leaves), len(tree.merges)
-    if len(tree.node_names) != n_leaves + n_merges:
+    n_leaves, n_merges = len(leaves), len(merges)
+    if len(node_names) != n_leaves + n_merges:
         raise MalformedArtifact(
-            f"tree names {len(tree.node_names)} nodes, but {n_leaves} leaves "
+            f"tree names {len(node_names)} nodes, but {n_leaves} leaves "
             f"and {n_merges} merges make {n_leaves + n_merges}"
         )
     active = list(range(n_leaves))
-    levels = [tuple(active)]
-    for index, record in enumerate(tree.merges):
+    produced = [tuple(active)]
+    for index, record in enumerate(merges):
         if type(record.level) is not int or record.level != index + 1:
             raise MalformedArtifact(f"merge {index} claims level {record.level!r}")
         pair = record.pair
@@ -397,34 +405,13 @@ def _check_tree(tree: MergeTree) -> None:
                 f"among the active {active}"
             )
         active = [a for a in active if a not in pair] + [n_leaves + index]
-        levels.append(tuple(active))
-    if tree.levels != tuple(levels):
+        produced.append(tuple(active))
+    if levels != tuple(produced):
         raise MalformedArtifact(
-            f"tree levels {[list(level) for level in tree.levels]} do not follow "
+            f"tree levels {[list(level) for level in levels]} do not follow "
             f"from its {n_merges} merges"
         )
-
-
-def _tree_from_doc(doc: dict) -> MergeTree:
-    return MergeTree(
-        leaves=tuple(doc["leaves"]),
-        node_names=tuple(doc["node_names"]),
-        merges=tuple(
-            MergeRecord(
-                level=m["level"],
-                pair=tuple(m["pair"]),
-                score=m["score"],
-                all_candidate_scores=tuple(
-                    (tuple(pair), score) for pair, score in m["candidates"]
-                ),
-                te_to_target=tuple(
-                    (node_id, value) for node_id, value in m["te_to_target"]
-                ),
-            )
-            for m in doc["merges"]
-        ),
-        levels=tuple(tuple(level) for level in doc["levels"]),
-    )
+    return MergeTree(leaves, node_names, tuple(merges), levels)
 
 
 def _dot_quote(label: str) -> str:

@@ -252,8 +252,7 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     if s >= n:
         raise ValueError("train fraction leaves no held-out rows to evaluate")
 
-    leaves = leaf_sequences(dataset, config)
-    nodes = replay_merges(leaves, tree, config)
+    nodes = replay_merges(leaf_sequences(dataset, config), tree, config)
     target_seq, kind, _, representatives = target_symbols(dataset, config)
     tsyms = target_seq.symbols
     alphabet = target_seq.alphabet_size
@@ -266,11 +265,12 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     targets = tsyms[k + 1: s]
     prior = np.bincount(targets, minlength=alphabet)
     # the nodes' window keys, one fold per chunk of nodes, cut by the
-    # kernel's chunk rule so that a long series is not stacked whole
-    windows = {}
-    for chunk in _chunks(nodes.items(), n - 1 - k):
-        windows.update(zip([a for a, _ in chunk],
-                           _windows(np.stack([seq.symbols for _, seq in chunk]), k)))
+    # kernel's chunk rule so that a long series is not stacked whole; the
+    # full-length series are dropped once their keys exist
+    windows = {a: keys for chunk in _chunks(nodes.items(), n - 1 - k)
+               for a, keys in zip(dict(chunk),
+                                  _windows(np.stack([seq.symbols for _, seq in chunk]), k))}
+    del nodes
 
     ids = _joint_ids(*(windows[a] for a in tree.levels[-1]))
     symbols = [_held_out_symbols(ids, n_train, targets, prior)]

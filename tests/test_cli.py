@@ -110,6 +110,20 @@ class TestCluster:
         assert manifest["config"]["alphabet"] == 3
         assert "sha256" in manifest["input"]
 
+    def test_te_computed_at_benchmark_scale(self, tmp_path):
+        # the benchmark's seed-0 ahu run: every fused node repeats a leaf's
+        # training symbols, so after level 1 a level scores only the pairs
+        # that meet that content in the orientation the table lacks
+        csv = tmp_path / "ahu.csv"
+        write_dataset_csv(ahu_like(n=6720, seed=40), csv)
+        out = tmp_path / "run"
+        assert main(["cluster", "--input", str(csv), "--target", AHU_TARGET,
+                     "--sources", ",".join(AHU_SOURCES), "--alphabet", "10", "--depth", "5",
+                     "--target-alphabet", "10", "--train-fraction", "0.7",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["te_computed"] == [36, 6, 2, 2, 3, 0, 1]
+
     def test_stop_at(self, occ_csv, tmp_path):
         out = tmp_path / "run"
         assert run_cluster(occ_csv, out, ["--stop-at", "2"]) == 0

@@ -595,6 +595,15 @@ class TestExport:
         with pytest.raises(MalformedArtifact):
             tree_from_json(json.dumps(doc))
 
+    def test_float_level_id_rejected(self):
+        # (0, 1.0) == (0, 1), so the levels' own ids need the integer check
+        channels, z = xor_system(600, seed=16)
+        tree = cluster(_seqs(channels, 2), SymbolSequence(z, 2, "z"), _config(4))
+        doc = json.loads(export_tree(tree, "json"))
+        doc["levels"][0][1] = 1.0
+        with pytest.raises(MalformedArtifact, match="node id that is not an integer"):
+            tree_from_json(json.dumps(doc))
+
     def test_undecodable_tree_rejected(self):
         for data in (b"", b'{"leaves": [', b"\xff\xfe", b"[1, 2]"):
             with pytest.raises(MalformedArtifact):

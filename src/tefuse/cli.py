@@ -61,7 +61,7 @@ from .clustering import _cluster, export_tree, fit_leaves, leaf_sequences, tree_
 from .errors import MalformedArtifact, MissingColumn, PipelineError, TreeDatasetMismatch
 from .estimate import (evaluate_levels, predictions_csv, report_csv, report_json,
                        resolve_target_kind, target_symbols)
-from .ingest import (PARTITIONERS, TARGET_KINDS, Dataset, RunConfig, _noise_block,
+from .ingest import (PARTITIONERS, TARGET_KINDS, Dataset, RunConfig, append_noise_channels,
                      header_indices, load_csv, noise_columns, read_config_file)
 from .jsonout import _json_bytes, _parse_json
 
@@ -179,19 +179,14 @@ def _manifest(command: str, args, digest: str, config: RunConfig, dataset,
     return _json_bytes(doc)
 
 
-def cmd_cluster(args, noise_count: int = 0) -> dict[str, bytes]:
+def cmd_cluster(args, noise_count: int | None = None) -> dict[str, bytes]:
     config = _build_config(args)
     digest, dataset = _read_input(args, config)
     noise = None
-    if noise_count:
-        # drawn before any channel is named, so that a count too large to
-        # allocate fails at once instead of building its names first
-        block = _noise_block(noise_count, dataset.n, config.seed)
-        names = noise_columns(noise_count)
-        # the full config, so that RunConfig refuses a source named like a channel
-        config = config.replace(source_columns=config.source_columns + names)
-        dataset = Dataset(dataset.names + names, dataset.columns + tuple(block),
-                          dataset.dropped_rows)
+    if noise_count is not None:
+        dataset = append_noise_channels(dataset, noise_count, config.seed)
+        config = config.replace(source_columns=config.source_columns
+                                + dataset.names[-noise_count:])
         noise = {"count": noise_count, "seed": config.seed}
 
     leaves = leaf_sequences(dataset, config)
@@ -210,8 +205,6 @@ def cmd_cluster(args, noise_count: int = 0) -> dict[str, bytes]:
 
 
 def cmd_inject_noise(args) -> dict[str, bytes]:
-    if args.noise_count < 1:
-        raise ValueError("--noise-count must be >= 1")
     return cmd_cluster(args, noise_count=args.noise_count)
 
 
@@ -221,10 +214,11 @@ def _count(value, name: str, least: int) -> int:
     return value
 
 
-def _manifest_entries(manifest: dict) -> tuple[str, RunConfig, dict | None, dict]:
-    """The input digest, configuration and noise spec a cluster run
-    recorded, and what it recorded of ``dataset.f64``: its digest and
-    columns, and the input's row count and dropped rows."""
+def _manifest_entries(manifest: dict) -> tuple[str, RunConfig, tuple[str, ...], dict]:
+    """The input digest, configuration and injected noise channels (none
+    without noise) a cluster run recorded, and what it recorded of
+    ``dataset.f64``: its digest and columns, and the input's row count and
+    dropped rows."""
     digest = manifest["input"]["sha256"]
     if not isinstance(digest, str):
         raise TypeError(f"input digest {digest!r} is not a string")
@@ -237,7 +231,7 @@ def _manifest_entries(manifest: dict) -> tuple[str, RunConfig, dict | None, dict
         raise TypeError(f"dataset digest {stored['sha256']!r} is not a string")
     noise = manifest.get("noise")
     if noise is None:
-        return digest, config, None, stored
+        return digest, config, (), stored
     noise = {"count": noise["count"], "seed": noise["seed"]}
     for key, value in noise.items():
         if type(value) is not int:
@@ -251,7 +245,7 @@ def _manifest_entries(manifest: dict) -> tuple[str, RunConfig, dict | None, dict
     if noise["seed"] != config.seed:
         raise ValueError(f"noise seed {noise['seed']} is not the configured "
                          f"seed {config.seed}")
-    return digest, config, noise, stored
+    return digest, config, sources[-count:], stored
 
 
 def _stored_dataset(tree_dir: Path, config: RunConfig, stored: dict) -> Dataset:
@@ -280,8 +274,8 @@ def _stored_dataset(tree_dir: Path, config: RunConfig, stored: dict) -> Dataset:
 def cmd_evaluate(args) -> dict[str, bytes]:
     tree_dir = Path(args.tree)
     manifest = tree_dir / "manifest.json"
-    expected, config, noise, stored = _parse_json(manifest.read_bytes(), str(manifest),
-                                                  _manifest_entries)
+    expected, config, injected, stored = _parse_json(manifest.read_bytes(), str(manifest),
+                                                     _manifest_entries)
     if args.target_kind is not None:
         config = config.replace(target_kind=args.target_kind)
     data = Path(args.input).read_bytes()
@@ -292,7 +286,6 @@ def cmd_evaluate(args) -> dict[str, bytes]:
             f"{expected[:12]}..."
         )
     # the columns the CSV itself holds: all but the injected noise channels
-    injected = noise_columns(noise["count"]) if noise else ()
     try:
         header_indices(args.input, [name for name in _stored_columns(config)
                                     if name not in injected], data=data)

@@ -94,11 +94,14 @@ def discretize_target(values, b: int, name: str | None = None):
     the median of the values falling in bin s, equal to ``np.median`` of
     them bit for bit. A bin is a contiguous run of the sorted values, so the
     fit's one sort gives every median (a zero median is taken by np.median).
-    A bin left empty by ties inherits the nearest populated bin's
-    representative so lookups stay total. A target that cannot be
-    partitioned raises :class:`~tefuse.errors.DegenerateInput`, and one
-    whose edges or medians pass float64's range
-    :class:`~tefuse.errors.PipelineError`, each naming ``name`` when given.
+    Every bin below the top holds its own upper edge, a training value,
+    since the fit refuses edges that are not strictly increasing. Only the
+    top bin can be empty, when ties make its lower edge the maximum, and it
+    then takes the representative of the bin below, so lookups stay total.
+    A target that cannot be partitioned raises
+    :class:`~tefuse.errors.DegenerateInput`, and one whose edges or medians
+    pass float64's range :class:`~tefuse.errors.PipelineError`, each naming
+    ``name`` when given.
     """
     values = _one_dimensional(values)
     ordered = np.array(values[None])  # the fit sorts it in place
@@ -110,15 +113,10 @@ def discretize_target(values, b: int, name: str | None = None):
     # bin s holds the values v with edge[s-1] < v <= edge[s]
     ends = np.searchsorted(ordered, partition.edges, side="right").tolist()
     for s, (lo, hi) in enumerate(zip([0, *ends], [*ends, len(ordered)])):
-        if hi > lo:
-            median = _median(ordered[lo:hi])
-            representatives[s] = (np.median(values[seq.symbols == s])
-                                   if median is None else median)
-    for s in range(b):
-        if np.isnan(representatives[s]):
-            populated = np.flatnonzero(~np.isnan(representatives))
-            nearest = populated[np.argmin(np.abs(populated - s))]
-            representatives[s] = representatives[nearest]
+        # only the top bin can be empty, and it takes the bin below's median
+        median = _median(ordered[lo:hi]) if hi > lo else representatives[s - 1]
+        representatives[s] = (np.median(values[seq.symbols == s])
+                               if median is None else median)
     if not np.isfinite(representatives).all():
         raise PipelineError(_named(name, f"the {b}-bin medians "
                                          f"{representatives.tolist()} are not all finite"))

@@ -72,9 +72,11 @@ _INT32_SPAN = 2**31
 # Source window keys (sources x windows) per chunk of transfer_entropies; a
 # chunk holds at least one source. Its joint keys and counts are arrays of
 # up to twice this size, so the budget sets the memory scoring
-# adds to a run's peak, not its speed. On the 24-source `wide` benchmark
-# workload, 2**16 raised the peak resident memory from 42.8 to 44.8 MB with
-# no gain in time; 2**14 stays within 0.2 MB of one source per chunk.
+# adds to a run's peak, not its speed. A command's own peak resident memory
+# (VmHWM, 3 runs each on a 2-vCPU host) on the benchmark's seed-0 inputs:
+# 2**16 raised `wide`'s inject-noise from 38.2 to 40.1 MB and `ahu`'s
+# cluster from 36.3 to 38.8 MB, with no gain in time; 2**14 stays within
+# 0.1 MB of one source per chunk, which took `wide` 54 ms against 34 ms.
 _CHUNK_KEYS = 2**14
 
 

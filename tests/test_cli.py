@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import tefuse
 from tefuse import RunConfig, cli
 from tefuse.cli import _CONFIG_FLAGS, main
+from tefuse.estimate import target_symbols
 
 from synthdata import (AHU_SOURCES, AHU_TARGET, OCC_SOURCES, OCC_TARGET, ahu_like,
                        occupancy_like, write_dataset_csv)
@@ -392,7 +393,8 @@ class TestEvaluate:
 
         for module in (cli, tefuse.ingest):
             monkeypatch.setattr(module, "load_csv", refuse)
-            monkeypatch.setattr(module, "_noise_block", refuse)
+            monkeypatch.setattr(module, "append_noise_channels", refuse)
+        monkeypatch.setattr(tefuse.ingest, "_noise_block", refuse)
         assert main(["evaluate", "--input", str(occ_csv), "--tree", str(run_dir),
                      "--out", str(eval_dir)]) == 0
         leaves = len(json.loads((run_dir / "tree.json").read_text())["leaves"])
@@ -754,6 +756,16 @@ class TestInjectNoise:
         assert (a / "tree.json").read_bytes() == (b / "tree.json").read_bytes()
         manifest = json.loads((a / "manifest.json").read_text())
         assert manifest["noise"] == {"count": 2, "seed": 11}
+        # the library adds the same channels and builds the same tree
+        config = RunConfig(COMMON[1], tuple(COMMON[3].split(",")), alphabet=3, depth=1)
+        dataset = tefuse.append_noise_channels(tefuse.load_csv(occ_csv, config), 2, seed=11)
+        config = config.replace(source_columns=config.source_columns + ("noise_1", "noise_2"))
+        target_seq, _, _, _ = target_symbols(dataset, config)
+        library = tefuse.cluster(tefuse.leaf_sequences(dataset, config), target_seq, config)
+        assert (a / "tree.json").read_bytes() == tefuse.export_tree(library, "json")
+        # dataset.f64 holds the sources, noise channels last, then the target
+        stored = np.fromfile(a / "dataset.f64", dtype="<f8").reshape(8, -1)
+        assert stored[5:7].tobytes() == np.stack(dataset.columns[-2:]).tobytes()
 
     def test_different_seed_changes_tree_bytes(self, occ_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -925,7 +937,8 @@ FAILS_WITHOUT_OUT = [
                    "column 'RATX' not found", id=f"missing-column-{name}")
       for name in ("cluster", "inject-noise", "symbolize")],
     pytest.param("inject-noise", None, ["--sources", "Temperature,noise_1"], 2,
-                 "source columns must be unique", id="noise-named-source-inject-noise"),
+                 "already has a column named 'noise_1'",
+                 id="noise-named-source-inject-noise"),
     *[pytest.param(name, None, [*CONTINUOUS, "--target-kind", "discrete"], 2,
                    "cannot be discrete", id=f"forced-discrete-{name}")
       for name in ("cluster", "inject-noise", "symbolize")],

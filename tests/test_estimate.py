@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tefuse import (
     Dataset,
+    DegenerateInput,
     LengthMismatch,
     PipelineError,
     RunConfig,
@@ -68,6 +69,34 @@ class TestDiscretizeTarget:
             discretize_target(values, 2, "t")
         assert str(raised.value) == ("column 't': the 2-bin medians [1.5, inf] "
                                      "are not all finite")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-3.0, -1.5, -0.0, 0.0, 0.5, 2.0, 7.0]),
+                    min_size=8, max_size=40),
+           st.integers(0, 30), st.integers(2, 5))
+    def test_only_the_top_bin_is_empty(self, values, top_ties, b):
+        # many ties, piled on the maximum too, which can empty the top bin
+        values = np.array(values + [max(values)] * top_ties)
+        try:
+            seq, _, reps = discretize_target(values, b)
+        except DegenerateInput:
+            assume(False)
+        assert np.bincount(seq.symbols, minlength=b)[:-1].all()
+        assert reps.tobytes() == _nearest_fill_representatives(values, seq.symbols, b).tobytes()
+
+
+def _nearest_fill_representatives(values, symbols, b):
+    """Each populated bin's ``np.median``, and each empty bin the nearest
+    populated bin's, the lower one on a tie: any bin may be empty here."""
+    reps = np.full(b, np.nan)
+    for s in range(b):
+        if (symbols == s).any():
+            reps[s] = np.median(values[symbols == s])
+    populated = np.flatnonzero(~np.isnan(reps))
+    for s in range(b):
+        if np.isnan(reps[s]):
+            reps[s] = reps[populated[np.argmin(np.abs(populated - s))]]
+    return reps
 
 
 def _bits(x):

@@ -35,11 +35,7 @@ order of the keys, so ranking raw window keys gives the ids that ranking
 dense window ids (``_joint_ids(_windows(...))``) would. Predictions
 depend only on how rows group into states, not on how the ids are
 numbered, so they equal those of a frequency table fitted on each level's
-full window matrix. The nodes' window keys are folded a chunk of
-nodes at a time, cut by the transfer-entropy kernel's chunk rule
-(:func:`tefuse.infotheory._chunks`), so a level pays for no per-node fold
-and a long series is never stacked whole; each chunk's keys share its
-bounds, which changes them as numbers but keeps their order within a row.
+full window matrix. Each node's window keys are one fold of its own series.
 Every level predicts through one function, :func:`_held_out_symbols`: a
 mask of the states training rows reach and one of the states held-out rows
 reach pick the table rows reduced to their argmax, and every other state
@@ -57,7 +53,7 @@ import numpy as np
 from .clustering import MergeTree, _train_length, leaf_sequences, replay_merges
 from .errors import PipelineError
 from .frozen import Frozen, FrozenValue
-from .infotheory import _chunks, _joint_ids, _windows
+from .infotheory import _joint_ids, _windows
 from .ingest import Dataset, RunConfig, split_index
 from .jsonout import _json_bytes
 from .sdf import (MAX_ENTROPY, SymbolSequence, _distinct, _fit_partitions, _named,
@@ -235,10 +231,11 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     :class:`TreeDatasetMismatch`, and an RMSE that passes float64's range
     a :class:`~tefuse.errors.PipelineError` naming the target.
 
-    Each level's joint states are ranked once, coarsest level first: the
-    last level's ids are the joint ids of its nodes' windows, and level h's
-    are the joint ids of level h+1's ids and the windows of the pair merged
-    at level h+1, a 3-column rank however many nodes are active. One rule
+    Each node's window keys are one fold of its own series. Each level's
+    joint states are ranked once, coarsest level first: the last level's
+    ids are the joint ids of its nodes' windows, and level h's are the
+    joint ids of level h+1's ids and the windows of the pair merged at
+    level h+1, a 3-column rank however many nodes are active. One rule
     then predicts every level (:func:`_held_out_symbols`): a held-out row
     takes its state's most frequent next symbol in training, or the prior's
     when no training row shares its state, ties going to the lower symbol,
@@ -250,7 +247,8 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     if s >= n:
         raise ValueError("train fraction leaves no held-out rows to evaluate")
 
-    nodes = replay_merges(leaf_sequences(dataset, config), tree, config)
+    windows = {a: _windows(seq.symbols, k) for a, seq in
+               replay_merges(leaf_sequences(dataset, config), tree, config).items()}
     target_seq, kind, _, representatives = target_symbols(dataset, config)
     tsyms = target_seq.symbols
     alphabet = target_seq.alphabet_size
@@ -262,13 +260,6 @@ def evaluate_levels(tree: MergeTree, dataset: Dataset, config: RunConfig) -> Eva
     n_train = s - k - 1
     targets = tsyms[k + 1: s]
     prior = np.bincount(targets, minlength=alphabet)
-    # the nodes' window keys, one fold per chunk of nodes, cut by the
-    # kernel's chunk rule so that a long series is not stacked whole; the
-    # full-length series are dropped once their keys exist
-    windows = {a: keys for chunk in _chunks(nodes.items(), n - 1 - k)
-               for a, keys in zip(dict(chunk),
-                                  _windows(np.stack([seq.symbols for _, seq in chunk]), k))}
-    del nodes
 
     ids = _joint_ids(*(windows[a] for a in tree.levels[-1]))
     symbols = [_held_out_symbols(ids, n_train, targets, prior)]

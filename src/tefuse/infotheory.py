@@ -303,7 +303,8 @@ def transfer_entropies(sources, target, k: int) -> list[float]:
 def _chunks(items, windows: int):
     """Consecutive lists of ``items``, read lazily, of as many as fit in
     ``_CHUNK_KEYS`` source window keys at ``windows`` keys each (at least
-    one); the last list may be shorter."""
+    one); the last list may be shorter. Its only callers score transfer
+    entropy: :func:`transfer_entropies` and :func:`tefuse.clustering._cluster`."""
     items, size = iter(items), max(1, _CHUNK_KEYS // windows)
     while chunk := list(itertools.islice(items, size)):
         yield chunk

@@ -232,8 +232,9 @@ def _header_indices(fh, path, names) -> list[int]:
     return [header.index(name) for name in names]
 
 
-# Characters that numpy strips around a number where float() rejects them.
-_LOOP_ONLY = "\x1c\x1d\x1e\x1f"
+# Characters that numpy strips around a number where float() rejects them,
+# and NUL, which csv refuses on Python 3.10 where numpy reads it.
+_LOOP_ONLY = "\x00\x1c\x1d\x1e\x1f"
 # Text per numpy.loadtxt call. A block the bulk parse cannot read goes to the
 # loop alone, so a bad row costs the loop one block, not the whole file.
 _BLOCK_CHARS = 1 << 15
@@ -261,8 +262,8 @@ def _parse_bulk(text: str, indices: list[int],
 
     A cut falls only where an even number of quotes precedes it, which is
     outside every quoted field when every other quote opens one; a text
-    with a quote inside an unquoted field, or with U+001C..U+001F, goes to
-    the loop whole.
+    with a quote inside an unquoted field, or with NUL or U+001C..U+001F,
+    goes to the loop whole.
     """
     quoted = '"' in text
     if any(c in text for c in _LOOP_ONLY) or quoted and not _quotes_balanced(text):

@@ -131,7 +131,10 @@ def _fit_partitions(rows: np.ndarray, b: int, kind: str, names=None) -> list[Par
     are then checked in order, as one-row fits would be: the first that
     cannot be partitioned raises :class:`DegenerateInput`, and the first
     with an edge that is not finite :class:`PipelineError`, each named by
-    ``names`` when given.
+    ``names`` when given. A row cannot be partitioned when it has too few
+    distinct values for ``b`` bins, or when its edges are not strictly
+    increasing: ties can collapse quantile edges, and a range a few ulps
+    wide rounds equal-width edges onto each other.
     """
     _check_finite(rows)
     if b < 2:
@@ -144,23 +147,29 @@ def _fit_partitions(rows: np.ndarray, b: int, kind: str, names=None) -> list[Par
         # with more bins than rows no row has b distinct values, and b - 1
         # edges need not fit in memory, so none is read
         edges = _quantile_edges(rows, b) if b <= rows.shape[1] else rows[:, :0]
-        degenerate = (distinct < b) | (np.diff(edges, axis=1) <= 0).any(axis=1)
+        short = distinct < b
     else:
         lo, hi = rows.min(axis=1), rows.max(axis=1)
         edges = lo[:, None] + np.arange(1, b) * (hi - lo)[:, None] / b
-        degenerate = hi <= lo
+        short = hi <= lo
+    # edges that are not strictly increasing, which Partition refuses
+    degenerate = short | (np.diff(edges, axis=1) <= 0).any(axis=1)
     finite = np.isfinite(edges).all(axis=1).tolist()
     partitions = []
     for row, (row_edges, bad, ok) in enumerate(zip(edges, degenerate.tolist(), finite)):
         name = None if names is None else names[row]
         if bad:
-            if kind == UNIFORM:
-                problem = "constant series cannot be uniformly partitioned"
-            elif distinct[row] < b:
+            if kind == MAX_ENTROPY and short[row]:
                 problem = f"need at least {b} distinct values for {b} bins, got {distinct[row]}"
-            else:
+            elif kind == MAX_ENTROPY:
                 problem = (f"ties collapse the {b}-bin quantile edges; "
                            "use fewer bins or uniform partitioning")
+            elif short[row]:
+                problem = "constant series cannot be uniformly partitioned"
+            else:
+                problem = (f"the range [{lo[row].item()!r}, {hi[row].item()!r}] is too "
+                           f"narrow for {b} equal-width bins; use fewer bins or maximum "
+                           "entropy partitioning")
             raise DegenerateInput(_named(name, problem))
         if not ok:
             raise PipelineError(_named(name, f"the {b}-bin edges {row_edges.tolist()} "
@@ -215,12 +224,14 @@ def _repartition(values: np.ndarray, target_b: int, fit_length: int | None,
     partitioning fitted on the first ``fit_length`` entries (all of them
     when None) and applied to the whole sequence. Two logged fallbacks keep
     clustering total: ``target_b`` or fewer distinct values relabel
-    losslessly to 0..d-1, and heavier ties drop the colliding quantile
-    edges, so the output alphabet shrinks below ``target_b``. Either way
-    the mapping is monotone in the merged value. The edges are merged
-    values themselves, so the values are binned as integers, one
-    ``searchsorted`` against the edges; binning them as floats gives the
-    same symbols for every value below 2**53.
+    losslessly to 0..d-1, against every distinct value but the largest as
+    edges, and heavier ties drop the colliding quantile edges, so the
+    output alphabet shrinks below ``target_b``. Every case bins through one
+    edge list, one more symbol than edges, so the mapping is monotone in
+    the merged value. The edges are merged values themselves, so the
+    values are binned as integers, one ``searchsorted`` against the edges;
+    binning them as floats gives the same symbols for every value below
+    2**53.
     """
     if target_b < 2:
         raise ValueError("target_b must be >= 2")
@@ -235,13 +246,13 @@ def _repartition(values: np.ndarray, target_b: int, fit_length: int | None,
                 "repartition(%s): %d distinct values <= target %d, lossless relabel",
                 name, len(distinct), target_b,
             )
-        symbols = np.minimum(np.searchsorted(distinct, values), len(distinct) - 1)
-        return SymbolSequence(symbols, len(distinct), name)
-    raw = _quantile_edges(ordered, target_b)
-    edges = _distinct(raw)
-    if len(edges) < len(raw):
-        logger.warning(
-            "repartition(%s): ties collapsed %d quantile edges, alphabet %d -> %d",
-            name, len(raw) - len(edges), target_b, len(edges) + 1,
-        )
+        edges = distinct[:-1]
+    else:
+        raw = _quantile_edges(ordered, target_b)
+        edges = _distinct(raw)
+        if len(edges) < len(raw):
+            logger.warning(
+                "repartition(%s): ties collapsed %d quantile edges, alphabet %d -> %d",
+                name, len(raw) - len(edges), target_b, len(edges) + 1,
+            )
     return SymbolSequence(np.searchsorted(edges, values, side="left"), len(edges) + 1, name)

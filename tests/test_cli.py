@@ -1006,12 +1006,14 @@ def test_huge_noise_count_fails_before_naming_channels(tmp_path, capsys, monkeyp
 @pytest.fixture(scope="module")
 def degenerate_csv(tmp_path_factory):
     """300 rows: ``a`` and ``y`` vary; ``b`` is constant, ``c`` takes two
-    values and ``d`` three; ``y2`` takes two non-integer values and ``y3``
-    the integers 0 and 1."""
+    values and ``d`` three; ``e`` alternates 1.0 and the next float above
+    it; ``y2`` takes two non-integer values and ``y3`` the integers 0 and
+    1."""
     i = np.arange(300)
     columns = {"a": np.sin(i / 7) + i / 1000, "b": np.ones(300), "c": i % 2 + 0.25,
-               "d": (i % 3).astype(float), "y": np.cos(i / 5) + i / 900,
-               "y2": i % 2 + 0.5, "y3": (i // 4 % 2).astype(float)}
+               "d": (i % 3).astype(float), "e": np.where(i % 2, np.nextafter(1.0, 2.0), 1.0),
+               "y": np.cos(i / 5) + i / 900, "y2": i % 2 + 0.5,
+               "y3": (i // 4 % 2).astype(float)}
     path = tmp_path_factory.mktemp("data") / "degenerate.csv"
     write_dataset_csv(tefuse.Dataset(names=list(columns), columns=list(columns.values())),
                       path)
@@ -1030,6 +1032,12 @@ DEGENERATE_COLUMNS = [
     pytest.param("cluster", ["--target", "y", "--sources", "a,b,c", "--partitioner", "uniform"],
                  "column 'b': constant series cannot be uniformly partitioned",
                  id="cluster-uniform-source"),
+    # a range two ulps wide: the equal-width edges round onto each other
+    *[pytest.param(command, ["--target", "y", "--sources", "e,a", "--partitioner", "uniform"],
+                   "column 'e': the range [1.0, 1.0000000000000002] is too narrow for 5 "
+                   "equal-width bins; use fewer bins or maximum entropy partitioning",
+                   id=f"{command}-uniform-narrow-range")
+      for command in ("cluster", "symbolize")],
     pytest.param("cluster", ["--target", "y2", "--sources", "a,d", "--alphabet", "3"],
                  "column 'y2': need at least 10 distinct values for 10 bins, got 2",
                  id="cluster-target"),

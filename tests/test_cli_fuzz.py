@@ -1,11 +1,13 @@
 """Every command ends in a documented exit code on small hostile inputs.
 
 Hypothesis draws small numeric CSVs (ties, signed zeros, ±1e308,
-subnormals, integers up to 2**53) and run flags (both partitioners, both
-target kinds), and runs ``symbolize``, ``cluster`` and ``inject-noise``
-through :func:`tefuse.cli.main`, then ``evaluate`` on every tree the two
-clustering commands wrote. Each run must return 0, 2 or 3 without raising,
-and a run that fails must leave no ``--out`` behind.
+subnormals, integers up to 2**53, columns a few ulps wide) and run flags
+(both partitioners, both target kinds), and runs ``symbolize``, ``cluster``
+and ``inject-noise`` through :func:`tefuse.cli.main`, then ``evaluate`` on
+every tree the two clustering commands wrote. Each run must return 0, 2 or
+3 without raising, and a run that fails must leave no ``--out`` behind.
+Every flag drawn is valid, so a run exits 2 only where ``--target-kind
+discrete`` meets a target that is not integral.
 """
 
 import contextlib
@@ -32,8 +34,17 @@ VALUES = st.one_of(
     st.integers(0, 3).map(float),
 )
 
+# a float and its two neighbours, so that a column of them spans a range a
+# few ulps wide, too narrow for distinct equal-width edges
+NARROW = st.sampled_from([1.0, -3.5, 1e16, 1e300]).map(
+    lambda base: st.sampled_from([float(np.nextafter(base, -np.inf)), base,
+                                  float(np.nextafter(base, np.inf))]))
+
 # a target that --target-kind discrete can take as class labels
 LABELS = st.integers(0, 2).map(float)
+
+# the one refusal of a valid command line (exit 2)
+NOT_INTEGRAL = "holds values that are not integers, so it cannot be discrete"
 
 
 @st.composite
@@ -42,10 +53,11 @@ def tables(draw):
     width = draw(st.integers(2, 4))
     rows = draw(st.integers(3, 40))
     sources = [f"s{i}" for i in range(width)]
-    target = draw(st.sampled_from([VALUES, LABELS]))
+    columns = [draw(st.one_of(st.just(VALUES), NARROW)) for _ in sources]
+    columns.append(draw(st.one_of(st.sampled_from([VALUES, LABELS]), NARROW)))
     lines = [",".join([*sources, "t"])]
     for _ in range(rows):
-        cells = [draw(VALUES) for _ in sources] + [draw(target)]
+        cells = [draw(column) for column in columns]
         lines.append(",".join(repr(cell) for cell in cells))
     flags = [
         "--target", "t", "--sources", ",".join(sources),
@@ -63,12 +75,14 @@ def tables(draw):
 
 def run(argv, out: Path) -> tuple[int, str]:
     """``main``'s exit code and standard error, held to the documented
-    codes and to leaving no ``--out`` after a failure; an exception fails
-    the test with its traceback."""
+    codes, to exit 2 only for a non-integral discrete target and to leaving
+    no ``--out`` after a failure; an exception fails the test with its
+    traceback."""
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
         code = main([*argv, "--out", str(out)])
     assert code in EXIT_CODES, (argv, code, stderr.getvalue())
+    assert code != 2 or NOT_INTEGRAL in stderr.getvalue(), (argv, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
     assert (code == 0) == out.exists(), (argv, code, stderr.getvalue())
     return code, stderr.getvalue()

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import re
 import warnings
@@ -180,9 +181,15 @@ BULK_INDICES = [2, 0, 3]
 
 
 def assert_loads_as_loop(path, body, header="a,x,b,z\n"):
-    """load_csv (bulk parse plus fallback) reads ``body`` as the loop does."""
+    """load_csv (bulk parse plus fallback) reads ``body`` as the loop does,
+    or raises UnreadableCsv where the loop raises csv.Error."""
     path.write_bytes((header + body).encode("utf-8"))
-    columns, dropped = _parse_rows(body, BULK_INDICES)
+    try:
+        columns, dropped = _parse_rows(body, BULK_INDICES)
+    except csv.Error:
+        with pytest.raises(UnreadableCsv):
+            load_csv(path, BULK_CONFIG)
+        return
     if not columns.shape[1]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -275,6 +282,23 @@ class TestBulkParse:
         assert bulk_dropped == dropped
         assert bulk.shape == columns.shape
         assert bulk.tobytes() == columns.tobytes()
+
+    # Python 3.10's csv refuses NUL ("line contains NUL"), and later ones
+    # read it; numpy reads it in any cell it skips.
+    NUL_BODIES = pytest.mark.parametrize(
+        "body", ["1,x\x00y,2,3\n4,9,5,6\n", "1\x00,9,2,3\n4,9,5,6\n", "1,9,2,3\n\x00\n"],
+        ids=["unselected-cell", "selected-cell", "own-line"])
+
+    @NUL_BODIES
+    def test_nul_text_goes_to_the_loop_whole(self, body):
+        with mock.patch.object(ingest, "_parse_rows", wraps=_parse_rows) as loop, \
+                contextlib.suppress(csv.Error):
+            ingest._parse_bulk(body, BULK_INDICES)
+        loop.assert_called_once_with(body, BULK_INDICES)
+
+    @NUL_BODIES
+    def test_nul_text_loads_as_loop(self, tmp_path, body):
+        assert_loads_as_loop(tmp_path / "d.csv", body)
 
     def test_quoted_header_with_newline(self, tmp_path):
         assert_loads_as_loop(tmp_path / "d.csv", "1,9,2,3\n4,9,5,6\n",

@@ -90,6 +90,14 @@ class TestUniformPartition:
         with pytest.raises(DegenerateInput):
             fit_uniform_partition(np.full(10, 3.3), 4)
 
+    def test_range_too_narrow_for_its_bins_is_degenerate(self):
+        # two ulps of range: the equal-width edges round onto each other
+        with pytest.raises(DegenerateInput) as raised:
+            fit_uniform_partition(np.array([1.0, 1.0000000000000002, 1.0]), 5)
+        assert str(raised.value) == ("the range [1.0, 1.0000000000000002] is too narrow for "
+                                     "5 equal-width bins; use fewer bins or maximum entropy "
+                                     "partitioning")
+
     def test_midpoint_for_two_bins(self):
         part = fit_uniform_partition(np.array([-1.0, 0.25, 1.0]), 2)
         assert part.edges.tolist() == [0.0]
